@@ -141,10 +141,14 @@ def _scored_records(args, manifest: RunManifest) -> list[sentiment.ScoredRecord]
 
 def cmd_center(args, manifest: RunManifest) -> None:
     _need(args, "series", "anchor")
+    try:
+        kind = AnchorKind(args.anchor)
+    except ValueError:
+        raise UsageError(f"unknown anchor {args.anchor!r}; expected one of "
+                         + ", ".join(k.value for k in AnchorKind)) from None
     out = _out_dir(args)
     manifest.add_input(args.series)
     series = io.read_weekly_series(args.series)
-    kind = AnchorKind(args.anchor)
     years = _parse_years(args.years)
     if kind is AnchorKind.EID_AL_FITR and args.eid_dates:
         manifest.add_input(args.eid_dates)
@@ -273,6 +277,8 @@ def cmd_score(args, manifest: RunManifest) -> None:
 
 
 def cmd_bin(args, manifest: RunManifest) -> None:
+    if args.bins < 1:
+        raise UsageError(f"--bins must be at least 1, got {args.bins}")
     out = _out_dir(args)
     scored = _scored_records(args, manifest)
     present = sorted({r.country for r in scored if r.country != "unknown" and r.score})

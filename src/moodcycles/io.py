@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import math
 import os
 import tempfile
 from contextlib import contextmanager
@@ -59,9 +60,12 @@ def _parse_date(text: str, where: str) -> dt.date:
 
 def _parse_float(text: str, where: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError as exc:
         raise DataError(f"{where}: bad number {text!r}") from exc
+    if not math.isfinite(value):
+        raise DataError(f"{where}: non-finite number {text!r}")
+    return value
 
 
 def _open_csv(path: str | Path, expected_header: list[str]):

@@ -63,20 +63,59 @@ def load_lexicons(path, removed_words: frozenset[str] = DEFAULT_REMOVED_WORDS) -
     return [Lexicon(lang, entries, removed_words) for lang, entries in sorted(tables.items())]
 
 
+_RUN = re.compile(r"[^\W_]+", re.UNICODE)  # the stoplist's token: a maximal alphanumeric run
+_END = None  # trie key marking that a phrase ends at this node
+
+
+class _CaseFold(dict):
+    """``str.translate`` table folding case the way ``re.IGNORECASE`` does.
+
+    Characters that ``re.IGNORECASE`` treats as equal to a phrase character
+    map to one representative of that character's class, so two folded
+    strings are equal exactly when the regex would match one with the other.
+    ``str.lower`` differs: it keeps the long s and the dotless i apart from
+    s and i, and lowers dotted capital I to two characters. Other characters
+    map to themselves. Each distinct character is resolved once, then cached.
+    """
+
+    def __init__(self, alphabet):
+        super().__init__()
+        self._classes: list[tuple[re.Pattern, str]] = []
+        for char in sorted(alphabet):
+            rep = self._class_of(char)
+            if rep is None:
+                self._classes.append((re.compile(re.escape(char), re.IGNORECASE), char))
+                rep = char
+            self[ord(char)] = rep
+
+    def _class_of(self, char: str) -> str | None:
+        for pattern, rep in self._classes:
+            if pattern.fullmatch(char):
+                return rep
+        return None
+
+    def __missing__(self, code: int) -> str:
+        char = chr(code)
+        rep = self[code] = self._class_of(char) or char
+        return rep
+
+
 class GreetingStoplist:
     """Removes whole-phrase holiday greetings from text.
 
-    Phrases match case-insensitively as token sequences: any run of
-    non-alphanumeric characters separates tokens, and a match cannot sit
-    inside a longer word. Longer phrases are tried before shorter ones, and
-    removal repeats until no phrase remains, so stripping is idempotent.
+    Phrases match as token sequences, where a token is a maximal run of
+    letters and digits and any other characters separate tokens, so a match
+    cannot sit inside a longer word. Tokens compare with ``re.IGNORECASE``
+    case folding. Scanning left to right, the phrase with the most tokens
+    starting at a token is removed; removal repeats until no phrase remains,
+    so stripping is idempotent.
     """
 
     def __init__(self, phrases: list[str]):
         cleaned = []
         seen = set()
         for phrase in phrases:
-            tokens = [t for t in re.split(r"[\W_]+", phrase.lower()) if t]
+            tokens = _RUN.findall(phrase.lower())
             if not tokens:
                 raise DataError("stoplist contains an empty phrase")
             key = tuple(tokens)
@@ -85,12 +124,14 @@ class GreetingStoplist:
                 cleaned.append(tokens)
         cleaned.sort(key=lambda ts: (-len(ts), -sum(map(len, ts))))
         self.phrases = [" ".join(ts) for ts in cleaned]
-        alternation = "|".join(r"[\W_]+".join(map(re.escape, ts)) for ts in cleaned)
-        self._pattern = re.compile(
-            r"(?<![^\W_])(?:" + alternation + r")(?![^\W_])",
-            re.IGNORECASE | re.UNICODE,
-        )
-        # cheap prefilter: texts without any phrase's first token skip the regex
+        self._fold = _CaseFold({c for ts in cleaned for t in ts for c in t})
+        self._trie: dict = {}
+        for ts in cleaned:
+            node = self._trie
+            for token in ts:
+                node = node.setdefault(token.translate(self._fold), {})
+            node[_END] = True
+        # cheap prefilter: texts without any phrase's first token skip matching
         self._first_tokens = frozenset(ts[0] for ts in cleaned)
 
     @classmethod
@@ -99,26 +140,57 @@ class GreetingStoplist:
 
         return cls(read_stoplist_lines())
 
-    def _may_match(self, text: str) -> bool:
-        return not self._first_tokens.isdisjoint(tokenize(text))
+    def _may_match(self, tokens: list[str]) -> bool:
+        """Prefilter on the text's ``tokenize`` tokens."""
+        return not self._first_tokens.isdisjoint(tokens)
 
     def strip(self, text: str) -> str:
         """Text with every stoplist phrase removed (whitespace collapsed if any)."""
-        if not self._may_match(text):
+        if not self._may_match(tokenize(text)):
             return text
-        result, changed = text, False
-        while True:
-            result, n = self._pattern.subn(" ", result)
-            if n == 0:
+        return self._remove(text)
+
+    def _match_end(self, folded: list[str], alive: list[int], j: int) -> int:
+        """End (exclusive, in ``alive``) of the longest phrase starting at alive[j]; 0 if none."""
+        node, end = self._trie, 0
+        for k in range(j, len(alive)):
+            node = node.get(folded[alive[k]])
+            if node is None:
                 break
-            changed = True
-        if changed:
-            result = " ".join(result.split())
-        return result
+            if _END in node:
+                end = k + 1
+        return end
 
-
-def strip_greetings(text: str, stoplist: GreetingStoplist) -> str:
-    return stoplist.strip(text)
+    def _remove(self, text: str) -> str:
+        """``strip`` past the prefilter; returns ``text`` itself when nothing matches."""
+        runs = list(_RUN.finditer(text))
+        folded = [run.group().translate(self._fold) for run in runs]
+        alive = list(range(len(runs)))
+        removed: list[tuple[int, int]] = []  # (first, last) run of every match
+        while True:
+            kept, n_before, j = [], len(removed), 0
+            while j < len(alive):
+                end = self._match_end(folded, alive, j)
+                if end:
+                    removed.append((alive[j], alive[end - 1]))
+                    j = end
+                else:
+                    kept.append(alive[j])
+                    j += 1
+            if len(removed) == n_before:
+                break
+            alive = kept
+        if not removed:
+            return text
+        # A later pass's match spans the earlier matches between its tokens;
+        # each outermost match becomes one space.
+        pieces, pos, reach = [], 0, -1
+        for first, last in sorted(removed, key=lambda m: (m[0], -m[1])):
+            if first > reach:
+                pieces += (text[pos:runs[first].start()], " ")
+                pos, reach = runs[last].end(), last
+        pieces.append(text[pos:])
+        return " ".join("".join(pieces).split())
 
 
 @dataclass(frozen=True)
@@ -190,10 +262,56 @@ def score_records(
     lexicons: list[Lexicon],
     stoplist: GreetingStoplist | None = None,
 ) -> list[ScoredRecord]:
-    return [
-        ScoredRecord(ts, country, score_text(text, lexicons, stoplist))
-        for ts, country, text in records
-    ]
+    """Score every record's text; each score equals ``score_text``'s.
+
+    One table, built per call, maps each word to the (lexicon index, scores)
+    of every lexicon that matches it, so each text is tokenized once (again
+    only if the stoplist changed it) and each token is looked up once.
+    """
+    if records and not lexicons:
+        raise DataError("need at least one lexicon")
+    table: dict[str, list[tuple[int, tuple[float, float, float]]]] = {}
+    for index, lex in enumerate(lexicons):
+        for word, scores in lex.entries.items():
+            if word not in lex.removed_words:
+                table.setdefault(word, []).append((index, scores))
+    languages = [lex.language for lex in lexicons]
+    out = []
+    for ts, country, text in records:
+        tokens = tokenize(text)
+        if stoplist is not None and stoplist._may_match(tokens):
+            stripped = stoplist._remove(text)
+            if stripped is not text:
+                tokens = tokenize(stripped)
+        out.append(ScoredRecord(ts, country, _score_tokens(tokens, table, languages)))
+    return out
+
+
+def _score_tokens(tokens, table, languages) -> TextScore | None:
+    """``score_text``'s rule over a merged table: per-lexicon sums run in
+    token order and ties list lexicons in order, so results are bit-identical."""
+    sums: dict[int, list] = {}  # lexicon index -> [count, v, a, d]
+    for token in tokens:
+        for index, (v, a, d) in table.get(token, ()):
+            acc = sums.get(index)
+            if acc is None:
+                acc = sums[index] = [0, 0.0, 0.0, 0.0]
+            acc[0] += 1
+            acc[1] += v
+            acc[2] += a
+            acc[3] += d
+    if not sums:
+        return None
+    if len(sums) == 1:
+        [(index, (count, v, a, d))] = sums.items()
+        return TextScore(v / count, a / count, d / count, languages[index], count)
+    best_count = max(acc[0] for acc in sums.values())
+    best = [(languages[i], acc) for i, acc in sorted(sums.items()) if acc[0] == best_count]
+    means = [(v / count, a / count, d / count) for _, (count, v, a, d) in best]
+    if len(best) == 1:
+        return TextScore(*means[0], best[0][0], best_count)
+    v, a, d = (sum(m[i] for m in means) / len(means) for i in range(3))
+    return TextScore(v, a, d, "+".join(lang for lang, _ in best), best_count, tie=True)
 
 
 def _sunday_on_or_before(day: dt.date) -> dt.date:

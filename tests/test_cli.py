@@ -71,6 +71,29 @@ class TestExitCodes:
         assert run("dcor", "--x", str(x), "--y", str(x), "--out", str(tmp_path / "o")) == 1
         assert "--seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stage, key, value", [
+        ("bin", "bins", "0"),
+        ("bin", "bins", "-3"),
+        ("center", "anchor", "bogus"),
+    ])
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    def test_bad_values_are_rejected_before_any_work(self, tmp_path, capsys, stage, key, value, route):
+        # the inputs do not exist: a check made after reading them would exit 2
+        absent = str(tmp_path / "absent")
+        inputs = {"bin": ["--records", absent, "--lexicons", absent],
+                  "center": ["--series", absent]}[stage]
+        argv = [stage, *inputs, "--out", str(tmp_path / "out")]
+        if route == "flag":
+            argv += [f"--{key}", value]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{key}={value}\n")
+            argv = ["--config", str(cfg), *argv]
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert value in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestConfig:
     def test_config_supplies_options(self, tmp_path, capsys):

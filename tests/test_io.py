@@ -20,6 +20,7 @@ from moodcycles.io import (
     read_records,
     read_stoplist_lines,
     read_weekly_series,
+    read_zscore_table,
     write_binned,
     write_table,
     write_weekly_series,
@@ -243,3 +244,13 @@ class TestFlatTables:
     def test_missing_file_is_a_data_error(self, tmp_path):
         with pytest.raises(DataError):
             read_keyed_values(tmp_path / "absent.csv")
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cells_point_at_their_line(self, tmp_path, cell):
+        # a NaN z-score once went through classification (AE came out Muslim)
+        path = tmp_path / "z.csv"
+        path.write_text("code,name,identification,hemisphere,z_christmas,z_eid,z_june,z_dec\n"
+                        f"AE,United Arab Emirates,Muslim,North,{cell},3.023,0.179,1.313\n")
+        with pytest.raises(DataError) as err:
+            read_zscore_table(path)
+        assert "z.csv:2" in str(err.value) and repr(cell) in str(err.value)

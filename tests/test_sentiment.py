@@ -1,6 +1,8 @@
 """Tokenization, greeting stripping, scoring, aggregation, and binning."""
 
 import datetime as dt
+import random
+import re
 
 import numpy as np
 import pytest
@@ -17,11 +19,57 @@ from moodcycles import (
     bin_edges,
     bin_index,
     bin_week,
+    score_records,
     score_text,
     tokenize,
 )
 
 UTC = dt.timezone.utc
+
+
+class RegexStoplist:
+    """Reference stoplist: one case-insensitive alternation of the phrases,
+    longest first, substituted until no phrase remains."""
+
+    def __init__(self, stoplist: GreetingStoplist):
+        cleaned = [phrase.split(" ") for phrase in stoplist.phrases]
+        alternation = "|".join(r"[\W_]+".join(map(re.escape, ts)) for ts in cleaned)
+        self._pattern = re.compile(
+            r"(?<![^\W_])(?:" + alternation + r")(?![^\W_])",
+            re.IGNORECASE | re.UNICODE,
+        )
+        self._first_tokens = frozenset(ts[0] for ts in cleaned)
+
+    def strip(self, text: str) -> str:
+        if self._first_tokens.isdisjoint(tokenize(text)):
+            return text
+        result, changed = text, False
+        while True:
+            result, n = self._pattern.subn(" ", result)
+            if n == 0:
+                break
+            changed = True
+        if changed:
+            result = " ".join(result.split())
+        return result
+
+
+# Characters that re.IGNORECASE equates with s, k and i: long s, Kelvin sign,
+# dotted capital I, dotless small i. Of these str.lower() folds only the
+# Kelvin sign to its letter.
+_CASE_VARIANTS = {"s": "sSſ", "k": "kK\u212a", "i": "iIİı"}
+
+
+def cased(rng: random.Random, word: str) -> str:
+    return "".join(rng.choice(_CASE_VARIANTS.get(c, c + c.upper())) for c in word)
+
+
+@pytest.fixture(scope="module")
+def reference_stoplist(default_stoplist) -> RegexStoplist:
+    return RegexStoplist(default_stoplist)
+
+
+_SEPARATORS = [" ", "  ", ", ", " - ", "!!", "...", "_", " 9 ", "3", "\n", ""]
 
 
 class TestTokenize:
@@ -89,6 +137,37 @@ class TestStoplist:
         once = default_stoplist.strip(text)
         assert default_stoplist.strip(once) == once
 
+    @pytest.mark.parametrize("text", ["merry CHRİSTMAS x", "merry chriſtmas x", "merry christmaſ x"])
+    def test_case_folds_like_re_ignorecase(self, default_stoplist, reference_stoplist, text):
+        # str.lower() would leave each of these unmatched
+        assert default_stoplist.strip(text) == "x"
+        assert reference_stoplist.strip(text) == "x"
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**32))
+    def test_bundled_phrases_match_the_regex_reference(self, default_stoplist, reference_stoplist,
+                                                       data, seed):
+        words = ["merry", "christmas", "happy", "new", "year", "feliz", "navidad", "año",
+                 "nuevo", "día", "kiss", "snow", "unhappy", "xmas", "2013", "straße"]
+        piece = st.one_of(st.sampled_from(default_stoplist.phrases), st.sampled_from(words))
+        pieces = data.draw(st.lists(st.tuples(piece, st.sampled_from(_SEPARATORS)), max_size=10))
+        rng = random.Random(seed)
+        text = "".join(cased(rng, p) + sep for p, sep in pieces)
+        assert default_stoplist.strip(text) == reference_stoplist.strip(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**32))
+    def test_generated_phrases_match_the_regex_reference(self, data, seed):
+        words = ["a", "ab", "ba", "kiss", "sis", "ik", "año", "é", "x1", "İz", "ſun", "\u212a"]
+        phrase = st.lists(st.sampled_from(words), min_size=1, max_size=3).map(" ".join)
+        phrases = data.draw(st.lists(phrase, min_size=1, max_size=6))
+        stoplist = GreetingStoplist(phrases)
+        pieces = data.draw(st.lists(
+            st.tuples(st.sampled_from(words + phrases), st.sampled_from(_SEPARATORS)), max_size=12))
+        rng = random.Random(seed)
+        text = "".join(cased(rng, p) + sep for p, sep in pieces)
+        assert stoplist.strip(text) == RegexStoplist(stoplist).strip(text)
+
 
 class TestScoreText:
     def test_mean_of_matched_entries(self, english_lexicon):
@@ -136,6 +215,32 @@ class TestScoreText:
     def test_empty_lexicon_list_is_an_error(self):
         with pytest.raises(DataError):
             score_text("anything", [])
+
+
+class TestScoreRecords:
+    # Few words and few score values force shared words, ties and removed
+    # words; greeting-only texts strip to empty.
+    WORDS = ["joy", "sad", "sol", "mesa", "both", "navidad", "feliz", "zzz"]
+    VALUE = st.sampled_from([1.0, 2.5, 5.0, 7.25, 9.0])
+    LEXICON = st.builds(
+        Lexicon,
+        language=st.sampled_from(["de", "en", "es", "pt"]),
+        entries=st.dictionaries(st.sampled_from(WORDS), st.tuples(VALUE, VALUE, VALUE), max_size=6),
+        removed_words=st.frozensets(st.sampled_from(WORDS), max_size=2),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lexicons=st.lists(LEXICON, min_size=1, max_size=4),
+        stoplist=st.sampled_from([None, GreetingStoplist(["feliz navidad", "sad joy", "joy"])]),
+        texts=st.lists(st.lists(st.sampled_from(WORDS + ["Feliz Navidad", "JOY", "!"]), max_size=6)
+                       .map(" ".join), max_size=8),
+    )
+    def test_equals_score_text_on_every_record(self, lexicons, stoplist, texts):
+        ts = dt.datetime(2010, 1, 3, tzinfo=UTC)
+        records = [(ts, "US", text) for text in texts]
+        expected = [ScoredRecord(ts, "US", score_text(text, lexicons, stoplist)) for text in texts]
+        assert score_records(records, lexicons, stoplist) == expected
 
 
 def rec(iso: str, valence: float, country: str = "US") -> ScoredRecord:
