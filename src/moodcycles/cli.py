@@ -172,19 +172,6 @@ def cmd_center(args, manifest: RunManifest) -> None:
     print(f"{len(centered)} centered years; anchor-week z = {anchor_z:.3f}")
 
 
-def _classification_rows(profiles):
-    rows = []
-    for p in profiles:
-        rows.append([
-            p.code, p.name, p.identification, p.hemisphere,
-            p.response.z_christmas, p.response.z_eid,
-            p.response.z_june, p.response.z_dec,
-            p.classification.label, "+".join(p.classification.basis),
-            "yes" if p.classification.tie_resolved else "no",
-        ])
-    return rows
-
-
 _CLASSIFICATION_HEADER = [
     "code", "name", "identification", "hemisphere",
     "z_christmas", "z_eid", "z_june", "z_dec", "label", "basis", "tie_resolved",
@@ -193,28 +180,31 @@ _CLASSIFICATION_HEADER = [
 _AGREEMENT_HEADER = ["group_kind", "group", "anchor", "n_group", "n_above", "pct_exact", "pct"]
 
 
-def _agreement_rows(rows):
-    return [
-        [r["group_kind"], r["group"], r["anchor"], r["n_group"], r["n_above"],
-         r["pct_exact"], r["pct"]]
-        for r in rows
-    ]
+def _classified(args, manifest: RunManifest, out: Path):
+    """Classify the z table's countries; write classification.csv and agreement.csv.
 
-
-def _load_profiles(args, manifest: RunManifest):
+    Returns the z rows, the profiles and the cohort agreement rows.
+    """
     if args.zscores:
         manifest.add_input(args.zscores)
     zrows = io.read_zscore_table(args.zscores or None)
-    return countries.build_profiles(zrows, args.threshold, args.orthodox_as_other)
+    profiles = countries.build_profiles(zrows, args.threshold, args.orthodox_as_other)
+    manifest.counts["countries"] = len(profiles)
+    io.write_table(out / "classification.csv", _CLASSIFICATION_HEADER, [
+        [p.code, p.name, p.identification, p.hemisphere,
+         p.response.z_christmas, p.response.z_eid, p.response.z_june, p.response.z_dec,
+         p.classification.label, "+".join(p.classification.basis),
+         "yes" if p.classification.tie_resolved else "no"]
+        for p in profiles
+    ])
+    agreement = countries.cohort_agreement(profiles, args.threshold)
+    io.write_table(out / "agreement.csv", _AGREEMENT_HEADER,
+                   [[r[k] for k in _AGREEMENT_HEADER] for r in agreement])
+    return zrows, profiles, agreement
 
 
 def cmd_classify(args, manifest: RunManifest) -> None:
-    out = _out_dir(args)
-    profiles = _load_profiles(args, manifest)
-    manifest.counts["countries"] = len(profiles)
-    io.write_table(out / "classification.csv", _CLASSIFICATION_HEADER, _classification_rows(profiles))
-    agreement = countries.cohort_agreement(profiles, args.threshold)
-    io.write_table(out / "agreement.csv", _AGREEMENT_HEADER, _agreement_rows(agreement))
+    _, profiles, _ = _classified(args, manifest, _out_dir(args))
     labels = {label: sum(1 for p in profiles if p.classification.label == label)
               for label in ("Christian", "Muslim", "Other")}
     print(f"classified {len(profiles)} countries: " +
@@ -418,10 +408,7 @@ def cmd_eigenmood(args, manifest: RunManifest) -> None:
     # heatmaps of the two-component reconstruction, one per selected dimension
     for dim in sorted({c.dimension for c in mood.components}):
         comps = [c for c in mood.components if c.dimension == dim]
-        dec = decs[dim]
-        idx = [c.index - 1 for c in comps]
-        recon = (dec.U[:, idx] * dec.S[idx]) @ dec.V[:, idx].T
-        dev, signs = em.heatmap(recon)
+        dev, signs = em.heatmap(decs[dim].reconstruct([c.index for c in comps]))
         weeks_header = [w.isoformat() for w in matrices[dim].week_starts]
         io.write_table(out / f"heatmap_{dim}.tsv", ["bin"] + weeks_header,
                        [[b + 1] + [float(v) for v in row] for b, row in enumerate(dev)],
@@ -488,6 +475,8 @@ def cmd_regress(args, manifest: RunManifest) -> None:
 
 
 def cmd_dcor(args, manifest: RunManifest) -> None:
+    if args.permutations < 0:
+        raise UsageError(f"--permutations must be at least 0, got {args.permutations}")
     _need(args, "x", "y")
     if args.permutations > 0 and args.seed is None:
         raise UsageError("--seed is required when --permutations > 0")
@@ -512,15 +501,11 @@ def cmd_dcor(args, manifest: RunManifest) -> None:
 
 def cmd_report(args, manifest: RunManifest) -> None:
     out = _out_dir(args)
-    profiles = _load_profiles(args, manifest)
-    io.write_table(out / "classification.csv", _CLASSIFICATION_HEADER, _classification_rows(profiles))
-    agreement = countries.cohort_agreement(profiles, args.threshold)
-    io.write_table(out / "agreement.csv", _AGREEMENT_HEADER, _agreement_rows(agreement))
+    zrows, profiles, agreement = _classified(args, manifest, out)
 
     expected = io.expected_agreement()
     actual = {(r["group_kind"], r["group"], r["anchor"]): r["pct"] for r in agreement}
-    variant = countries.build_profiles(io.read_zscore_table(args.zscores or None),
-                                       args.threshold, orthodox_as_other=True)
+    variant = countries.build_profiles(zrows, args.threshold, orthodox_as_other=True)
     for row in countries.cohort_agreement(variant, args.threshold):
         if row["group_kind"] == "identification" and row["group"] == "Christian":
             actual[("identification-orthodox-as-other", "Christian", row["anchor"])] = row["pct"]
@@ -536,7 +521,6 @@ def cmd_report(args, manifest: RunManifest) -> None:
     io.write_table(out / "agreement_check.csv",
                    ["group_kind", "group", "anchor", "expected_pct", "actual_pct", "match"],
                    check_rows)
-    manifest.counts["countries"] = len(profiles)
     manifest.counts["cells_checked"] = len(check_rows)
     manifest.counts["cells_mismatched"] = mismatches
     if mismatches:

@@ -42,17 +42,6 @@ RESPONSE_ANCHORS = (
 
 
 @dataclass(frozen=True)
-class CountryRecord:
-    code: str
-    name: str
-    first_week: object = None
-    pct_christian: float | None = None
-    pct_muslim: float | None = None
-    continent: str = ""
-    hemisphere: str = ""
-
-
-@dataclass(frozen=True)
 class HolidayResponse:
     """Anchor-week z-scores per centered calendar."""
 
@@ -87,30 +76,6 @@ class CountryProfile:
     hemisphere: str
     response: HolidayResponse
     classification: Classification
-
-
-def identify(record: CountryRecord, orthodox_as_other: bool = False) -> str:
-    """Cultural identification from religious majority percentages.
-
-    At least half the population identifying as Christian (or Muslim) makes
-    the country culturally Christian (Muslim); otherwise Other. With
-    ``orthodox_as_other``, the January-Christmas countries are forced to
-    Other regardless of percentages.
-    """
-    if orthodox_as_other and record.code in JANUARY_CHRISTMAS:
-        return "Other"
-    christian = record.pct_christian is not None and record.pct_christian >= 50.0
-    muslim = record.pct_muslim is not None and record.pct_muslim >= 50.0
-    if christian and muslim:
-        raise DataError(
-            f"{record.code}: both Christian ({record.pct_christian}) and Muslim "
-            f"({record.pct_muslim}) percentages are majorities"
-        )
-    if christian:
-        return "Christian"
-    if muslim:
-        return "Muslim"
-    return "Other"
 
 
 def holiday_response(

@@ -98,6 +98,11 @@ class EigenDecomposition:
         """All weeks' projections on one component."""
         return self.U[:, component - 1] * self.S[component - 1]
 
+    def reconstruct(self, components) -> np.ndarray:
+        """Weeks-by-bins sum of the given components (1-based): U_k S_k V_kᵀ."""
+        idx = [k - 1 for k in components]
+        return (self.U[:, idx] * self.S[idx]) @ self.V[:, idx].T
+
 
 def decompose(M) -> EigenDecomposition:
     """Full SVD with the largest-|entry| of every eigenbin made positive."""
@@ -176,9 +181,7 @@ def denoise(
     if not kept:
         zero = np.zeros((dec.U.shape[0], dec.V.shape[0]))
         return DenoiseResult(matrix=zero, kept=(), degenerate=True)
-    idx = [k - 1 for k in kept]
-    matrix = (dec.U[:, idx] * dec.S[idx]) @ dec.V[:, idx].T
-    return DenoiseResult(matrix=matrix, kept=kept, degenerate=False)
+    return DenoiseResult(matrix=dec.reconstruct(kept), kept=kept, degenerate=False)
 
 
 @dataclass(frozen=True)

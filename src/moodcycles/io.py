@@ -16,6 +16,7 @@ import os
 import tempfile
 from contextlib import contextmanager
 from importlib.resources import files as _package_files
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -68,48 +69,83 @@ def _parse_float(text: str, where: str) -> float:
     return value
 
 
-def _open_csv(path: str | Path, expected_header: list[str]):
-    path = Path(path)
+def _parse_int(text: str, where: str) -> int:
     try:
-        handle = open(path, encoding="utf-8", newline="")
+        return int(text)
+    except ValueError as exc:
+        raise DataError(f"{where}: bad integer {text!r}") from exc
+
+
+def read_text(path: str | Path) -> str:
+    """A UTF-8 file's text; an unreadable or undecodable file is a DataError."""
+    try:
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise DataError(f"{path}: {exc}") from exc
-    reader = csv.reader(handle)
-    header = next(reader, None)
-    if header != expected_header:
-        handle.close()
-        raise DataError(
-            f"{path}: expected header {','.join(expected_header)!r}, got "
-            f"{','.join(header) if header else '<empty file>'!r}"
-        )
-    return handle, reader
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path}:{line}: not UTF-8 (byte {data[exc.start]:#04x})") from exc
+
+
+def _rows(path, header, delimiter: str = ","):
+    """Yield ``(where, row)`` for each non-blank data row of a UTF-8 table.
+
+    ``header`` is the exact header row, and then every data row must have as
+    many fields; or it is a function that checks the header row (``[]`` for
+    an empty file), raising ValueError with the reason, and returns the field
+    count of a data row, or None to leave the count to the caller. ``where``
+    is ``file:line`` for the reader's own messages. An unreadable file, bad
+    UTF-8, CSV syntax, a bad header and a wrong field count are DataErrors.
+    """
+    reader = csv.reader(StringIO(read_text(path), newline=""), delimiter=delimiter)
+    try:
+        first = next(reader, [])
+        if callable(header):
+            try:
+                width = header(first)
+            except ValueError as exc:
+                raise DataError(f"{path}: {exc}") from None
+        elif first != header:
+            raise DataError(
+                f"{path}: expected header {','.join(header)!r}, got "
+                f"{','.join(first) if first else '<empty file>'!r}"
+            )
+        else:
+            width = len(header)
+        for row in reader:
+            if not row:
+                continue
+            where = f"{path}:{reader.line_num}"
+            if width is not None and len(row) != width:
+                raise DataError(f"{where}: expected {width} fields, got {len(row)}")
+            yield where, row
+    except csv.Error as exc:
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
 
 
 # ---------------------------------------------------------------- weekly series
 
 def read_weekly_series(path: str | Path) -> WeeklySeries:
     """Read `week_start,value` rows; weeks must be consecutive Sundays-apart."""
-    handle, reader = _open_csv(path, ["week_start", "value"])
-    with handle:
-        starts: list[dt.date] = []
-        values: list[float] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise DataError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
-            where = f"{path}:{lineno}"
-            day = _parse_date(row[0], where)
-            if starts and day != starts[-1] + dt.timedelta(days=7):
-                raise DataError(
-                    f"{where}: week {day} does not follow {starts[-1]} "
-                    "(series must be strictly consecutive, no gaps)"
-                )
-            starts.append(day)
-            values.append(_parse_float(row[1], where))
+    starts: list[dt.date] = []
+    values: list[float] = []
+    for where, row in _rows(path, ["week_start", "value"]):
+        day = _parse_date(row[0], where)
+        if starts and (day - starts[-1]).days != 7:
+            raise DataError(
+                f"{where}: week {day} does not follow {starts[-1]} "
+                "(series must be strictly consecutive, no gaps)"
+            )
+        starts.append(day)
+        values.append(_parse_float(row[1], where))
     if not values:
         raise DataError(f"{path}: no data rows")
-    return WeeklySeries(start_date=starts[0], values=np.array(values))
+    try:
+        return WeeklySeries(start_date=starts[0], values=np.array(values))
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def write_weekly_series(path: str | Path, series: WeeklySeries) -> int:
@@ -126,23 +162,20 @@ def write_weekly_series(path: str | Path, series: WeeklySeries) -> int:
 def read_anchor_calendar(path: str | Path, kind: AnchorKind | str) -> AnchorCalendar:
     """Read `kind,anchor_date` rows, keeping rows matching ``kind``."""
     kind = AnchorKind(kind)
-    handle, reader = _open_csv(path, ["kind", "anchor_date"])
-    with handle:
-        dates = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise DataError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
-            try:
-                row_kind = AnchorKind(row[0].strip())
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: unknown calendar kind {row[0]!r}") from exc
-            if row_kind is kind:
-                dates.append(_parse_date(row[1], f"{path}:{lineno}"))
+    dates = []
+    for where, row in _rows(path, ["kind", "anchor_date"]):
+        try:
+            row_kind = AnchorKind(row[0].strip())
+        except ValueError as exc:
+            raise DataError(f"{where}: unknown calendar kind {row[0]!r}") from exc
+        if row_kind is kind:
+            dates.append(_parse_date(row[1], where))
     if not dates:
         raise DataError(f"{path}: no anchor dates of kind {kind.value!r}")
-    return AnchorCalendar(kind=kind, anchor_dates=tuple(dates))
+    try:
+        return AnchorCalendar(kind=kind, anchor_dates=tuple(dates))
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def eid_calendar() -> AnchorCalendar:
@@ -164,20 +197,10 @@ def calendar_for(kind: AnchorKind | str, years, eid_path: str | Path | None = No
 
 def read_births(path: str | Path) -> dict[str, list[tuple[int, int, float]]]:
     """Read `country,year,month,count` rows grouped by country."""
-    handle, reader = _open_csv(path, ["country", "year", "month", "count"])
-    with handle:
-        out: dict[str, list[tuple[int, int, float]]] = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise DataError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
-            where = f"{path}:{lineno}"
-            try:
-                year, month = int(row[1]), int(row[2])
-            except ValueError as exc:
-                raise DataError(f"{where}: bad year/month") from exc
-            out.setdefault(row[0].strip(), []).append((year, month, _parse_float(row[3], where)))
+    out: dict[str, list[tuple[int, int, float]]] = {}
+    for where, row in _rows(path, ["country", "year", "month", "count"]):
+        year, month = _parse_int(row[1], where), _parse_int(row[2], where)
+        out.setdefault(row[0].strip(), []).append((year, month, _parse_float(row[3], where)))
     if not out:
         raise DataError(f"{path}: no data rows")
     return out
@@ -221,105 +244,55 @@ def write_averaged_year(path: str | Path, avg: AveragedYear) -> int:
 
 # -------------------------------------------------------------------- countries
 
-_META_HEADER = ["code", "name", "first_week", "identification", "pct_christian",
-                "pct_muslim", "continent", "hemisphere"]
-
-
-def read_country_metadata(path: str | Path | None = None) -> list[dict]:
-    """Country metadata rows; ``path=None`` loads the bundled table."""
-    src = _fixture("country_metadata.csv") if path is None else path
-    handle, reader = _open_csv(src, _META_HEADER)
-    with handle:
-        rows = []
-        seen = set()
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 8:
-                raise DataError(f"{src}:{lineno}: expected 8 fields, got {len(row)}")
-            code = row[0].strip()
-            if code in seen:
-                raise DataError(f"{src}:{lineno}: duplicate country code {code!r}")
-            seen.add(code)
-            rows.append({
-                "code": code,
-                "name": row[1].strip(),
-                "first_week": _parse_date(row[2], f"{src}:{lineno}"),
-                "identification": row[3].strip(),
-                "pct_christian": float(row[4]) if row[4].strip() else None,
-                "pct_muslim": float(row[5]) if row[5].strip() else None,
-                "continent": row[6].strip(),
-                "hemisphere": row[7].strip(),
-            })
-    return rows
-
-
-def read_identification_overrides(path: str | Path | None = None) -> dict[str, str]:
-    src = _fixture("identification_overrides.csv") if path is None else path
-    handle, reader = _open_csv(src, ["code", "identification"])
-    with handle:
-        return {row[0].strip(): row[1].strip() for row in reader if row}
-
-
 def read_zscore_table(path: str | Path | None = None) -> list[dict]:
-    """Per-country anchor z-scores; ``path=None`` loads the bundled table."""
+    """Per-country anchor z-scores; ``path=None`` loads the bundled table.
+
+    The bundled ``identification`` column is the 50%-majority rule on each
+    country's self-reported Christian and Muslim shares, with Kazakhstan
+    (a majority on both counts) set to Muslim.
+    """
     src = _fixture("holiday_zscores.csv") if path is None else path
     header = ["code", "name", "identification", "hemisphere",
               "z_christmas", "z_eid", "z_june", "z_dec"]
-    handle, reader = _open_csv(src, header)
-    with handle:
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 8:
-                raise DataError(f"{src}:{lineno}: expected 8 fields, got {len(row)}")
-            where = f"{src}:{lineno}"
-            rows.append({
-                "code": row[0].strip(),
-                "name": row[1].strip(),
-                "identification": row[2].strip(),
-                "hemisphere": row[3].strip(),
-                "z_christmas": _parse_float(row[4], where),
-                "z_eid": _parse_float(row[5], where),
-                "z_june": _parse_float(row[6], where),
-                "z_dec": _parse_float(row[7], where),
-            })
+    rows = []
+    for where, row in _rows(src, header):
+        rows.append({
+            "code": row[0].strip(),
+            "name": row[1].strip(),
+            "identification": row[2].strip(),
+            "hemisphere": row[3].strip(),
+            "z_christmas": _parse_float(row[4], where),
+            "z_eid": _parse_float(row[5], where),
+            "z_june": _parse_float(row[6], where),
+            "z_dec": _parse_float(row[7], where),
+        })
     return rows
 
 
 def expected_agreement(path: str | Path | None = None) -> dict[tuple[str, str, str], int]:
     """Published agreement percentages keyed by (group_kind, group, anchor)."""
     src = _fixture("expected_agreement.csv") if path is None else path
-    handle, reader = _open_csv(src, ["group_kind", "group", "anchor", "pct"])
-    with handle:
-        return {(r[0], r[1], r[2]): int(r[3]) for r in reader if r}
+    return {(r[0], r[1], r[2]): _parse_int(r[3], where)
+            for where, r in _rows(src, ["group_kind", "group", "anchor", "pct"])}
 
 
 # --------------------------------------------------------------------- lexicons
 
 def read_lexicons(path: str | Path) -> dict[str, dict[str, tuple[float, float, float]]]:
     """Read `language,word,valence,arousal,dominance` grouped by language."""
-    handle, reader = _open_csv(path, ["language", "word", "valence", "arousal", "dominance"])
-    with handle:
-        out: dict[str, dict[str, tuple[float, float, float]]] = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 5:
-                raise DataError(f"{path}:{lineno}: expected 5 fields, got {len(row)}")
-            where = f"{path}:{lineno}"
-            lang, word = row[0].strip(), row[1].strip().lower()
-            if not word:
-                raise DataError(f"{where}: empty word")
-            scores = tuple(_parse_float(v, where) for v in row[2:5])
-            for s in scores:
-                if not 1.0 <= s <= 9.0:
-                    raise DataError(f"{where}: score {s} outside [1, 9]")
-            entries = out.setdefault(lang, {})
-            if word in entries:
-                raise DataError(f"{where}: duplicate word {word!r} for {lang!r}")
-            entries[word] = scores
+    out: dict[str, dict[str, tuple[float, float, float]]] = {}
+    for where, row in _rows(path, ["language", "word", "valence", "arousal", "dominance"]):
+        lang, word = row[0].strip(), row[1].strip().lower()
+        if not word:
+            raise DataError(f"{where}: empty word")
+        scores = tuple(_parse_float(v, where) for v in row[2:5])
+        for s in scores:
+            if not 1.0 <= s <= 9.0:
+                raise DataError(f"{where}: score {s} outside [1, 9]")
+        entries = out.setdefault(lang, {})
+        if word in entries:
+            raise DataError(f"{where}: duplicate word {word!r} for {lang!r}")
+        entries[word] = scores
     if not out:
         raise DataError(f"{path}: no lexicon entries")
     return out
@@ -327,11 +300,7 @@ def read_lexicons(path: str | Path) -> dict[str, dict[str, tuple[float, float, f
 
 def read_stoplist_lines(path: str | Path | None = None) -> list[str]:
     """Stoplist phrases, one per line; ``path=None`` loads the bundled list."""
-    src = _fixture("holiday_greetings.txt") if path is None else Path(path)
-    try:
-        text = src.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"{src}: {exc}") from exc
+    text = read_text(_fixture("holiday_greetings.txt") if path is None else path)
     return [line.strip() for line in text.splitlines() if line.strip()]
 
 
@@ -409,41 +378,29 @@ def write_binned(path: str | Path, rows: list[tuple[dt.date, str, int, np.ndarra
     return len(rows)
 
 
+def _binned_header(header: list[str]) -> int:
+    if header[:3] != ["week_start", "dim", "n"]:
+        raise ValueError("expected binned TSV header starting week_start,dim,n")
+    n_bins = len(header) - 3
+    if n_bins < 2 or header[3:] != _prob_columns(n_bins):
+        raise ValueError("malformed probability columns")
+    return len(header)
+
+
 def read_binned(path: str | Path) -> dict[str, tuple[list[dt.date], list[int], np.ndarray]]:
     """Binned TSV back as {dim: (week_starts, n_scored, probs matrix)}."""
-    path = Path(path)
-    try:
-        handle = open(path, encoding="utf-8", newline="")
-    except OSError as exc:
-        raise DataError(f"{path}: {exc}") from exc
-    with handle:
-        reader = csv.reader(handle, delimiter="\t")
-        header = next(reader, None)
-        if not header or header[:3] != ["week_start", "dim", "n"]:
-            raise DataError(f"{path}: expected binned TSV header starting week_start,dim,n")
-        n_bins = len(header) - 3
-        if n_bins < 2 or header[3:] != _prob_columns(n_bins):
-            raise DataError(f"{path}: malformed probability columns")
-        acc: dict[str, tuple[list[dt.date], list[int], list[list[float]]]] = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3 + n_bins:
-                raise DataError(f"{path}:{lineno}: expected {3 + n_bins} fields, got {len(row)}")
-            where = f"{path}:{lineno}"
-            week = _parse_date(row[0], where)
-            dim = row[1].strip()
-            try:
-                n = int(row[2])
-            except ValueError as exc:
-                raise DataError(f"{where}: bad count {row[2]!r}") from exc
-            probs = [_parse_float(v, where) for v in row[3:]]
-            weeks, counts, mat = acc.setdefault(dim, ([], [], []))
-            if weeks and week <= weeks[-1]:
-                raise DataError(f"{where}: weeks out of order for dim {dim!r}")
-            weeks.append(week)
-            counts.append(n)
-            mat.append(probs)
+    acc: dict[str, tuple[list[dt.date], list[int], list[list[float]]]] = {}
+    for where, row in _rows(path, _binned_header, delimiter="\t"):
+        week = _parse_date(row[0], where)
+        dim = row[1].strip()
+        n = _parse_int(row[2], where)
+        probs = [_parse_float(v, where) for v in row[3:]]
+        weeks, counts, mat = acc.setdefault(dim, ([], [], []))
+        if weeks and week <= weeks[-1]:
+            raise DataError(f"{where}: weeks out of order for dim {dim!r}")
+        weeks.append(week)
+        counts.append(n)
+        mat.append(probs)
     if not acc:
         raise DataError(f"{path}: no data rows")
     return {dim: (weeks, counts, np.array(mat)) for dim, (weeks, counts, mat) in acc.items()}
@@ -461,28 +418,21 @@ def write_table(path: str | Path, header: list[str], rows: list[list], delimiter
     return len(rows)
 
 
+def _any_two_columns(header: list[str]) -> None:
+    if len(header) < 2:
+        raise ValueError("expected a two-column CSV with a header")
+
+
 def read_keyed_values(path: str | Path) -> dict[str, float]:
     """Two-column CSV (any header): key -> numeric value, for joins."""
-    path = Path(path)
-    try:
-        handle = open(path, encoding="utf-8", newline="")
-    except OSError as exc:
-        raise DataError(f"{path}: {exc}") from exc
-    with handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if not header or len(header) < 2:
-            raise DataError(f"{path}: expected a two-column CSV with a header")
-        out: dict[str, float] = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) < 2:
-                raise DataError(f"{path}:{lineno}: expected 2 fields")
-            key = row[0].strip()
-            if key in out:
-                raise DataError(f"{path}:{lineno}: duplicate key {key!r}")
-            out[key] = _parse_float(row[1], f"{path}:{lineno}")
+    out: dict[str, float] = {}
+    for where, row in _rows(path, _any_two_columns):
+        if len(row) < 2:
+            raise DataError(f"{where}: expected 2 fields, got {len(row)}")
+        key = row[0].strip()
+        if key in out:
+            raise DataError(f"{where}: duplicate key {key!r}")
+        out[key] = _parse_float(row[1], where)
     if not out:
         raise DataError(f"{path}: no data rows")
     return out

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import DataError
-from .io import atomic_write
+from .io import atomic_write, read_text
 
 TOOL_VERSION = "0.1.0"
 
@@ -23,12 +23,7 @@ TOOL_VERSION = "0.1.0"
 def load_config(path: str | Path) -> dict[str, str]:
     """key=value lines; blank lines and #-comments ignored."""
     values: dict[str, str] = {}
-    path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read config {path}: {exc}") from exc
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

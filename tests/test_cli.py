@@ -75,13 +75,15 @@ class TestExitCodes:
         ("bin", "bins", "0"),
         ("bin", "bins", "-3"),
         ("center", "anchor", "bogus"),
+        ("dcor", "permutations", "-5"),
     ])
     @pytest.mark.parametrize("route", ["flag", "config"])
     def test_bad_values_are_rejected_before_any_work(self, tmp_path, capsys, stage, key, value, route):
         # the inputs do not exist: a check made after reading them would exit 2
         absent = str(tmp_path / "absent")
         inputs = {"bin": ["--records", absent, "--lexicons", absent],
-                  "center": ["--series", absent]}[stage]
+                  "center": ["--series", absent],
+                  "dcor": ["--x", absent, "--y", absent, "--seed", "1"]}[stage]
         argv = [stage, *inputs, "--out", str(tmp_path / "out")]
         if route == "flag":
             argv += [f"--{key}", value]
@@ -93,6 +95,27 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert value in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+
+    @pytest.mark.parametrize("target", ["regress-y", "zscores", "config", "stoplist"])
+    def test_invalid_utf8_input_is_a_data_error(self, tmp_path, capsys, target):
+        keyed, records, lexicon = tmp_path / "x.csv", tmp_path / "r.tsv", tmp_path / "lex.csv"
+        write_keyed(keyed, [("a", 1.0), ("b", 2.0), ("c", 4.0), ("d", 3.0)])
+        records.write_text("2010-01-03T08:00:00Z\tUS\tsun\n")
+        lexicon.write_text("language,word,valence,arousal,dominance\nenglish,sun,8.0,5.0,5.0\n")
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"key,value\na,1.0\nb,\xff\n")
+        out = str(tmp_path / "out")
+        argv = {
+            "regress-y": ["regress", "--y", str(bad), "--x", str(keyed), "--out", out],
+            "zscores": ["report", "--zscores", str(bad), "--out", out],
+            "config": ["--config", str(bad), "regress", "--y", str(keyed), "--x", str(keyed)],
+            "stoplist": ["score", "--records", str(records), "--lexicons", str(lexicon),
+                         "--stoplist", str(bad), "--out", out],
+        }[target]
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:3" in err and "Traceback" not in err
 
 
 class TestConfig:

@@ -1,4 +1,4 @@
-"""Country identification, classification, and cohort agreement."""
+"""Country classification and cohort agreement."""
 
 import datetime as dt
 
@@ -8,7 +8,6 @@ import pytest
 from moodcycles import (
     AnchorCalendar,
     AnchorKind,
-    CountryRecord,
     DataError,
     HolidayResponse,
     NumericalError,
@@ -18,7 +17,6 @@ from moodcycles import (
     compare_search_terms,
     export_choropleth,
     holiday_response,
-    identify,
 )
 from moodcycles.countries import build_profiles
 from moodcycles.io import read_zscore_table
@@ -26,31 +24,6 @@ from moodcycles.io import read_zscore_table
 
 def response(christmas=0.0, eid=0.0, june=0.0, dec=0.0) -> HolidayResponse:
     return HolidayResponse(z_christmas=christmas, z_eid=eid, z_june=june, z_dec=dec)
-
-
-class TestIdentify:
-    def test_majority_rules(self):
-        assert identify(CountryRecord("US", "United States", pct_christian=78.3, pct_muslim=0.9)) == "Christian"
-        assert identify(CountryRecord("EG", "Egypt", pct_christian=5.1, pct_muslim=94.7)) == "Muslim"
-        assert identify(CountryRecord("JP", "Japan", pct_christian=2.0, pct_muslim=0.1)) == "Other"
-
-    def test_exactly_half_counts_as_majority(self):
-        assert identify(CountryRecord("XX", "X", pct_christian=50.0, pct_muslim=10.0)) == "Christian"
-
-    def test_missing_percentages_mean_other(self):
-        assert identify(CountryRecord("YY", "Y")) == "Other"
-
-    def test_double_majority_is_an_error(self):
-        with pytest.raises(DataError):
-            identify(CountryRecord("ZZ", "Z", pct_christian=60.0, pct_muslim=55.0))
-
-    def test_orthodox_as_other_regroups_january_christmas_countries(self):
-        ru = CountryRecord("RU", "Russia", pct_christian=73.6, pct_muslim=10.0)
-        assert identify(ru) == "Christian"
-        assert identify(ru, orthodox_as_other=True) == "Other"
-        # Bulgaria's principal church keeps the December date, so it stays
-        bg = CountryRecord("BG", "Bulgaria", pct_christian=82.1, pct_muslim=12.2)
-        assert identify(bg, orthodox_as_other=True) == "Christian"
 
 
 class TestClassify:

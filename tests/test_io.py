@@ -2,19 +2,25 @@
 
 import datetime as dt
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moodcycles import AnchorKind, DataError, WeeklySeries
 from moodcycles.io import (
     atomic_write,
     calendar_for,
     eid_calendar,
+    expected_agreement,
     fmt,
     parse_timestamp,
     read_anchor_calendar,
     read_binned,
+    read_births,
     read_keyed_values,
     read_lexicons,
     read_records,
@@ -64,6 +70,13 @@ class TestWeeklySeriesIO:
         path.write_text("week_start,value\n")
         with pytest.raises(DataError):
             read_weekly_series(path)
+
+    def test_invalid_utf8_points_at_its_line(self, tmp_path):
+        path = tmp_path / "series.csv"
+        path.write_bytes(b"week_start,value\n2004-01-04,1.0\n2004-01-11,\xff\n")
+        with pytest.raises(DataError) as err:
+            read_weekly_series(path)
+        assert "series.csv:3" in str(err.value) and "0xff" in str(err.value)
 
 
 class TestAtomicWrite:
@@ -254,3 +267,101 @@ class TestFlatTables:
         with pytest.raises(DataError) as err:
             read_zscore_table(path)
         assert "z.csv:2" in str(err.value) and repr(cell) in str(err.value)
+
+
+class TestExpectedAgreement:
+    def test_bundled_table(self):
+        table = expected_agreement()
+        assert table[("identification", "Christian", "christmas")] == 80
+
+    @pytest.mark.parametrize("row, message", [
+        ("identification,Christian,christmas,eighty", "bad integer 'eighty'"),
+        ("identification,Christian,christmas", "expected 4 fields, got 3"),
+    ])
+    def test_bad_rows_point_at_their_line(self, tmp_path, row, message):
+        path = tmp_path / "expected.csv"
+        path.write_text(f"group_kind,group,anchor,pct\nhemisphere,South,christmas,95\n{row}\n")
+        with pytest.raises(DataError) as err:
+            expected_agreement(path)
+        assert "expected.csv:3" in str(err.value) and message in str(err.value)
+
+
+# Every typed reader, with its header and some well-formed cells per column.
+_DATES = ["2004-01-04", "2004-01-11", "2004-01-18", "9999-12-26", "9999-12-31"]
+_NUMBERS = ["1.0", "0.5", "-1", "-0.5", "9.5"]
+_TYPED_READERS = {
+    "read_weekly_series": (read_weekly_series, "week_start,value", [_DATES, _NUMBERS]),
+    "read_anchor_calendar": (lambda path: read_anchor_calendar(path, "christmas"),
+                             "kind,anchor_date",
+                             [["christmas", "eid-al-fitr"], ["2004-12-25", "2005-12-25"]]),
+    "read_births": (read_births, "country,year,month,count",
+                    [["US", "GB"], ["2004", "2005"], ["1", "12"], _NUMBERS]),
+    "read_zscore_table": (read_zscore_table,
+                          "code,name,identification,hemisphere,z_christmas,z_eid,z_june,z_dec",
+                          [["US", "GB"], ["Name"], ["Christian"], ["North"]] + [_NUMBERS] * 4),
+    "expected_agreement": (expected_agreement, "group_kind,group,anchor,pct",
+                           [["identification"], ["Christian"], ["christmas"], ["80", "6"]]),
+    "read_lexicons": (read_lexicons, "language,word,valence,arousal,dominance",
+                      [["english"], ["word", "Word"]] + [_NUMBERS] * 3),
+    "read_binned": (read_binned, "week_start\tdim\tn\tp01\tp02",
+                    [_DATES, ["valence"], ["4", "-2"], ["0.5", "0.25"], ["0.5", "0.75"]]),
+    "read_keyed_values": (read_keyed_values, "key,value", [["a", "b"], _NUMBERS]),
+}
+
+_ODD_CELLS = st.one_of(
+    st.sampled_from(["", " ", '"', 'a"b', "\x00", "nan", "inf", "-Infinity", "p01", "1e999"]),
+    st.text(max_size=4),
+)
+
+
+@st.composite
+def _table_bytes(draw, header: str, columns: list[list[str]]) -> bytes:
+    """A table near a reader's format: its header or not, short and long rows,
+    odd cells, and a few arbitrary bytes spliced in anywhere."""
+    sep = "\t" if "\t" in header else ","
+    lines = [draw(st.one_of(st.just(header), st.text(max_size=12)))]
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.booleans()):
+            lines.append(sep.join(draw(st.sampled_from(good)) for good in columns))
+            continue
+        row = [draw(st.sampled_from(good) | _ODD_CELLS) for good in columns]
+        change = draw(st.sampled_from([0, -1, 1]))
+        if change < 0:
+            row.pop()
+        elif change > 0:
+            row.append(draw(_ODD_CELLS))
+        lines.append(sep.join(row))
+    data = "\n".join(lines).encode("utf-8")
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.binary(min_size=1, max_size=3)) + data[at:]
+    return data
+
+
+@pytest.mark.parametrize("name", sorted(_TYPED_READERS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_typed_readers_return_or_raise_a_data_error_naming_the_file(name, data):
+    reader, header, columns = _TYPED_READERS[name]
+    content = data.draw(_table_bytes(header, columns))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        path.write_bytes(content)
+        try:
+            reader(path)
+        except DataError as exc:
+            assert str(path) in str(exc)
+
+
+@pytest.mark.parametrize("name, body", [
+    ("read_weekly_series", "2004-01-04,-1\n"),                      # the series rejects it
+    ("read_weekly_series", "9999-12-26,1\n9999-12-31,1\n"),        # no week after 9999-12-26
+    ("read_anchor_calendar", "christmas,2004-12-25\nchristmas,2004-12-25\n"),
+])
+def test_whole_table_errors_name_the_file(tmp_path, name, body):
+    reader, header, _ = _TYPED_READERS[name]
+    path = tmp_path / "table.csv"
+    path.write_text(f"{header}\n{body}")
+    with pytest.raises(DataError) as err:
+        reader(path)
+    assert str(path) in str(err.value)
