@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import datetime as dt
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -51,19 +52,6 @@ def _bool(text: str) -> bool:
         return False
     raise UsageError(f"not a boolean: {text!r}")
 
-
-# Config file keys and how to coerce their string values. Flags always win.
-CONFIG_TYPES = {
-    "series": str, "a": str, "b": str, "zscores": str, "births": str,
-    "records": str, "lexicons": str, "stoplist": str, "binned": str,
-    "x": str, "y": str, "out": str, "eid_dates": str, "search": str,
-    "anchor": str, "years": str, "country": str, "dims": str,
-    "holiday_weeks": str, "holiday": str,
-    "threshold": float, "var_threshold": float, "shift": int,
-    "bins": int, "permutations": int, "seed": int, "min_overlap": int,
-    "records_per_week": int, "n_years": int,
-    "orthodox_as_other": _bool, "alt_score": _bool, "no_stoplist": _bool,
-}
 
 _DIM_ALIASES = {"v": "valence", "a": "arousal", "d": "dominance"}
 
@@ -180,11 +168,15 @@ _CLASSIFICATION_HEADER = [
 _AGREEMENT_HEADER = ["group_kind", "group", "anchor", "n_group", "n_above", "pct_exact", "pct"]
 
 
-def _classified(args, manifest: RunManifest, out: Path):
+def _classified(args, manifest: RunManifest):
     """Classify the z table's countries; write classification.csv and agreement.csv.
 
-    Returns the z rows, the profiles and the cohort agreement rows.
+    Returns the output directory, the z rows, the profiles and the cohort
+    agreement rows.
     """
+    if not math.isfinite(args.threshold):
+        raise UsageError(f"--threshold must be a finite number, got {args.threshold}")
+    out = _out_dir(args)
     if args.zscores:
         manifest.add_input(args.zscores)
     zrows = io.read_zscore_table(args.zscores or None)
@@ -200,11 +192,11 @@ def _classified(args, manifest: RunManifest, out: Path):
     agreement = countries.cohort_agreement(profiles, args.threshold)
     io.write_table(out / "agreement.csv", _AGREEMENT_HEADER,
                    [[r[k] for k in _AGREEMENT_HEADER] for r in agreement])
-    return zrows, profiles, agreement
+    return out, zrows, profiles, agreement
 
 
 def cmd_classify(args, manifest: RunManifest) -> None:
-    _, profiles, _ = _classified(args, manifest, _out_dir(args))
+    _, _, profiles, _ = _classified(args, manifest)
     labels = {label: sum(1 for p in profiles if p.classification.label == label)
               for label in ("Christian", "Muslim", "Other")}
     print(f"classified {len(profiles)} countries: " +
@@ -252,9 +244,8 @@ def cmd_score(args, manifest: RunManifest) -> None:
         for week in weeks:
             if week.low_confidence:
                 n_low += 1
-            for dim in sentiment.DIMENSIONS:
-                rows.append((country, week.week_start, dim,
-                             week.mean[sentiment.DIMENSIONS.index(dim)], week.n_scored))
+            for i, dim in enumerate(sentiment.DIMENSIONS):
+                rows.append((country, week.week_start, dim, week.mean[i], week.n_scored))
         if gaps:
             manifest.warnings.append(f"{country}: {len(gaps)} gap weeks with no scored records")
     if n_low:
@@ -500,8 +491,7 @@ def cmd_dcor(args, manifest: RunManifest) -> None:
 
 
 def cmd_report(args, manifest: RunManifest) -> None:
-    out = _out_dir(args)
-    zrows, profiles, agreement = _classified(args, manifest, out)
+    out, zrows, profiles, agreement = _classified(args, manifest)
 
     expected = io.expected_agreement()
     actual = {(r["group_kind"], r["group"], r["anchor"]): r["pct"] for r in agreement}
@@ -658,22 +648,31 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 def _apply_config(parser: _Parser, commands: dict[str, _Parser], argv: list[str]) -> argparse.Namespace:
     """Parse argv with config-file values installed as subcommand defaults.
 
-    Config keys become the chosen subcommand's option defaults, so explicit
-    flags always win. Keys the subcommand does not define are ignored (one
-    config file may drive several pipeline stages), but every key must at
-    least be a known option somewhere.
+    Config keys are the subcommands' option names (``dest``, e.g.
+    ``holiday_weeks``) and become the chosen subcommand's option defaults,
+    so explicit flags always win. A key is coerced as its option is:
+    ``_bool`` for a switch, otherwise the option's ``type``. Keys the chosen
+    subcommand does not define are ignored (one config file may drive
+    several pipeline stages), but every key must be an option of some
+    subcommand and its value must coerce.
     """
     probe = _Parser(add_help=False)
     probe.add_argument("--config")
     known, rest = probe.parse_known_args(argv)
     if known.config:
+        coerce = {}
+        for command in commands.values():
+            for action in command._actions:
+                if action.dest != "help":
+                    store_true = isinstance(action, argparse._StoreTrueAction)
+                    coerce.setdefault(action.dest, _bool if store_true else action.type or str)
         chosen = commands.get(rest[0]) if rest else None
         dests = {action.dest for action in chosen._actions} if chosen else set()
         for key, raw in load_config(known.config).items():
-            if key not in CONFIG_TYPES:
+            if key not in coerce:
                 raise UsageError(f"unknown config key {key!r}")
             try:
-                value = CONFIG_TYPES[key](raw)
+                value = coerce[key](raw)
             except (ValueError, UsageError) as exc:
                 raise UsageError(f"config key {key!r}: bad value {raw!r}") from exc
             if chosen is not None and key in dests:

@@ -274,9 +274,6 @@ def select_eigenmood(
 class WeekProjection:
     coords: tuple[float, float]
 
-    def __add__(self, other: "WeekProjection") -> "WeekProjection":
-        return WeekProjection((self.coords[0] + other.coords[0], self.coords[1] + other.coords[1]))
-
 
 def project(eigenmood: Eigenmood, rows: dict[str, np.ndarray]) -> WeekProjection:
     """Project one week, given its bin distribution per dimension."""

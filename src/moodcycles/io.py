@@ -255,9 +255,14 @@ def read_zscore_table(path: str | Path | None = None) -> list[dict]:
     header = ["code", "name", "identification", "hemisphere",
               "z_christmas", "z_eid", "z_june", "z_dec"]
     rows = []
+    first_seen: dict[str, str] = {}
     for where, row in _rows(src, header):
+        code = row[0].strip()
+        if code in first_seen:
+            raise DataError(f"{where}: duplicate country code {code!r} (first on line {first_seen[code]})")
+        first_seen[code] = where.rpartition(":")[2]
         rows.append({
-            "code": row[0].strip(),
+            "code": code,
             "name": row[1].strip(),
             "identification": row[2].strip(),
             "hemisphere": row[3].strip(),

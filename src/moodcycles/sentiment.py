@@ -18,6 +18,7 @@ import datetime as dt
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 
 import numpy as np
 
@@ -193,7 +194,7 @@ class GreetingStoplist:
         return " ".join("".join(pieces).split())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TextScore:
     valence: float
     arousal: float
@@ -201,9 +202,6 @@ class TextScore:
     matched_language: str
     n_matched: int
     tie: bool = False
-
-    def dim(self, dimension: str) -> float:
-        return {"valence": self.valence, "arousal": self.arousal, "dominance": self.dominance}[dimension]
 
 
 DIMENSIONS = ("valence", "arousal", "dominance")
@@ -250,7 +248,7 @@ def score_text(text: str, lexicons: list[Lexicon], stoplist: GreetingStoplist | 
     return TextScore(v, a, d, "+".join(b[0] for b in best), best_count, tie=True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScoredRecord:
     timestamp_utc: dt.datetime
     country: str
@@ -314,11 +312,22 @@ def _score_tokens(tokens, table, languages) -> TextScore | None:
     return TextScore(v, a, d, "+".join(lang for lang, _ in best), best_count, tie=True)
 
 
-def _sunday_on_or_before(day: dt.date) -> dt.date:
-    return day - dt.timedelta(days=(day.weekday() + 1) % 7)
-
-
 LOW_CONFIDENCE_WEEK = 100  # scored texts; below this the week is flagged, not dropped
+
+
+def _columns(scored: list[ScoredRecord], country: str) -> tuple[np.ndarray, np.ndarray]:
+    """GMT day ordinals (int64) and an (n, 3) valence/arousal/dominance array
+    of ``country``'s scored records, in input order.
+
+    The one place that filters records for grouping. ``date.toordinal`` is
+    1 for Monday 0001-01-01, so a day is a Sunday when ``ordinal % 7 == 0``
+    and its week starts at ``ordinal - ordinal % 7``.
+    """
+    mine = [r for r in scored if r.country == country and r.score is not None]
+    days = np.fromiter((r.timestamp_utc.toordinal() for r in mine), np.int64, len(mine))
+    vad_of = attrgetter(*(f"score.{dim}" for dim in DIMENSIONS))
+    vad = np.fromiter(map(vad_of, mine), np.dtype((float, 3)), len(mine))
+    return days, vad
 
 
 @dataclass(frozen=True)
@@ -326,87 +335,61 @@ class WeeklyMood:
     week_start: dt.date                      # a Sunday
     mean: tuple[float, float, float]
     n_scored: int
-    daily_means: tuple[tuple[float, float, float] | None, ...]  # Sun..Sat
     low_confidence: bool = False
 
 
-def aggregate(
-    scored: list[ScoredRecord],
-    country: str,
-    week_grid: tuple[dt.date, int] | None = None,
-) -> tuple[list[WeeklyMood], list[dt.date]]:
+def aggregate(scored: list[ScoredRecord], country: str) -> tuple[list[WeeklyMood], list[dt.date]]:
     """(weekly means, gap week starts) for one country.
 
     Days follow GMT; weeks run Sunday through Saturday. Each day with at
     least one scored record contributes its mean with equal weight to the
-    weekly mean. The grid defaults to the span of the country's scored
-    records; weeks inside the grid with no scored records are returned as
-    gaps rather than zero-filled rows.
+    weekly mean. Weeks between the country's first and last scored week
+    with no scored records are returned as gaps rather than zero-filled
+    rows. ``np.bincount`` adds its weights in input order, so the sums are
+    the ones a loop over the records in input order gives.
     """
-    by_day: dict[dt.date, list[TextScore]] = {}
-    for rec in scored:
-        if rec.country != country or rec.score is None:
-            continue
-        by_day.setdefault(rec.timestamp_utc.date(), []).append(rec.score)
-    if week_grid is None:
-        if not by_day:
-            return [], []
-        first = _sunday_on_or_before(min(by_day))
-        last = _sunday_on_or_before(max(by_day))
-        n_weeks = (last - first).days // 7 + 1
-    else:
-        first, n_weeks = week_grid
-        if first.weekday() != 6:
-            raise DataError(f"week grid must start on a Sunday, got {first}")
-        if n_weeks < 1:
-            raise DataError("week grid must span at least one week")
+    days, vad = _columns(scored, country)
+    if not len(days):
+        return [], []
+    first = int(days.min())
+    first -= first % 7
+    day = days - first
+    n_weeks = int(day.max()) // 7 + 1
+    per_day = np.bincount(day, minlength=7 * n_weeks)
+    has = per_day > 0
+    week_of_day = np.flatnonzero(has) // 7
+    day_means = [np.bincount(day, weights=vad[:, i], minlength=7 * n_weeks)[has] / per_day[has]
+                 for i in range(3)]
+    n_days = np.bincount(week_of_day, minlength=n_weeks)
+    sums = np.column_stack([np.bincount(week_of_day, weights=m, minlength=n_weeks)
+                            for m in day_means])
+    n_scored = per_day.reshape(n_weeks, 7).sum(axis=1)
 
     weeks: list[WeeklyMood] = []
     gaps: list[dt.date] = []
     for w in range(n_weeks):
-        start = first + dt.timedelta(weeks=w)
-        daily: list[tuple[float, float, float] | None] = []
-        day_means = []
-        n_scored = 0
-        for d in range(7):
-            day_scores = by_day.get(start + dt.timedelta(days=d))
-            if not day_scores:
-                daily.append(None)
-                continue
-            n_scored += len(day_scores)
-            mean = tuple(
-                sum(s.dim(dim) for s in day_scores) / len(day_scores) for dim in DIMENSIONS
-            )
-            daily.append(mean)
-            day_means.append(mean)
-        if not day_means:
+        start = dt.date.fromordinal(first + 7 * w)
+        if not n_days[w]:
             gaps.append(start)
             continue
-        mean = tuple(sum(m[i] for m in day_means) / len(day_means) for i in range(3))
-        weeks.append(
-            WeeklyMood(
-                week_start=start,
-                mean=mean,
-                n_scored=n_scored,
-                daily_means=tuple(daily),
-                low_confidence=n_scored < LOW_CONFIDENCE_WEEK,
-            )
-        )
+        n = int(n_scored[w])
+        mean = tuple((sums[w] / n_days[w]).tolist())
+        weeks.append(WeeklyMood(start, mean, n, low_confidence=n < LOW_CONFIDENCE_WEEK))
     return weeks, gaps
 
 
-def weekly_scores(
-    scored: list[ScoredRecord],
-    country: str,
-) -> dict[dt.date, list[TextScore]]:
-    """Scored texts grouped by GMT Sunday week, for binning."""
-    by_week: dict[dt.date, list[TextScore]] = {}
-    for rec in scored:
-        if rec.country != country or rec.score is None:
-            continue
-        week = _sunday_on_or_before(rec.timestamp_utc.date())
-        by_week.setdefault(week, []).append(rec.score)
-    return by_week
+def weekly_scores(scored: list[ScoredRecord], country: str) -> dict[dt.date, np.ndarray]:
+    """One (n, 3) valence/arousal/dominance array per GMT Sunday week, for
+    binning; weeks in date order, each week's rows in input order."""
+    week, vad = _columns(scored, country)
+    if not len(week):
+        return {}
+    week -= week % 7
+    order = np.argsort(week, kind="stable")
+    week, vad = week[order], vad[order]
+    cuts = np.flatnonzero(week[1:] != week[:-1]) + 1
+    return {dt.date.fromordinal(int(week[i])): block
+            for i, block in zip(np.r_[0, cuts], np.split(vad, cuts))}
 
 
 N_BINS = 25
@@ -428,11 +411,7 @@ def bin_index(values, n_bins: int = N_BINS) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BinnedWeek:
-    """One week's score distribution for one dimension.
-
-    Integer counts are kept so that coarser binnings (summing adjacent bins)
-    reproduce direct coarse binning exactly.
-    """
+    """One week's score distribution for one dimension, as integer counts."""
 
     week_start: dt.date
     dimension: str
@@ -455,36 +434,16 @@ class BinnedWeek:
         p.flags.writeable = False
         return p
 
-    def coarsened(self, factor: int) -> "BinnedWeek":
-        """Sum adjacent bins in groups of ``factor``."""
-        if len(self.counts) % factor != 0:
-            raise DataError(f"{len(self.counts)} bins do not group by {factor}")
-        grouped = self.counts.reshape(-1, factor).sum(axis=1)
-        return BinnedWeek(self.week_start, self.dimension, grouped)
 
-
-def bin_week(
-    week_start: dt.date,
-    dimension: str,
-    scores: list[float],
-    n_bins: int = N_BINS,
-) -> BinnedWeek:
-    if dimension not in DIMENSIONS:
-        raise DataError(f"unknown dimension {dimension!r}")
-    if not len(scores):
-        raise DataError(f"week {week_start}: no scores to bin")
-    counts = np.bincount(bin_index(scores, n_bins), minlength=n_bins)
-    return BinnedWeek(week_start, dimension, counts)
-
-
-def bin_weeks(
-    by_week: dict[dt.date, list[TextScore]],
-    n_bins: int = N_BINS,
-) -> list[BinnedWeek]:
-    """One BinnedWeek per (week, dimension), weeks in date order."""
+def bin_weeks(by_week: dict[dt.date, np.ndarray], n_bins: int = N_BINS) -> list[BinnedWeek]:
+    """One BinnedWeek per (week, dimension) of ``weekly_scores`` blocks,
+    weeks in date order, dimensions in ``DIMENSIONS`` order."""
     out = []
     for week_start in sorted(by_week):
-        scores = by_week[week_start]
-        for dim in DIMENSIONS:
-            out.append(bin_week(week_start, dim, [s.dim(dim) for s in scores], n_bins))
+        block = np.asarray(by_week[week_start], dtype=float).reshape(-1, 3)
+        if not len(block):
+            raise DataError(f"week {week_start}: no scores to bin")
+        idx = bin_index(block, n_bins)
+        for i, dim in enumerate(DIMENSIONS):
+            out.append(BinnedWeek(week_start, dim, np.bincount(idx[:, i], minlength=n_bins)))
     return out

@@ -9,8 +9,8 @@ import sys
 import numpy as np
 import pytest
 
-from moodcycles.cli import main
-from moodcycles.io import expected_agreement, fmt
+from moodcycles.cli import _apply_config, _build_parser, main
+from moodcycles.io import _fixture, expected_agreement, fmt
 
 
 def run(*argv) -> int:
@@ -76,6 +76,8 @@ class TestExitCodes:
         ("bin", "bins", "-3"),
         ("center", "anchor", "bogus"),
         ("dcor", "permutations", "-5"),
+        ("classify", "threshold", "nan"),
+        ("report", "threshold", "inf"),
     ])
     @pytest.mark.parametrize("route", ["flag", "config"])
     def test_bad_values_are_rejected_before_any_work(self, tmp_path, capsys, stage, key, value, route):
@@ -83,7 +85,9 @@ class TestExitCodes:
         absent = str(tmp_path / "absent")
         inputs = {"bin": ["--records", absent, "--lexicons", absent],
                   "center": ["--series", absent],
-                  "dcor": ["--x", absent, "--y", absent, "--seed", "1"]}[stage]
+                  "dcor": ["--x", absent, "--y", absent, "--seed", "1"],
+                  "classify": ["--zscores", absent],
+                  "report": ["--zscores", absent]}[stage]
         argv = [stage, *inputs, "--out", str(tmp_path / "out")]
         if route == "flag":
             argv += [f"--{key}", value]
@@ -150,6 +154,37 @@ class TestConfig:
         assert run("--config", str(cfg), "classify", "--out", str(tmp_path / "o")) == 1
         assert "nonsense" in capsys.readouterr().err
 
+    def test_stale_search_key_is_rejected(self, tmp_path, capsys):
+        # "search" names no option of any subcommand
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("search=x\n")
+        assert run("--config", str(cfg), "classify", "--out", str(tmp_path / "o")) == 1
+        assert "'search'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_every_option_is_a_config_key_with_its_flag_type(self, tmp_path):
+        parser, commands = _build_parser()
+        cfg = tmp_path / "run.cfg"
+        checked = 0
+        for name, command in commands.items():
+            for action in command._actions:
+                if action.dest == "help":
+                    continue
+                flag = action.option_strings[0]
+                if action.nargs == 0:  # a switch
+                    flag_argv, raw = [flag], "yes"
+                else:
+                    raw = {int: "7", float: "0.5"}.get(action.type, "2010-01-03")
+                    flag_argv = [flag, raw]
+                from_flag = getattr(parser.parse_args([name, *flag_argv]), action.dest)
+                cfg.write_text(f"{action.dest}={raw}\n")
+                fresh = _build_parser()  # config values become parser defaults
+                from_config = getattr(_apply_config(*fresh, ["--config", str(cfg), name]), action.dest)
+                assert (from_config, type(from_config)) == (from_flag, type(from_flag)), \
+                    (name, action.dest)
+                checked += 1
+        assert checked >= 40
+
     def test_keys_for_other_stages_are_ignored(self, tmp_path):
         # one config file may drive a whole pipeline of subcommands
         a = tmp_path / "a.csv"
@@ -160,6 +195,18 @@ class TestConfig:
 
 
 class TestClassifyAndReport:
+    def test_repeated_country_code_is_a_data_error(self, tmp_path, capsys):
+        lines = _fixture("holiday_zscores.csv").read_text(encoding="utf-8").splitlines()
+        ae = next(i for i, line in enumerate(lines) if line.startswith("AE,"))
+        table = tmp_path / "z.csv"
+        table.write_text("\n".join(lines + [lines[ae]]) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("classify", "--zscores", str(table), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"{table}:{len(lines) + 1}: duplicate country code 'AE'" in err
+        assert f"first on line {ae + 1}" in err
+        assert not (out / "agreement.csv").exists()
+
     def test_report_matches_the_expected_table(self, tmp_path, capsys):
         out = tmp_path / "report"
         assert run("report", "--out", str(out)) == 0

@@ -13,7 +13,7 @@ from moodcycles import (
     Eigenmood,
     NumericalError,
     WeekProjection,
-    bin_week,
+    bin_weeks,
     decompose,
     denoise,
     heatmap,
@@ -93,10 +93,10 @@ class TestDecompose:
             decompose(np.zeros((3, 4)))
 
     def test_accepts_a_binned_mood_matrix(self):
-        weeks = [
-            bin_week(dt.date(2010, 1, 3) + dt.timedelta(weeks=w), "valence", [1.0 + w, 5.0, 9.0 - w])
+        weeks = bin_weeks({
+            dt.date(2010, 1, 3) + dt.timedelta(weeks=w): [[v, 5.0, 5.0] for v in (1.0 + w, 5.0, 9.0 - w)]
             for w in range(4)
-        ]
+        })
         matrix = matrix_from_binned(weeks, "valence")
         dec = decompose(matrix)
         assert dec.U.shape == (4, 4)
@@ -298,9 +298,6 @@ class TestProjection:
         assert similarity(a, b) == similarity(b, a)
         assert similarity(a, a) == 5.0
         assert similarity(a, WeekProjection((-1.0, -2.0))) == -5.0
-
-    def test_projection_addition(self):
-        assert (WeekProjection((1.0, 2.0)) + WeekProjection((0.5, -1.0))).coords == (1.5, 1.0)
 
 
 class TestMembership:

@@ -15,14 +15,17 @@ from moodcycles import (
     Lexicon,
     ScoredRecord,
     TextScore,
+    WeeklyMood,
     aggregate,
     bin_edges,
     bin_index,
-    bin_week,
+    bin_weeks,
     score_records,
     score_text,
     tokenize,
+    weekly_scores,
 )
+from moodcycles.sentiment import DIMENSIONS, LOW_CONFIDENCE_WEEK
 
 UTC = dt.timezone.utc
 
@@ -248,6 +251,124 @@ def rec(iso: str, valence: float, country: str = "US") -> ScoredRecord:
     return ScoredRecord(ts, country, TextScore(valence, 5.0, 5.0, "english", 1))
 
 
+# Reference grouping: dict-of-lists group-bys by GMT date, summing with
+# explicit loops so the result does not depend on how the Python version's
+# sum() adds floats.
+
+def _sunday(day: dt.date) -> dt.date:
+    return day - dt.timedelta(days=(day.weekday() + 1) % 7)
+
+
+def _loop_mean(values) -> float:
+    values = list(values)
+    total = 0.0
+    for v in values:
+        total += v
+    return total / len(values)
+
+
+def _vad(score: TextScore) -> tuple[float, float, float]:
+    return (score.valence, score.arousal, score.dominance)
+
+
+def reference_aggregate(scored, country):
+    by_day: dict[dt.date, list] = {}
+    for r in scored:
+        if r.country == country and r.score is not None:
+            by_day.setdefault(r.timestamp_utc.date(), []).append(_vad(r.score))
+    if not by_day:
+        return [], []
+    first, last = _sunday(min(by_day)), _sunday(max(by_day))
+    weeks, gaps = [], []
+    for w in range((last - first).days // 7 + 1):
+        start = first + dt.timedelta(weeks=w)
+        day_means, n = [], 0
+        for d in range(7):
+            rows = by_day.get(start + dt.timedelta(days=d))
+            if rows:
+                n += len(rows)
+                day_means.append(tuple(_loop_mean(r[i] for r in rows) for i in range(3)))
+        if not day_means:
+            gaps.append(start)
+            continue
+        mean = tuple(_loop_mean(m[i] for m in day_means) for i in range(3))
+        weeks.append(WeeklyMood(start, mean, n, n < LOW_CONFIDENCE_WEEK))
+    return weeks, gaps
+
+
+def reference_weekly_scores(scored, country):
+    by_week: dict[dt.date, list] = {}
+    for r in scored:
+        if r.country == country and r.score is not None:
+            by_week.setdefault(_sunday(r.timestamp_utc.date()), []).append(_vad(r.score))
+    return by_week
+
+
+def reference_bin_weeks(by_week, n_bins):
+    return [(week, dim, np.bincount(bin_index([row[i] for row in by_week[week]], n_bins),
+                                    minlength=n_bins).tolist())
+            for week in sorted(by_week) for i, dim in enumerate(DIMENSIONS)]
+
+
+_EDGE_SCORES = sorted({float(e) for n in (1, 5, 25) for e in bin_edges(n)})
+SCORE = st.one_of(st.sampled_from(_EDGE_SCORES), st.floats(1.0, 9.0))
+TEXT_SCORE = st.builds(lambda v, a, d, tie: TextScore(v, a, d, "english", 1, tie),
+                       SCORE, SCORE, SCORE, st.booleans())
+COUNTRIES = ["US", "GB", "unknown"]
+_FIRST_SUNDAY = dt.date(2010, 1, 3)
+
+
+@st.composite
+def local_records(draw):
+    """Records stamped in local time at a UTC offset, then converted to UTC
+    as ``read_records`` does; late-evening and early-morning local times
+    cross GMT midnight, and on Saturdays and Sundays the GMT week."""
+    week = draw(st.sampled_from([0, 1, 3, 6]))  # weeks 2, 4 and 5 stay empty
+    day = _FIRST_SUNDAY + dt.timedelta(weeks=week, days=draw(st.integers(0, 6)))
+    hour = draw(st.sampled_from([0, 1, 12, 22, 23]))
+    offset = dt.timedelta(minutes=draw(st.integers(-12 * 60, 14 * 60)))
+    local = dt.datetime.combine(day, dt.time(hour, draw(st.integers(0, 59))),
+                                dt.timezone(offset))
+    score = draw(st.one_of(st.none(), TEXT_SCORE))
+    return ScoredRecord(local.astimezone(UTC), draw(st.sampled_from(COUNTRIES)), score)
+
+
+@st.composite
+def corpora(draw):
+    """A few scattered records plus one busy week of 0, 99, 100 or 101
+    records of one country, so weeks fall on both sides of the
+    low-confidence threshold."""
+    scored = draw(st.lists(local_records(), max_size=40))
+    busy = draw(st.sampled_from([0, 99, 100, 101]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    start = dt.datetime.combine(_FIRST_SUNDAY + dt.timedelta(weeks=1), dt.time(), UTC)
+    for _ in range(busy):
+        ts = start + dt.timedelta(seconds=rng.randrange(7 * 86400))
+        score = TextScore(*(rng.choice(_EDGE_SCORES + [rng.uniform(1, 9)]) for _ in range(3)),
+                          "english", 1)
+        scored.insert(rng.randrange(len(scored) + 1), ScoredRecord(ts, "US", score))
+    return scored
+
+
+class TestGroupingMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(scored=corpora(), country=st.sampled_from(COUNTRIES))
+    def test_aggregate(self, scored, country):
+        assert aggregate(scored, country) == reference_aggregate(scored, country)
+
+    @settings(max_examples=300, deadline=None)
+    @given(scored=corpora(), country=st.sampled_from(COUNTRIES), n_bins=st.sampled_from([1, 5, 25]))
+    def test_weekly_scores_and_bin_weeks(self, scored, country, n_bins):
+        by_week = weekly_scores(scored, country)
+        expected = reference_weekly_scores(scored, country)
+        assert sorted(by_week) == sorted(expected)
+        for week, block in by_week.items():
+            assert block.shape == (len(expected[week]), 3)
+            assert block.tolist() == [list(row) for row in expected[week]]
+        got = [(b.week_start, b.dimension, b.counts.tolist()) for b in bin_weeks(by_week, n_bins)]
+        assert got == reference_bin_weeks(expected, n_bins)
+
+
 class TestAggregate:
     def test_days_weigh_equally_regardless_of_volume(self):
         scored = [
@@ -269,16 +390,9 @@ class TestAggregate:
         assert weeks[0].mean[0] == 3.0
         assert weeks[1].mean[0] == 7.0
 
-    def test_daily_means_slot_by_weekday(self):
-        scored = [rec("2010-01-05T12:00", 4.0)]  # a Tuesday
-        weeks, _ = aggregate(scored, "US")
-        daily = weeks[0].daily_means
-        assert daily[2] == (4.0, 5.0, 5.0)
-        assert all(daily[i] is None for i in (0, 1, 3, 4, 5, 6))
-
     def test_weeks_without_records_are_gaps(self):
-        scored = [rec("2010-01-03T08:00", 5.0), rec("2010-01-17T08:00", 5.0)]
-        weeks, gaps = aggregate(scored, "US", week_grid=(dt.date(2010, 1, 3), 3))
+        scored = [rec("2010-01-03T08:00", 5.0), rec("2010-01-23T23:59", 5.0)]
+        weeks, gaps = aggregate(scored, "US")
         assert [w.week_start for w in weeks] == [dt.date(2010, 1, 3), dt.date(2010, 1, 17)]
         assert gaps == [dt.date(2010, 1, 10)]
 
@@ -310,10 +424,6 @@ class TestAggregate:
         assert weeks[0].mean[0] == 2.0
         assert weeks[0].n_scored == 1
 
-    def test_grid_must_start_on_sunday(self):
-        with pytest.raises(DataError):
-            aggregate([rec("2010-01-03T08:00", 5.0)], "US", week_grid=(dt.date(2010, 1, 4), 2))
-
 
 class TestBinning:
     def test_edges_cover_the_score_range_exactly(self):
@@ -334,7 +444,8 @@ class TestBinning:
             bin_index([9.1])
 
     def test_extreme_scores_split_evenly(self):
-        week = bin_week(dt.date(2010, 1, 3), "valence", [1.0, 9.0])
+        week = bin_weeks({dt.date(2010, 1, 3): np.array([[1.0, 5.0, 5.0], [9.0, 5.0, 5.0]])})[0]
+        assert week.dimension == "valence"
         assert week.counts[0] == 1 and week.counts[24] == 1
         assert week.counts.sum() == 2
         assert week.probs[0] == 0.5 and week.probs[24] == 0.5
@@ -342,16 +453,4 @@ class TestBinning:
 
     def test_empty_week_cannot_be_binned(self):
         with pytest.raises(DataError):
-            bin_week(dt.date(2010, 1, 3), "valence", [])
-
-    def test_coarsening_matches_direct_coarse_binning(self):
-        rng = np.random.default_rng(7)
-        scores = rng.uniform(1.0, 9.0, size=500).tolist()
-        fine = bin_week(dt.date(2010, 1, 3), "valence", scores, n_bins=25)
-        direct = bin_week(dt.date(2010, 1, 3), "valence", scores, n_bins=5)
-        assert fine.coarsened(5).counts.tolist() == direct.counts.tolist()
-
-    def test_coarsening_requires_an_even_grouping(self):
-        week = bin_week(dt.date(2010, 1, 3), "valence", [5.0])
-        with pytest.raises(DataError):
-            week.coarsened(4)
+            bin_weeks({dt.date(2010, 1, 3): np.empty((0, 3))})
