@@ -229,6 +229,12 @@ def cmd_births(args, manifest: RunManifest) -> None:
     print(f"shifted birth series for {len(shifted)} countries ({rows} rows)")
 
 
+def _warn_low_confidence(manifest: RunManifest, n_low: int) -> None:
+    if n_low:
+        manifest.warnings.append(f"{n_low} low-confidence weeks (fewer than "
+                                 f"{sentiment.LOW_CONFIDENCE_WEEK} scored records)")
+
+
 def cmd_score(args, manifest: RunManifest) -> None:
     out = _out_dir(args)
     scored = _scored_records(args, manifest)
@@ -248,9 +254,7 @@ def cmd_score(args, manifest: RunManifest) -> None:
                 rows.append((country, week.week_start, dim, week.mean[i], week.n_scored))
         if gaps:
             manifest.warnings.append(f"{country}: {len(gaps)} gap weeks with no scored records")
-    if n_low:
-        manifest.warnings.append(f"{n_low} low-confidence weeks (fewer than "
-                                 f"{sentiment.LOW_CONFIDENCE_WEEK} scored records)")
+    _warn_low_confidence(manifest, n_low)
     io.write_weekly_mood(out / "weekly_mood.csv", rows)
     manifest.counts["countries"] = len(wanted)
     manifest.counts["weekly_rows"] = len(rows)
@@ -272,6 +276,8 @@ def cmd_bin(args, manifest: RunManifest) -> None:
     if not by_week:
         raise DataError(f"no scored records for country {country!r}")
     binned = sentiment.bin_weeks(by_week, args.bins)
+    n_low = sum(len(block) < sentiment.LOW_CONFIDENCE_WEEK for block in by_week.values())
+    _warn_low_confidence(manifest, n_low)
     io.write_binned(out / "binned.tsv",
                     [(b.week_start, b.dimension, b.n_scored, b.probs) for b in binned],
                     args.bins)
@@ -465,9 +471,15 @@ def cmd_regress(args, manifest: RunManifest) -> None:
           f"F p = {result.f_pvalue:.3g}")
 
 
+def _check_seed(args) -> None:
+    if args.seed is not None and args.seed < 0:
+        raise UsageError(f"--seed must be at least 0, got {args.seed}")
+
+
 def cmd_dcor(args, manifest: RunManifest) -> None:
     if args.permutations < 0:
         raise UsageError(f"--permutations must be at least 0, got {args.permutations}")
+    _check_seed(args)
     _need(args, "x", "y")
     if args.permutations > 0 and args.seed is None:
         raise UsageError("--seed is required when --permutations > 0")
@@ -541,6 +553,7 @@ def cmd_report(args, manifest: RunManifest) -> None:
 
 
 def cmd_synth(args, manifest: RunManifest) -> None:
+    _check_seed(args)
     out = _out_dir(args)
     spec = synth.SynthSpec(
         seed=args.seed if args.seed is not None else 42,

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _sstats
 
 from .errors import DataError, DegenerateSeriesError
 
@@ -67,7 +66,13 @@ class OLSResult:
 
 
 def ols(X, y) -> OLSResult:
-    """Ordinary least squares with intercept, R^2, F-test, and t-tests."""
+    """Ordinary least squares with intercept, R^2, F-test, and t-tests.
+
+    scipy is imported here, not at module level, so that only a caller that
+    fits a model pays for loading it.
+    """
+    from scipy.special import fdtrc, stdtr
+
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim == 1:
@@ -97,12 +102,12 @@ def ols(X, y) -> OLSResult:
         t_p = np.zeros(k)
     else:
         f_stat = (ss_tot - ss_res) / k / (ss_res / df_res)
-        f_p = float(_sstats.f.sf(f_stat, k, df_res))
+        f_p = float(fdtrc(k, df_res, f_stat))
         sigma2 = ss_res / df_res
         cov = sigma2 * np.linalg.inv(A.T @ A)
         se = np.sqrt(np.diag(cov))[1:]
         t_stats = beta[1:] / se
-        t_p = 2.0 * _sstats.t.sf(np.abs(t_stats), df_res)
+        t_p = 2.0 * stdtr(df_res, -np.abs(t_stats))
     return OLSResult(
         coef=beta[1:].copy(),
         intercept=float(beta[0]),
@@ -147,6 +152,25 @@ def distance_correlation(x, y) -> float:
     return float(np.sqrt(min(max(r2, 0.0), 1.0)))
 
 
+def _dcov_kernel(x: np.ndarray):
+    """n^2 * dCov^2(x, y) as a function of y, with x's matrix built once.
+
+    A is double-centered, so its rows and columns sum to zero and
+    sum(A * B) = sum(A * b) for the raw distance matrix b of y: each call
+    is one outer difference into a reused n x n buffer and one dot product,
+    with no centering.
+    """
+    a = _centered_distances(x).ravel()
+    buf = np.empty((x.size, x.size))
+
+    def kernel(y: np.ndarray) -> float:
+        np.subtract.outer(y, y, out=buf)
+        np.abs(buf, out=buf)
+        return float(a @ buf.ravel())
+
+    return kernel
+
+
 def permutation_test(
     x,
     y,
@@ -157,15 +181,22 @@ def permutation_test(
     """(observed statistic, p-value) under permutations of y.
 
     p = (1 + #{permuted >= observed}) / (n_permutations + 1), so the smallest
-    attainable p is 1/(n_permutations + 1).
+    attainable p is 1/(n_permutations + 1). For ``distance_covariance`` the
+    permutations are ranked by n^2 * dCov^2, which orders them as dCov does;
+    the unpermuted y is scored the same way, so exact ties compare alike.
     """
     x, y = _paired(x, y)
     if n_permutations < 1:
         raise DataError("need at least one permutation")
-    observed = float(statistic(x, y))
+    if statistic is distance_covariance:
+        score = _dcov_kernel(x)
+    else:
+        def score(y_perm: np.ndarray) -> float:
+            return float(statistic(x, y_perm))
+    observed = score(y)
     rng = np.random.default_rng(seed)
     hits = 0
     for _ in range(n_permutations):
-        if float(statistic(x, rng.permutation(y))) >= observed:
+        if score(y[rng.permutation(y.size)]) >= observed:
             hits += 1
-    return observed, (1 + hits) / (n_permutations + 1)
+    return float(statistic(x, y)), (1 + hits) / (n_permutations + 1)

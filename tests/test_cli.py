@@ -3,12 +3,15 @@
 import csv
 import datetime as dt
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import moodcycles
 from moodcycles.cli import _apply_config, _build_parser, main
 from moodcycles.io import _fixture, expected_agreement, fmt
 
@@ -76,6 +79,8 @@ class TestExitCodes:
         ("bin", "bins", "-3"),
         ("center", "anchor", "bogus"),
         ("dcor", "permutations", "-5"),
+        ("dcor", "seed", "-1"),
+        ("synth", "seed", "-1"),
         ("classify", "threshold", "nan"),
         ("report", "threshold", "inf"),
     ])
@@ -85,9 +90,12 @@ class TestExitCodes:
         absent = str(tmp_path / "absent")
         inputs = {"bin": ["--records", absent, "--lexicons", absent],
                   "center": ["--series", absent],
-                  "dcor": ["--x", absent, "--y", absent, "--seed", "1"],
+                  "dcor": ["--x", absent, "--y", absent],
+                  "synth": [],
                   "classify": ["--zscores", absent],
                   "report": ["--zscores", absent]}[stage]
+        if stage == "dcor" and key != "seed":
+            inputs += ["--seed", "1"]
         argv = [stage, *inputs, "--out", str(tmp_path / "out")]
         if route == "flag":
             argv += [f"--{key}", value]
@@ -99,7 +107,6 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert value in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
-
 
     @pytest.mark.parametrize("target", ["regress-y", "zscores", "config", "stoplist"])
     def test_invalid_utf8_input_is_a_data_error(self, tmp_path, capsys, target):
@@ -299,6 +306,22 @@ class TestManifest:
         assert run("compare-terms", "--a", str(a), "--b", str(a), "--out", str(out)) == 0
         assert (out / "manifest.json").read_bytes() == first
 
+    def test_bin_flags_low_confidence_weeks_as_score_does(self, tmp_path):
+        records, lexicon = tmp_path / "r.tsv", tmp_path / "lex.csv"
+        records.write_text("2010-01-04T08:00:00Z\tUS\tsun\n"
+                           "2010-01-05T08:00:00Z\tUS\train\n")
+        lexicon.write_text("language,word,valence,arousal,dominance\n"
+                           "english,sun,8.0,5.0,5.0\nenglish,rain,3.0,4.0,4.0\n")
+        out = tmp_path / "out"
+        for stage in ("score", "bin"):
+            assert run(stage, "--records", str(records), "--lexicons", str(lexicon),
+                       "--no-stoplist", "--out", str(out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        warning = "1 low-confidence weeks (fewer than 100 scored records)"
+        assert warning in manifest["score"]["warnings"]
+        assert manifest["bin"]["warnings"] == [warning]
+        assert manifest["bin"]["counts"]["weeks"] == 1
+
 
 class TestPipelineChain:
     def test_synth_bin_similarity(self, tmp_path):
@@ -340,6 +363,17 @@ class TestPipelineChain:
         assert row["anchor"] == "christmas"
         assert int(row["week_index"]) == 26
         assert float(row["z"]) > 3.0
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # only ``ols`` needs scipy, and imports it when it runs
+    src = str(Path(moodcycles.__file__).resolve().parent.parent)
+    code = ("import sys, moodcycles, moodcycles.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_console_entry_point_help():

@@ -1,9 +1,13 @@
 """Correlation, regression, and distance-covariance oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats as sstats
 
 from moodcycles import (
     DataError,
@@ -13,6 +17,7 @@ from moodcycles import (
     ols,
     pearson,
     permutation_test,
+    stats,
 )
 
 
@@ -124,6 +129,19 @@ class TestOLS:
         with pytest.raises(DataError):
             ols(np.arange(2.0), np.arange(2.0))
 
+    @settings(max_examples=200, deadline=None)
+    @given(k=st.integers(1, 3), extra=st.integers(1, 60), seed=st.integers(0, 2**32 - 1),
+           signal=st.floats(0.0, 5.0))
+    def test_p_values_equal_the_scipy_stats_distributions(self, k, extra, seed, signal):
+        rng = np.random.default_rng(seed)
+        n = k + 1 + extra
+        X = rng.standard_normal((n, k))
+        y = signal * X[:, 0] + rng.standard_normal(n)
+        fit = ols(X, y)
+        df = n - k - 1
+        assert fit.f_pvalue == float(sstats.f.sf(fit.f_stat, k, df))
+        assert (fit.t_pvalues == 2.0 * sstats.t.sf(np.abs(fit.t_stats), df)).all()
+
 
 def dcov_bruteforce(x, y):
     """O(n^2) textbook double-centering, kept independent of the library."""
@@ -193,7 +211,59 @@ class TestDistanceCovariance:
         assert distance_covariance(np.ones(5), np.arange(5.0)) == 0.0
 
 
+def permutation_reference(x, y, statistic=distance_covariance, n_permutations=999, seed=None):
+    """The plain loop: the statistic recomputed on every permuted copy of y."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    observed = float(statistic(x, y))
+    rng = np.random.default_rng(seed)
+    hits = 0
+    for _ in range(n_permutations):
+        if float(statistic(x, rng.permutation(y))) >= observed:
+            hits += 1
+    return observed, (1 + hits) / (n_permutations + 1)
+
+
 class TestPermutationTest:
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(2, 80), n_permutations=st.integers(1, 199),
+           data_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**32 - 1),
+           coupling=st.floats(-2.0, 2.0))
+    def test_matches_the_reference_loop(self, n, n_permutations, data_seed, seed, coupling):
+        # normal samples are tie-free, so no permuted statistic sits on the
+        # observed one except where both loops compute it from the same y
+        rng = np.random.default_rng(data_seed)
+        x = rng.standard_normal(n)
+        y = coupling * x + rng.standard_normal(n)
+        assert (permutation_test(x, y, n_permutations=n_permutations, seed=seed)
+                == permutation_reference(x, y, n_permutations=n_permutations, seed=seed))
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(2, 80), data_seed=st.integers(0, 2**32 - 1),
+           perm_seed=st.integers(0, 2**32 - 1))
+    def test_kernel_is_n_squared_dcov_squared(self, n, data_seed, perm_seed):
+        rng = np.random.default_rng(data_seed)
+        x, y = rng.standard_normal(n), rng.standard_normal(n)
+        kernel = stats._dcov_kernel(x)
+        for y_perm in (y, y[np.random.default_rng(perm_seed).permutation(n)]):
+            expected = n * n * distance_covariance(x, y_perm) ** 2
+            assert kernel(y_perm) == pytest.approx(expected, rel=1e-9)
+
+    def test_kernel_allocates_no_matrix_per_call(self):
+        # the two n x n arrays are built once; a call only fills the buffer
+        n = 300
+        rng = np.random.default_rng(14)
+        x, y = rng.standard_normal(n), rng.standard_normal(n)
+        kernel = stats._dcov_kernel(x)
+        kernel(y)
+        tracemalloc.start()
+        try:
+            kernel(y[::-1])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 // 4
+
     def test_perfect_dependence_reaches_the_floor(self):
         x = np.arange(30.0)
         observed, p = permutation_test(x, x, n_permutations=999, seed=11)
