@@ -109,20 +109,28 @@ def _stoplist(args, manifest: RunManifest) -> sentiment.GreetingStoplist | None:
     return sentiment.GreetingStoplist.default()
 
 
-def _scored_records(args, manifest: RunManifest) -> list[sentiment.ScoredRecord]:
+def _scored_columns(args, manifest: RunManifest):
+    """Read and score the records: (GMT day ordinals, country codes, country
+    names, ``sentiment.ScoreColumns``), one row per record in input order;
+    ``names[code]`` is a record's country."""
     _need(args, "records", "lexicons")
     manifest.add_input(args.records)
     manifest.add_input(args.lexicons)
     records, n_malformed = io.read_records(args.records)
     lexicons = sentiment.load_lexicons(args.lexicons)
     stoplist = _stoplist(args, manifest)
-    scored = sentiment.score_records(records, lexicons, stoplist)
-    manifest.counts["records"] = len(records)
+    scores = sentiment.score_texts([text for _, _, text in records], lexicons, stoplist)
+    n = len(records)
+    codes: dict[str, int] = {}
+    code = np.fromiter((codes.setdefault(country, len(codes)) for _, country, _ in records),
+                       np.intp, n)
+    days = np.fromiter((stamp.toordinal() for stamp, _, _ in records), np.int64, n)
+    manifest.counts["records"] = n
     manifest.counts["records_malformed"] = n_malformed
-    manifest.counts["records_unscored"] = sum(1 for r in scored if r.score is None)
+    manifest.counts["records_unscored"] = int(np.count_nonzero(scores.n_matched == 0))
     if n_malformed:
         manifest.warnings.append(f"{n_malformed} malformed record lines skipped")
-    return scored
+    return days, code, list(codes), scores
 
 
 # ------------------------------------------------------------------ subcommands
@@ -237,16 +245,15 @@ def _warn_low_confidence(manifest: RunManifest, n_low: int) -> None:
 
 def cmd_score(args, manifest: RunManifest) -> None:
     out = _out_dir(args)
-    scored = _scored_records(args, manifest)
-    if args.country:
-        wanted = [args.country]
-    else:
-        wanted = sorted({r.country for r in scored if r.country != "unknown"})
+    days, code, names, scores = _scored_columns(args, manifest)
+    wanted = [args.country] if args.country else sorted(set(names) - {"unknown"})
+    slot = {country: g for g, country in enumerate(wanted)}
+    group = np.array([slot.get(name, -1) for name in names], np.intp)[code]
+    mine = (group >= 0) & (scores.n_matched > 0)
+    per_country = sentiment.weekly_means(group[mine], days[mine], scores.vad[mine], len(wanted))
     rows = []
-    n_gaps = n_low = 0
-    for country in wanted:
-        weeks, gaps = sentiment.aggregate(scored, country)
-        n_gaps += len(gaps)
+    n_low = 0
+    for country, (weeks, gaps) in zip(wanted, per_country):
         for week in weeks:
             if week.low_confidence:
                 n_low += 1
@@ -265,25 +272,27 @@ def cmd_bin(args, manifest: RunManifest) -> None:
     if args.bins < 1:
         raise UsageError(f"--bins must be at least 1, got {args.bins}")
     out = _out_dir(args)
-    scored = _scored_records(args, manifest)
-    present = sorted({r.country for r in scored if r.country != "unknown" and r.score})
+    days, code, names, scores = _scored_columns(args, manifest)
+    scored = scores.n_matched > 0
     country = args.country
     if not country:
+        n_scored = np.bincount(code[scored], minlength=len(names)).tolist()
+        present = [name for name, n in zip(names, n_scored) if n and name != "unknown"]
         if len(present) != 1:
             raise UsageError("--country is required when records cover several countries")
         country = present[0]
-    by_week = sentiment.weekly_scores(scored, country)
-    if not by_week:
+    mine = scored & (code == (names.index(country) if country in names else -1))
+    binned = sentiment.bin_days(days[mine], scores.vad[mine], args.bins)
+    if not binned:
         raise DataError(f"no scored records for country {country!r}")
-    binned = sentiment.bin_weeks(by_week, args.bins)
-    n_low = sum(len(block) < sentiment.LOW_CONFIDENCE_WEEK for block in by_week.values())
-    _warn_low_confidence(manifest, n_low)
+    weeks = binned[::len(sentiment.DIMENSIONS)]
+    _warn_low_confidence(manifest, sum(w.n_scored < sentiment.LOW_CONFIDENCE_WEEK for w in weeks))
     io.write_binned(out / "binned.tsv",
                     [(b.week_start, b.dimension, b.n_scored, b.probs) for b in binned],
                     args.bins)
-    manifest.counts["weeks"] = len(by_week)
+    manifest.counts["weeks"] = len(weeks)
     manifest.counts["binned_rows"] = len(binned)
-    print(f"binned {len(by_week)} weeks for {country} into {args.bins} bins")
+    print(f"binned {len(weeks)} weeks for {country} into {args.bins} bins")
 
 
 def _load_matrices(args, manifest: RunManifest) -> dict[str, em.BinnedMoodMatrix]:

@@ -311,17 +311,23 @@ def read_stoplist_lines(path: str | Path | None = None) -> list[str]:
 
 # ------------------------------------------------------------------ text records
 
+# The first Sunday: an earlier GMT day's Sunday week would start before 0001-01-01.
+_FIRST_SUNDAY = dt.datetime(1, 1, 7, tzinfo=dt.timezone.utc)
+
+
 def read_records(path: str | Path) -> tuple[list[tuple[dt.datetime, str, str]], int]:
     """Read tab-separated `timestamp_utc, country, text` records.
 
-    Returns (records, n_malformed). Malformed lines (wrong field count,
-    unparseable timestamp) are counted and skipped, not fatal.
+    Returns (records, n_malformed). Malformed lines are counted and skipped,
+    not fatal: a line with bytes that are not UTF-8, a wrong field count, an
+    unparseable timestamp, or a GMT day whose Sunday week would start before
+    0001-01-01. A lone carriage return ends a line, as a newline does.
     """
     path = Path(path)
     records: list[tuple[dt.datetime, str, str]] = []
     malformed = 0
     try:
-        handle = open(path, encoding="utf-8", errors="replace", newline="")
+        handle = open(path, encoding="utf-8", errors="surrogateescape", newline="")
     except OSError as exc:
         raise DataError(f"{path}: {exc}") from exc
     with handle:
@@ -329,12 +335,18 @@ def read_records(path: str | Path) -> tuple[list[tuple[dt.datetime, str, str]], 
             line = line.rstrip("\n").rstrip("\r")
             if not line:
                 continue
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")  # fails on the escapes of undecodable bytes
+                except UnicodeEncodeError:
+                    malformed += 1
+                    continue
             parts = line.split("\t")
             if len(parts) != 3:
                 malformed += 1
                 continue
             stamp = parse_timestamp(parts[0])
-            if stamp is None:
+            if stamp is None or stamp < _FIRST_SUNDAY:
                 malformed += 1
                 continue
             records.append((stamp, parts[1].strip(), parts[2]))
@@ -342,7 +354,11 @@ def read_records(path: str | Path) -> tuple[list[tuple[dt.datetime, str, str]], 
 
 
 def parse_timestamp(text: str) -> dt.datetime | None:
-    """ISO-8601 timestamp as UTC; naive values are taken to already be GMT."""
+    """ISO-8601 timestamp as UTC; naive values are taken to already be GMT.
+
+    None when the text is not a timestamp or its GMT time falls outside
+    years 1-9999.
+    """
     text = text.strip()
     if text.endswith(("Z", "z")):
         text = text[:-1] + "+00:00"
@@ -352,7 +368,10 @@ def parse_timestamp(text: str) -> dt.datetime | None:
         return None
     if stamp.tzinfo is None:
         return stamp.replace(tzinfo=dt.timezone.utc)
-    return stamp.astimezone(dt.timezone.utc)
+    try:
+        return stamp.astimezone(dt.timezone.utc)
+    except OverflowError:
+        return None
 
 
 # --------------------------------------------------------- weekly mood / binned

@@ -18,7 +18,9 @@ import datetime as dt
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, compress, repeat
 from operator import attrgetter
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -212,7 +214,8 @@ def score_text(text: str, lexicons: list[Lexicon], stoplist: GreetingStoplist | 
 
     The lexicon matching the most tokens (occurrences count) provides the
     score: the per-dimension mean of its matched entries. Lexicons tying for
-    most matches contribute the mean of their per-language means.
+    most matches contribute the mean of their per-language means, added left
+    to right in lexicon order.
     """
     if not lexicons:
         raise DataError("need at least one lexicon")
@@ -244,8 +247,92 @@ def score_text(text: str, lexicons: list[Lexicon], stoplist: GreetingStoplist | 
     if len(best) == 1:
         language, count, (v, a, d) = best[0]
         return TextScore(v, a, d, language, count)
-    v, a, d = (sum(b[2][i] for b in best) / len(best) for i in range(3))
-    return TextScore(v, a, d, "+".join(b[0] for b in best), best_count, tie=True)
+    # an explicit loop, not sum(): Python 3.12's sum() of floats is compensated
+    v = a = d = 0.0
+    for _, _, (mv, ma, md) in best:
+        v, a, d = v + mv, a + ma, d + md
+    k = len(best)
+    return TextScore(v / k, a / k, d / k, "+".join(b[0] for b in best), best_count, tie=True)
+
+
+_CHUNK = 8192  # texts per score_texts chunk: bounds the token lists alive at once
+
+
+class ScoreColumns(NamedTuple):
+    """``score_texts``'s result, one row per text in input order."""
+
+    n_matched: np.ndarray  # (n,) int64 matches of the winning lexicons; 0 when unscored
+    vad: np.ndarray        # (n, 3) valence/arousal/dominance; NaN rows when unscored
+    winners: np.ndarray    # (n, L) bool: the lexicons tying for most matches
+
+
+def score_texts(texts: Sequence[str], lexicons: list[Lexicon],
+                stoplist: GreetingStoplist | None = None) -> ScoreColumns:
+    """Score every text by ``score_text``'s rule, as arrays, bit for bit.
+
+    One table maps each word to its entries in every lexicon that matches
+    it. Texts are taken a fixed-size chunk at a time: each text is tokenized
+    once (again only if the stoplist changed it), tokens become word ids,
+    each id expands to its lexicon entries, and one ``np.bincount`` over
+    (text, lexicon) gives the match counts and one per dimension the sums.
+    ``np.bincount`` adds its weights in input order, so each sum runs in
+    token order as ``score_text``'s loop does. Tied lexicons' means are
+    added in lexicon order, non-winners adding an exact 0.0.
+    """
+    n = len(texts)
+    if n and not lexicons:
+        raise DataError("need at least one lexicon")
+    table: dict[str, list[tuple[int, tuple[float, float, float]]]] = {}
+    for index, lex in enumerate(lexicons):
+        for word, scores in lex.entries.items():
+            if word not in lex.removed_words:
+                table.setdefault(word, []).append((index, scores))
+    word_id = {word: i for i, word in enumerate(table)}
+    entries = list(table.values())
+    n_entries = np.array([len(e) for e in entries], dtype=np.intp)
+    first_entry = np.cumsum(n_entries) - n_entries
+    entry_lexicon = np.array([i for e in entries for i, _ in e], dtype=np.intp)
+    entry_vad = np.array([s for e in entries for _, s in e], dtype=float).reshape(-1, 3).T.copy()
+    n_lex = len(lexicons)
+
+    out = ScoreColumns(np.zeros(n, np.int64), np.full((n, 3), np.nan), np.zeros((n, n_lex), bool))
+    for lo in range(0, n, _CHUNK):
+        chunk = texts[lo:lo + _CHUNK]
+        m = len(chunk)
+        tokens = []
+        for text in chunk:
+            toks = tokenize(text)
+            if stoplist is not None and stoplist._may_match(toks):
+                stripped = stoplist._remove(text)
+                if stripped is not text:
+                    toks = tokenize(stripped)
+            tokens.append(toks)
+        n_tokens = np.fromiter(map(len, tokens), np.intp, m)
+        ids = np.fromiter(map(word_id.get, chain.from_iterable(tokens), repeat(-1)),
+                          np.intp, int(n_tokens.sum()))
+        del tokens
+        text_of = np.repeat(np.arange(m), n_tokens)
+        hit = ids >= 0
+        ids, text_of = ids[hit], text_of[hit]
+        per_token = n_entries[ids]
+        starts = np.cumsum(per_token) - per_token
+        entry = (np.repeat(first_entry[ids] - starts, per_token)
+                 + np.arange(int(per_token.sum()), dtype=np.intp))
+        key = np.repeat(text_of, per_token) * n_lex + entry_lexicon[entry]
+        counts = np.bincount(key, minlength=m * n_lex).reshape(m, n_lex)
+        sums = np.stack([np.bincount(key, weights=entry_vad[i][entry], minlength=m * n_lex)
+                         for i in range(3)]).reshape(3, m, n_lex)
+        best = counts.max(axis=1, initial=0)
+        won = (counts == best[:, None]) & (best[:, None] > 0)
+        total = np.zeros((3, m))
+        for j in range(n_lex):
+            total += np.divide(sums[:, :, j], counts[:, j], out=np.zeros((3, m)), where=won[:, j])
+        k = won.sum(axis=1)
+        rows = slice(lo, lo + m)
+        out.n_matched[rows] = best
+        np.divide(total.T, k[:, None], out=out.vad[rows], where=k[:, None] > 0)
+        out.winners[rows] = won
+    return out
 
 
 @dataclass(frozen=True, slots=True)
@@ -260,56 +347,17 @@ def score_records(
     lexicons: list[Lexicon],
     stoplist: GreetingStoplist | None = None,
 ) -> list[ScoredRecord]:
-    """Score every record's text; each score equals ``score_text``'s.
-
-    One table, built per call, maps each word to the (lexicon index, scores)
-    of every lexicon that matches it, so each text is tokenized once (again
-    only if the stoplist changed it) and each token is looked up once.
-    """
-    if records and not lexicons:
-        raise DataError("need at least one lexicon")
-    table: dict[str, list[tuple[int, tuple[float, float, float]]]] = {}
-    for index, lex in enumerate(lexicons):
-        for word, scores in lex.entries.items():
-            if word not in lex.removed_words:
-                table.setdefault(word, []).append((index, scores))
+    """Score every record's text with ``score_texts``; each score equals ``score_text``'s."""
+    cols = score_texts([text for _, _, text in records], lexicons, stoplist)
     languages = [lex.language for lex in lexicons]
-    out = []
-    for ts, country, text in records:
-        tokens = tokenize(text)
-        if stoplist is not None and stoplist._may_match(tokens):
-            stripped = stoplist._remove(text)
-            if stripped is not text:
-                tokens = tokenize(stripped)
-        out.append(ScoredRecord(ts, country, _score_tokens(tokens, table, languages)))
-    return out
-
-
-def _score_tokens(tokens, table, languages) -> TextScore | None:
-    """``score_text``'s rule over a merged table: per-lexicon sums run in
-    token order and ties list lexicons in order, so results are bit-identical."""
-    sums: dict[int, list] = {}  # lexicon index -> [count, v, a, d]
-    for token in tokens:
-        for index, (v, a, d) in table.get(token, ()):
-            acc = sums.get(index)
-            if acc is None:
-                acc = sums[index] = [0, 0.0, 0.0, 0.0]
-            acc[0] += 1
-            acc[1] += v
-            acc[2] += a
-            acc[3] += d
-    if not sums:
-        return None
-    if len(sums) == 1:
-        [(index, (count, v, a, d))] = sums.items()
-        return TextScore(v / count, a / count, d / count, languages[index], count)
-    best_count = max(acc[0] for acc in sums.values())
-    best = [(languages[i], acc) for i, acc in sorted(sums.items()) if acc[0] == best_count]
-    means = [(v / count, a / count, d / count) for _, (count, v, a, d) in best]
-    if len(best) == 1:
-        return TextScore(*means[0], best[0][0], best_count)
-    v, a, d = (sum(m[i] for m in means) / len(means) for i in range(3))
-    return TextScore(v, a, d, "+".join(lang for lang, _ in best), best_count, tie=True)
+    labels = [languages[j] for j in cols.winners.argmax(axis=1).tolist()] if lexicons else []
+    n_winners = cols.winners.sum(axis=1)
+    for row in np.flatnonzero(n_winners > 1).tolist():
+        labels[row] = "+".join(compress(languages, cols.winners[row]))
+    return [ScoredRecord(ts, country, TextScore(v, a, d, label, n, tie) if n else None)
+            for (ts, country, _), n, v, a, d, label, tie in zip(
+                records, cols.n_matched.tolist(), *cols.vad.T.tolist(), labels,
+                (n_winners > 1).tolist())]
 
 
 LOW_CONFIDENCE_WEEK = 100  # scored texts; below this the week is flagged, not dropped
@@ -338,6 +386,56 @@ class WeeklyMood:
     low_confidence: bool = False
 
 
+def weekly_means(group: np.ndarray, days: np.ndarray, vad: np.ndarray,
+                 n_groups: int) -> list[tuple[list[WeeklyMood], list[dt.date]]]:
+    """``aggregate``'s (weekly means, gap week starts) for every group at once.
+
+    Row r is a scored record of group ``group[r]`` (in ``range(n_groups)``)
+    on GMT day ordinal ``days[r]`` with scores ``vad[r]``. Each group's span
+    of Sunday weeks gets its own run of day slots, so one ``np.bincount``
+    over (group, day) gives every day's count and one per dimension its
+    sums, and one per dimension over (group, week) the sums of day means.
+    ``np.bincount`` adds its weights in input order, so each mean is the one
+    a loop over that group's records in input order gives.
+    """
+    out: list[tuple[list[WeeklyMood], list[dt.date]]] = [([], []) for _ in range(n_groups)]
+    if not len(days):
+        return out
+    week = days - days % 7
+    first = np.full(n_groups, np.iinfo(np.int64).max)
+    last = np.full(n_groups, np.iinfo(np.int64).min)
+    np.minimum.at(first, group, week)
+    np.maximum.at(last, group, week)
+    present = np.flatnonzero(last >= first)
+    n_weeks = np.zeros(n_groups, np.int64)
+    n_weeks[present] = (last[present] - first[present]) // 7 + 1
+    base = np.cumsum(n_weeks) - n_weeks  # each group's first week slot
+    slots = int(n_weeks.sum())
+    day = 7 * base[group] + (days - first[group])
+    per_day = np.bincount(day, minlength=7 * slots)
+    has = per_day > 0
+    week_of_day = np.flatnonzero(has) // 7
+    day_means = [np.bincount(day, weights=vad[:, i], minlength=7 * slots)[has] / per_day[has]
+                 for i in range(3)]
+    n_days = np.bincount(week_of_day, minlength=slots)
+    sums = np.column_stack([np.bincount(week_of_day, weights=m, minlength=slots)
+                            for m in day_means])
+    n_scored = per_day.reshape(slots, 7).sum(axis=1)
+
+    for g in present.tolist():
+        weeks, gaps = out[g]
+        for w in range(int(n_weeks[g])):
+            slot = int(base[g]) + w
+            start = dt.date.fromordinal(int(first[g]) + 7 * w)
+            if not n_days[slot]:
+                gaps.append(start)
+                continue
+            n = int(n_scored[slot])
+            mean = tuple((sums[slot] / n_days[slot]).tolist())
+            weeks.append(WeeklyMood(start, mean, n, low_confidence=n < LOW_CONFIDENCE_WEEK))
+    return out
+
+
 def aggregate(scored: list[ScoredRecord], country: str) -> tuple[list[WeeklyMood], list[dt.date]]:
     """(weekly means, gap week starts) for one country.
 
@@ -345,37 +443,10 @@ def aggregate(scored: list[ScoredRecord], country: str) -> tuple[list[WeeklyMood
     least one scored record contributes its mean with equal weight to the
     weekly mean. Weeks between the country's first and last scored week
     with no scored records are returned as gaps rather than zero-filled
-    rows. ``np.bincount`` adds its weights in input order, so the sums are
-    the ones a loop over the records in input order gives.
+    rows. ``weekly_means`` computes it.
     """
     days, vad = _columns(scored, country)
-    if not len(days):
-        return [], []
-    first = int(days.min())
-    first -= first % 7
-    day = days - first
-    n_weeks = int(day.max()) // 7 + 1
-    per_day = np.bincount(day, minlength=7 * n_weeks)
-    has = per_day > 0
-    week_of_day = np.flatnonzero(has) // 7
-    day_means = [np.bincount(day, weights=vad[:, i], minlength=7 * n_weeks)[has] / per_day[has]
-                 for i in range(3)]
-    n_days = np.bincount(week_of_day, minlength=n_weeks)
-    sums = np.column_stack([np.bincount(week_of_day, weights=m, minlength=n_weeks)
-                            for m in day_means])
-    n_scored = per_day.reshape(n_weeks, 7).sum(axis=1)
-
-    weeks: list[WeeklyMood] = []
-    gaps: list[dt.date] = []
-    for w in range(n_weeks):
-        start = dt.date.fromordinal(first + 7 * w)
-        if not n_days[w]:
-            gaps.append(start)
-            continue
-        n = int(n_scored[w])
-        mean = tuple((sums[w] / n_days[w]).tolist())
-        weeks.append(WeeklyMood(start, mean, n, low_confidence=n < LOW_CONFIDENCE_WEEK))
-    return weeks, gaps
+    return weekly_means(np.zeros(len(days), np.intp), days, vad, 1)[0]
 
 
 def weekly_scores(scored: list[ScoredRecord], country: str) -> dict[dt.date, np.ndarray]:
@@ -435,15 +506,44 @@ class BinnedWeek:
         return p
 
 
+def _bin_counts(week: np.ndarray, vad: np.ndarray, n_weeks: int, n_bins: int) -> np.ndarray:
+    """(3, n_weeks, n_bins) counts of the (n, 3) scores ``vad`` by week index
+    ``week`` and bin: one ``np.bincount`` per dimension over (week, bin)."""
+    idx = bin_index(vad, n_bins)
+    key = week * n_bins
+    return np.stack([np.bincount(key + idx[:, i], minlength=n_weeks * n_bins).reshape(n_weeks, n_bins)
+                     for i in range(3)])
+
+
+def _binned(week_starts, counts: np.ndarray) -> list[BinnedWeek]:
+    return [BinnedWeek(start, dim, counts[i, w])
+            for w, start in enumerate(week_starts) for i, dim in enumerate(DIMENSIONS)]
+
+
+def bin_days(days: np.ndarray, vad: np.ndarray, n_bins: int = N_BINS) -> list[BinnedWeek]:
+    """One BinnedWeek per (GMT Sunday week, dimension) of the (n, 3) scores
+    ``vad`` on GMT day ordinals ``days``; weeks with no score are left out,
+    weeks in date order, dimensions in ``DIMENSIONS`` order."""
+    if not len(days):
+        return []
+    week = days // 7  # the week starting on Sunday ordinal 7 * week
+    first = int(week.min())
+    week -= first
+    present = np.bincount(week) > 0  # at most the calendar's 521,775 weeks
+    rank = np.cumsum(present) - 1
+    starts = [dt.date.fromordinal(7 * (first + w)) for w in np.flatnonzero(present).tolist()]
+    return _binned(starts, _bin_counts(rank[week], vad, len(starts), n_bins))
+
+
 def bin_weeks(by_week: dict[dt.date, np.ndarray], n_bins: int = N_BINS) -> list[BinnedWeek]:
     """One BinnedWeek per (week, dimension) of ``weekly_scores`` blocks,
     weeks in date order, dimensions in ``DIMENSIONS`` order."""
-    out = []
-    for week_start in sorted(by_week):
-        block = np.asarray(by_week[week_start], dtype=float).reshape(-1, 3)
+    weeks = sorted(by_week)
+    blocks = [np.asarray(by_week[week], dtype=float).reshape(-1, 3) for week in weeks]
+    for week, block in zip(weeks, blocks):
         if not len(block):
-            raise DataError(f"week {week_start}: no scores to bin")
-        idx = bin_index(block, n_bins)
-        for i, dim in enumerate(DIMENSIONS):
-            out.append(BinnedWeek(week_start, dim, np.bincount(idx[:, i], minlength=n_bins)))
-    return out
+            raise DataError(f"week {week}: no scores to bin")
+    if not weeks:
+        return []
+    week = np.repeat(np.arange(len(weeks)), [len(block) for block in blocks])
+    return _binned(weeks, _bin_counts(week, np.concatenate(blocks), len(weeks), n_bins))

@@ -6,12 +6,16 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import moodcycles
+from moodcycles import io, sentiment
 from moodcycles.cli import _apply_config, _build_parser, main
 from moodcycles.io import _fixture, expected_agreement, fmt
 
@@ -321,6 +325,87 @@ class TestManifest:
         assert warning in manifest["score"]["warnings"]
         assert manifest["bin"]["warnings"] == [warning]
         assert manifest["bin"]["counts"]["weeks"] == 1
+
+
+# "joy" ties english and spanish; "merry" matches only without the stoplist
+LEXICON_CSV = ("language,word,valence,arousal,dominance\n"
+               "english,sun,8.0,5.0,5.0\nenglish,rain,3.0,4.0,4.0\nenglish,joy,7.5,6.25,6.0\n"
+               "english,merry,7.1,6.3,5.9\n"
+               "spanish,sol,7.9,5.0,5.5\nspanish,joy,6.5,5.5,4.75\nspanish,lluvia,2.9,4.1,3.3\n")
+COUNTRIES = ["US", "GB", "DE", "unknown"]
+
+
+@st.composite
+def record_lines(draw):
+    """A records line on one of six weeks, at a UTC offset or none."""
+    stamp = dt.datetime(2010, 1, 1) + dt.timedelta(days=draw(st.integers(0, 41)),
+                                                   minutes=draw(st.integers(0, 1439)))
+    offset = draw(st.sampled_from(["Z", "", "+05:30", "-08:00"]))
+    words = draw(st.lists(st.sampled_from(["sun", "rain", "joy", "sol", "lluvia", "zzz",
+                                           "Merry Christmas"]), max_size=4))
+    return f"{stamp.isoformat()}{offset}\t{draw(st.sampled_from(COUNTRIES))}\t{' '.join(words)}"
+
+
+class TestColumnarStages:
+    """``score`` and ``bin`` write what ``score_records`` → ``aggregate`` and
+    ``weekly_scores`` → ``bin_weeks`` give."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(lines=st.lists(record_lines(), max_size=40),
+           country=st.sampled_from([None, *COUNTRIES]), stoplist=st.booleans())
+    def test_outputs_equal_the_adapter_path(self, lines, country, stoplist):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            records, lexicon = tmp / "r.tsv", tmp / "lex.csv"
+            records.write_text("".join(line + "\n" for line in lines))
+            lexicon.write_text(LEXICON_CSV)
+            argv = ["--records", str(records), "--lexicons", str(lexicon)]
+            argv += [] if stoplist else ["--no-stoplist"]
+            argv += ["--country", country] if country else []
+            recs, _ = io.read_records(records)
+            scored = sentiment.score_records(recs, sentiment.load_lexicons(lexicon),
+                                             sentiment.GreetingStoplist.default() if stoplist else None)
+
+            assert run("score", *argv, "--out", str(tmp / "cli")) == 0
+            wanted = [country] if country else sorted({r.country for r in scored} - {"unknown"})
+            io.write_weekly_mood(tmp / "weekly_mood.csv", [
+                (c, week.week_start, dim, week.mean[i], week.n_scored)
+                for c in wanted for week in sentiment.aggregate(scored, c)[0]
+                for i, dim in enumerate(sentiment.DIMENSIONS)])
+            assert ((tmp / "cli" / "weekly_mood.csv").read_bytes()
+                    == (tmp / "weekly_mood.csv").read_bytes())
+
+            code = run("bin", *argv, "--out", str(tmp / "cli"))
+            present = sorted({r.country for r in scored if r.country != "unknown" and r.score})
+            chosen = country or (present[0] if len(present) == 1 else None)
+            by_week = sentiment.weekly_scores(scored, chosen) if chosen else {}
+            assert code == (1 if chosen is None else 2 if not by_week else 0)
+            if code == 0:
+                io.write_binned(tmp / "binned.tsv", [
+                    (b.week_start, b.dimension, b.n_scored, b.probs)
+                    for b in sentiment.bin_weeks(by_week)], sentiment.N_BINS)
+                assert (tmp / "cli" / "binned.tsv").read_bytes() == (tmp / "binned.tsv").read_bytes()
+
+
+class TestMalformedRecords:
+    @pytest.mark.parametrize("stage", ["score", "bin"])
+    @pytest.mark.parametrize("line", [
+        b"9999-12-31T23:00:00-05:00\tUS\tsun",  # GMT time past year 9999
+        b"0001-01-02T00:30:00Z\tUS\tsun",       # its Sunday week starts before 0001-01-01
+        b"2010-01-04T09:00:00Z\tUS\tsu\xffn",   # not UTF-8
+    ], ids=["gmt-overflow", "before-first-week", "undecodable"])
+    def test_line_is_counted_and_skipped(self, tmp_path, capsys, stage, line):
+        records, lexicon = tmp_path / "r.tsv", tmp_path / "lex.csv"
+        records.write_bytes(b"2010-01-04T08:00:00Z\tUS\train\n" + line + b"\n")
+        lexicon.write_text(LEXICON_CSV)
+        out = tmp_path / "out"
+        assert run(stage, "--records", str(records), "--lexicons", str(lexicon),
+                   "--no-stoplist", "--out", str(out)) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        entry = json.loads((out / "manifest.json").read_text())[stage]
+        assert entry["counts"]["records"] == 1
+        assert entry["counts"]["records_malformed"] == 1
+        assert "1 malformed record lines skipped" in entry["warnings"]
 
 
 class TestPipelineChain:

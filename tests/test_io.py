@@ -162,6 +162,24 @@ class TestRecords:
         assert parse_timestamp("2010-06-01T12:00:00-05:00") == dt.datetime(2010, 6, 1, 17, tzinfo=UTC)
         assert parse_timestamp("yesterday") is None
 
+    def test_timestamps_outside_the_gmt_calendar_are_none(self):
+        assert parse_timestamp("9999-12-31T23:00:00-05:00") is None
+        assert parse_timestamp("0001-01-01T00:30:00+01:00") is None
+        assert parse_timestamp("9999-12-31T23:00:00+05:00") == dt.datetime(9999, 12, 31, 18, tzinfo=UTC)
+
+    def test_undecodable_and_pre_calendar_lines_are_malformed(self, tmp_path):
+        path = tmp_path / "records.tsv"
+        path.write_bytes(
+            b"2010-01-03T08:00:00Z\tUS\tgood\r"         # a lone CR ends a line
+            b"2010-01-03T09:00:00Z\tUS\tba\xffd\r\n"
+            b"0001-01-06T23:59:59Z\tUS\tsaturday before the first sunday\n"
+            b"0001-01-07T00:00:00Z\tUS\tfirst sunday\n"
+            b"2010-01-03T10:00:00Z\tDE\tgr\xc3\xbc\xc3\x9fe\n"
+        )
+        records, malformed = read_records(path)
+        assert malformed == 2
+        assert [text for _, _, text in records] == ["good", "first sunday", "grüße"]
+
 
 class TestBinnedIO:
     def rows(self):

@@ -3,6 +3,8 @@
 import datetime as dt
 import random
 import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,7 +27,8 @@ from moodcycles import (
     tokenize,
     weekly_scores,
 )
-from moodcycles.sentiment import DIMENSIONS, LOW_CONFIDENCE_WEEK
+from moodcycles import sentiment
+from moodcycles.sentiment import DIMENSIONS, LOW_CONFIDENCE_WEEK, score_texts
 
 UTC = dt.timezone.utc
 
@@ -244,6 +247,76 @@ class TestScoreRecords:
         records = [(ts, "US", text) for text in texts]
         expected = [ScoredRecord(ts, "US", score_text(text, lexicons, stoplist)) for text in texts]
         assert score_records(records, lexicons, stoplist) == expected
+
+
+def shared_lexicons(words, values, n):
+    """``n`` lexicons over the same ``words``: a text of them ties all n."""
+    return [Lexicon(lang, {w: values[(i + k) % len(values)] for k, w in enumerate(words)},
+                    removed_words=frozenset({"navidad"} if i % 2 else ()))
+            for i, lang in enumerate(["de", "en", "es", "pt"][:n])]
+
+
+class TestScoreTexts:
+    WORDS = TestScoreRecords.WORDS
+    STOPLIST = GreetingStoplist(["feliz navidad", "sad joy", "joy"])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lexicons=st.one_of(
+            st.lists(TestScoreRecords.LEXICON, min_size=1, max_size=4),
+            st.builds(shared_lexicons,
+                      st.lists(st.sampled_from(WORDS), min_size=1, max_size=5, unique=True),
+                      st.lists(st.tuples(*[st.one_of(TestScoreRecords.VALUE, st.floats(1.0, 9.0))] * 3),
+                               min_size=1, max_size=3),
+                      st.integers(2, 4))),
+        stoplist=st.sampled_from([None, STOPLIST]),
+        texts=st.lists(st.lists(st.sampled_from(WORDS + ["Feliz Navidad", "JOY", "!"]), max_size=6)
+                       .map(" ".join), max_size=20),
+        chunk=st.integers(1, 7),
+    )
+    def test_equals_score_text_across_chunk_seams(self, lexicons, stoplist, texts, chunk):
+        with mock.patch.object(sentiment, "_CHUNK", chunk):
+            cols = score_texts(texts, lexicons, stoplist)
+        assert cols.n_matched.shape == (len(texts),)
+        assert cols.vad.shape == (len(texts), 3)
+        assert cols.winners.shape == (len(texts), len(lexicons))
+        for text, n, vad, won in zip(texts, cols.n_matched, cols.vad, cols.winners):
+            expected = score_text(text, lexicons, stoplist)
+            if expected is None:
+                assert n == 0 and not won.any() and np.isnan(vad).all()
+                continue
+            assert n == expected.n_matched
+            assert vad.tolist() == [expected.valence, expected.arousal, expected.dominance]
+            names = [lex.language for lex, w in zip(lexicons, won) if w]
+            assert "+".join(names) == expected.matched_language
+            assert (len(names) > 1) == expected.tie
+
+    def test_needs_a_lexicon_only_for_texts(self):
+        assert score_texts([], []).winners.shape == (0, 0)
+        with pytest.raises(DataError):
+            score_texts(["joy"], [])
+
+    def test_memory_per_text_does_not_grow_with_the_corpus(self, english_lexicon, spanish_lexicon):
+        # chunking holds one chunk's token lists at a time, so beyond the
+        # (n, 3) scores, n counts and (n, L) winners, memory stays flat in n
+        lexicons = [english_lexicon, spanish_lexicon]
+        rng = random.Random(5)
+        vocab = ["laughter", "gloom", "sol", "mesa", "zzz", "table", "word", "pena"]
+        texts = [" ".join(rng.choice(vocab) for _ in range(8)) for _ in range(16 * 256)]
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                score_texts(texts[:n], lexicons)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        with mock.patch.object(sentiment, "_CHUNK", 256):
+            small, large = peak(2 * 256), peak(16 * 256)
+        per_text = (large - small) / (14 * 256)
+        result_per_text = 8 + 3 * 8 + len(lexicons)
+        assert per_text < 2 * result_per_text
 
 
 def rec(iso: str, valence: float, country: str = "US") -> ScoredRecord:
