@@ -109,28 +109,32 @@ def _stoplist(args, manifest: RunManifest) -> sentiment.GreetingStoplist | None:
     return sentiment.GreetingStoplist.default()
 
 
-def _scored_columns(args, manifest: RunManifest):
-    """Read and score the records: (GMT day ordinals, country codes, country
-    names, ``sentiment.ScoreColumns``), one row per record in input order;
-    ``names[code]`` is a record's country."""
+def _fold_scored(args, manifest: RunManifest, fold) -> dict[str, int]:
+    """Read and score the records a chunk at a time, passing each chunk's
+    scored records (only those of ``--country``, when it is given) to
+    ``fold(country codes, GMT day ordinals, (n, 3) scores)`` in input
+    order; returns each country's code, in first-seen order."""
     _need(args, "records", "lexicons")
     manifest.add_input(args.records)
     manifest.add_input(args.lexicons)
-    records, n_malformed = io.read_records(args.records)
-    lexicons = sentiment.load_lexicons(args.lexicons)
-    stoplist = _stoplist(args, manifest)
-    scores = sentiment.score_texts([text for _, _, text in records], lexicons, stoplist)
-    n = len(records)
+    scorer = sentiment.Scorer(sentiment.load_lexicons(args.lexicons), _stoplist(args, manifest))
     codes: dict[str, int] = {}
-    code = np.fromiter((codes.setdefault(country, len(codes)) for _, country, _ in records),
-                       np.intp, n)
-    days = np.fromiter((stamp.toordinal() for stamp, _, _ in records), np.int64, n)
+    n = n_malformed = n_unscored = 0
+    for days, countries, texts, bad in io.read_record_chunks(args.records, sentiment._CHUNK):
+        scores = scorer.score(texts)
+        code = np.fromiter((codes.setdefault(c, len(codes)) for c in countries), np.intp, len(texts))
+        scored = scores.n_matched > 0
+        keep = scored & (code == codes.get(args.country, -1)) if args.country else scored
+        fold(code[keep], days[keep], scores.vad[keep])
+        n += len(texts)
+        n_malformed += bad
+        n_unscored += len(texts) - int(np.count_nonzero(scored))
     manifest.counts["records"] = n
     manifest.counts["records_malformed"] = n_malformed
-    manifest.counts["records_unscored"] = int(np.count_nonzero(scores.n_matched == 0))
+    manifest.counts["records_unscored"] = n_unscored
     if n_malformed:
         manifest.warnings.append(f"{n_malformed} malformed record lines skipped")
-    return days, code, list(codes), scores
+    return codes
 
 
 # ------------------------------------------------------------------ subcommands
@@ -245,22 +249,21 @@ def _warn_low_confidence(manifest: RunManifest, n_low: int) -> None:
 
 def cmd_score(args, manifest: RunManifest) -> None:
     out = _out_dir(args)
-    days, code, names, scores = _scored_columns(args, manifest)
-    wanted = [args.country] if args.country else sorted(set(names) - {"unknown"})
-    slot = {country: g for g, country in enumerate(wanted)}
-    group = np.array([slot.get(name, -1) for name in names], np.intp)[code]
-    mine = (group >= 0) & (scores.n_matched > 0)
-    per_country = sentiment.weekly_means(group[mine], days[mine], scores.vad[mine], len(wanted))
+    totals = sentiment.DayTotals()
+    codes = _fold_scored(args, manifest, totals.add)
+    per_code = totals.weekly(len(codes))
+    wanted = [args.country] if args.country else sorted(set(codes) - {"unknown"})
     rows = []
     n_low = 0
-    for country, (weeks, gaps) in zip(wanted, per_country):
+    for country in wanted:
+        weeks, n_gaps = per_code[codes[country]] if country in codes else ([], 0)
         for week in weeks:
             if week.low_confidence:
                 n_low += 1
             for i, dim in enumerate(sentiment.DIMENSIONS):
                 rows.append((country, week.week_start, dim, week.mean[i], week.n_scored))
-        if gaps:
-            manifest.warnings.append(f"{country}: {len(gaps)} gap weeks with no scored records")
+        if n_gaps:
+            manifest.warnings.append(f"{country}: {n_gaps} gap weeks with no scored records")
     _warn_low_confidence(manifest, n_low)
     io.write_weekly_mood(out / "weekly_mood.csv", rows)
     manifest.counts["countries"] = len(wanted)
@@ -272,17 +275,17 @@ def cmd_bin(args, manifest: RunManifest) -> None:
     if args.bins < 1:
         raise UsageError(f"--bins must be at least 1, got {args.bins}")
     out = _out_dir(args)
-    days, code, names, scores = _scored_columns(args, manifest)
-    scored = scores.n_matched > 0
+    bins = sentiment.WeekBins(args.bins)
+    codes = _fold_scored(args, manifest,
+                         lambda code, days, vad: bins.add(code, sentiment.week_of(days), vad))
     country = args.country
     if not country:
-        n_scored = np.bincount(code[scored], minlength=len(names)).tolist()
-        present = [name for name, n in zip(names, n_scored) if n and name != "unknown"]
+        scored = bins.groups()
+        present = [name for name, code in codes.items() if code in scored and name != "unknown"]
         if len(present) != 1:
             raise UsageError("--country is required when records cover several countries")
         country = present[0]
-    mine = scored & (code == (names.index(country) if country in names else -1))
-    binned = sentiment.bin_days(days[mine], scores.vad[mine], args.bins)
+    binned = bins.binned(codes.get(country, -1))
     if not binned:
         raise DataError(f"no scored records for country {country!r}")
     weeks = binned[::len(sentiment.DIMENSIONS)]
@@ -496,19 +499,15 @@ def cmd_dcor(args, manifest: RunManifest) -> None:
     manifest.add_input(args.x)
     manifest.add_input(args.y)
     X, y, _ = _joined(args.y, [args.x])
-    x = X[:, 0]
-    dcov = stats.distance_covariance(x, y)
-    dcor = stats.distance_correlation(x, y)
+    dcov, dcor, p = stats.distance_statistics(X[:, 0], y, args.permutations, args.seed)
     rows = [["dcov", dcov], ["dcor", dcor]]
-    if args.permutations > 0:
-        _, p = stats.permutation_test(x, y, stats.distance_covariance,
-                                      args.permutations, args.seed)
+    if p is not None:
         rows += [["permutation_p", p], ["n_permutations", float(args.permutations)]]
         manifest.counts["permutations"] = args.permutations
     manifest.counts["observations"] = len(y)
     io.write_table(out / "dcor.csv", ["field", "value"], rows)
     print(f"dCov = {io.fmt(dcov)}, dCor = {io.fmt(dcor)}" +
-          (f", p = {io.fmt(rows[2][1])}" if args.permutations > 0 else ""))
+          (f", p = {io.fmt(p)}" if p is not None else ""))
 
 
 def cmd_report(args, manifest: RunManifest) -> None:

@@ -315,17 +315,9 @@ def read_stoplist_lines(path: str | Path | None = None) -> list[str]:
 _FIRST_SUNDAY = dt.datetime(1, 1, 7, tzinfo=dt.timezone.utc)
 
 
-def read_records(path: str | Path) -> tuple[list[tuple[dt.datetime, str, str]], int]:
-    """Read tab-separated `timestamp_utc, country, text` records.
-
-    Returns (records, n_malformed). Malformed lines are counted and skipped,
-    not fatal: a line with bytes that are not UTF-8, a wrong field count, an
-    unparseable timestamp, or a GMT day whose Sunday week would start before
-    0001-01-01. A lone carriage return ends a line, as a newline does.
-    """
-    path = Path(path)
-    records: list[tuple[dt.datetime, str, str]] = []
-    malformed = 0
+def _record_lines(path: str | Path):
+    """The records file's non-empty lines, line endings removed. A lone
+    carriage return ends a line, as a newline does."""
     try:
         handle = open(path, encoding="utf-8", errors="surrogateescape", newline="")
     except OSError as exc:
@@ -333,24 +325,70 @@ def read_records(path: str | Path) -> tuple[list[tuple[dt.datetime, str, str]], 
     with handle:
         for line in handle:
             line = line.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            if not line.isascii():
-                try:
-                    line.encode("utf-8")  # fails on the escapes of undecodable bytes
-                except UnicodeEncodeError:
-                    malformed += 1
-                    continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                malformed += 1
-                continue
-            stamp = parse_timestamp(parts[0])
-            if stamp is None or stamp < _FIRST_SUNDAY:
-                malformed += 1
-                continue
-            records.append((stamp, parts[1].strip(), parts[2]))
+            if line:
+                yield line
+
+
+def _record(line: str) -> tuple[dt.datetime, str, str] | None:
+    """One records line as (GMT stamp, country, text), or None when it is
+    malformed: it has bytes that are not UTF-8, a wrong field count, an
+    unparseable timestamp, or a GMT day whose Sunday week would start
+    before 0001-01-01."""
+    if not line.isascii():
+        try:
+            line.encode("utf-8")  # fails on the escapes of undecodable bytes
+        except UnicodeEncodeError:
+            return None
+    parts = line.split("\t")
+    if len(parts) != 3:
+        return None
+    stamp = parse_timestamp(parts[0])
+    if stamp is None or stamp < _FIRST_SUNDAY:
+        return None
+    return stamp, parts[1].strip(), parts[2]
+
+
+def read_records(path: str | Path) -> tuple[list[tuple[dt.datetime, str, str]], int]:
+    """Read tab-separated `timestamp_utc, country, text` records.
+
+    Returns (records, n_malformed). Malformed lines (see ``_record``) are
+    counted and skipped, not fatal.
+    """
+    records: list[tuple[dt.datetime, str, str]] = []
+    malformed = 0
+    for line in _record_lines(path):
+        record = _record(line)
+        if record is None:
+            malformed += 1
+        else:
+            records.append(record)
     return records, malformed
+
+
+def read_record_chunks(path: str | Path, size: int):
+    """``read_records``'s records, ``size`` at a time, as columns.
+
+    Yields (GMT day ordinals as int64, countries, texts, n_malformed) per
+    chunk: ``size`` records, and whatever is left in the last chunk, which
+    is always yielded, empty or not. ``n_malformed`` counts the lines
+    skipped since the previous chunk. Only one chunk's records are held.
+    """
+    days: list[int] = []
+    countries: list[str] = []
+    texts: list[str] = []
+    malformed = 0
+    for line in _record_lines(path):
+        record = _record(line)
+        if record is None:
+            malformed += 1
+            continue
+        days.append(record[0].toordinal())
+        countries.append(record[1])
+        texts.append(record[2])
+        if len(texts) == size:
+            yield np.array(days, np.int64), countries, texts, malformed
+            days, countries, texts, malformed = [], [], [], 0
+    yield np.array(days, np.int64), countries, texts, malformed
 
 
 def parse_timestamp(text: str) -> dt.datetime | None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import datetime as dt
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, repeat
 from operator import attrgetter
@@ -255,52 +255,53 @@ def score_text(text: str, lexicons: list[Lexicon], stoplist: GreetingStoplist | 
     return TextScore(v / k, a / k, d / k, "+".join(b[0] for b in best), best_count, tie=True)
 
 
-_CHUNK = 8192  # texts per score_texts chunk: bounds the token lists alive at once
+_CHUNK = 8192  # texts per scoring chunk; records per chunk of the score and bin stages
 
 
 class ScoreColumns(NamedTuple):
-    """``score_texts``'s result, one row per text in input order."""
+    """Scores of a run of texts, one row per text in input order."""
 
     n_matched: np.ndarray  # (n,) int64 matches of the winning lexicons; 0 when unscored
     vad: np.ndarray        # (n, 3) valence/arousal/dominance; NaN rows when unscored
     winners: np.ndarray    # (n, L) bool: the lexicons tying for most matches
 
 
-def score_texts(texts: Sequence[str], lexicons: list[Lexicon],
-                stoplist: GreetingStoplist | None = None) -> ScoreColumns:
-    """Score every text by ``score_text``'s rule, as arrays, bit for bit.
+class Scorer:
+    """``score_text``'s rule over a chunk of texts at a time, as arrays, bit for bit.
 
-    One table maps each word to its entries in every lexicon that matches
-    it. Texts are taken a fixed-size chunk at a time: each text is tokenized
-    once (again only if the stoplist changed it), tokens become word ids,
-    each id expands to its lexicon entries, and one ``np.bincount`` over
-    (text, lexicon) gives the match counts and one per dimension the sums.
-    ``np.bincount`` adds its weights in input order, so each sum runs in
-    token order as ``score_text``'s loop does. Tied lexicons' means are
-    added in lexicon order, non-winners adding an exact 0.0.
+    One table, built once, maps each word to its entries in every lexicon
+    that matches it. ``score`` tokenizes each text once (again only if the
+    stoplist changed it), maps tokens to word ids, expands each id to its
+    lexicon entries, and takes one ``np.bincount`` over (text, lexicon) for
+    the match counts and one per dimension for the sums. ``np.bincount``
+    adds its weights in input order, so each sum runs in token order as
+    ``score_text``'s loop does. Tied lexicons' means are added in lexicon
+    order, non-winners adding an exact 0.0.
     """
-    n = len(texts)
-    if n and not lexicons:
-        raise DataError("need at least one lexicon")
-    table: dict[str, list[tuple[int, tuple[float, float, float]]]] = {}
-    for index, lex in enumerate(lexicons):
-        for word, scores in lex.entries.items():
-            if word not in lex.removed_words:
-                table.setdefault(word, []).append((index, scores))
-    word_id = {word: i for i, word in enumerate(table)}
-    entries = list(table.values())
-    n_entries = np.array([len(e) for e in entries], dtype=np.intp)
-    first_entry = np.cumsum(n_entries) - n_entries
-    entry_lexicon = np.array([i for e in entries for i, _ in e], dtype=np.intp)
-    entry_vad = np.array([s for e in entries for _, s in e], dtype=float).reshape(-1, 3).T.copy()
-    n_lex = len(lexicons)
 
-    out = ScoreColumns(np.zeros(n, np.int64), np.full((n, 3), np.nan), np.zeros((n, n_lex), bool))
-    for lo in range(0, n, _CHUNK):
-        chunk = texts[lo:lo + _CHUNK]
-        m = len(chunk)
+    def __init__(self, lexicons: list[Lexicon], stoplist: GreetingStoplist | None = None):
+        table: dict[str, list[tuple[int, tuple[float, float, float]]]] = {}
+        for index, lex in enumerate(lexicons):
+            for word, scores in lex.entries.items():
+                if word not in lex.removed_words:
+                    table.setdefault(word, []).append((index, scores))
+        entries = list(table.values())
+        self._word_id = {word: i for i, word in enumerate(table)}
+        self._n_entries = np.array([len(e) for e in entries], dtype=np.intp)
+        self._first_entry = np.cumsum(self._n_entries) - self._n_entries
+        self._entry_lexicon = np.array([i for e in entries for i, _ in e], dtype=np.intp)
+        self._entry_vad = np.array([s for e in entries for _, s in e],
+                                   dtype=float).reshape(-1, 3).T.copy()
+        self._n_lex = len(lexicons)
+        self._stoplist = stoplist
+
+    def score(self, texts: Sequence[str]) -> ScoreColumns:
+        """The scores of ``texts``, all at once: pass a chunk, not a corpus."""
+        m, n_lex, stoplist = len(texts), self._n_lex, self._stoplist
+        if m and not n_lex:
+            raise DataError("need at least one lexicon")
         tokens = []
-        for text in chunk:
+        for text in texts:
             toks = tokenize(text)
             if stoplist is not None and stoplist._may_match(toks):
                 stripped = stoplist._remove(text)
@@ -308,19 +309,19 @@ def score_texts(texts: Sequence[str], lexicons: list[Lexicon],
                     toks = tokenize(stripped)
             tokens.append(toks)
         n_tokens = np.fromiter(map(len, tokens), np.intp, m)
-        ids = np.fromiter(map(word_id.get, chain.from_iterable(tokens), repeat(-1)),
+        ids = np.fromiter(map(self._word_id.get, chain.from_iterable(tokens), repeat(-1)),
                           np.intp, int(n_tokens.sum()))
         del tokens
         text_of = np.repeat(np.arange(m), n_tokens)
         hit = ids >= 0
         ids, text_of = ids[hit], text_of[hit]
-        per_token = n_entries[ids]
+        per_token = self._n_entries[ids]
         starts = np.cumsum(per_token) - per_token
-        entry = (np.repeat(first_entry[ids] - starts, per_token)
+        entry = (np.repeat(self._first_entry[ids] - starts, per_token)
                  + np.arange(int(per_token.sum()), dtype=np.intp))
-        key = np.repeat(text_of, per_token) * n_lex + entry_lexicon[entry]
+        key = np.repeat(text_of, per_token) * n_lex + self._entry_lexicon[entry]
         counts = np.bincount(key, minlength=m * n_lex).reshape(m, n_lex)
-        sums = np.stack([np.bincount(key, weights=entry_vad[i][entry], minlength=m * n_lex)
+        sums = np.stack([np.bincount(key, weights=self._entry_vad[i][entry], minlength=m * n_lex)
                          for i in range(3)]).reshape(3, m, n_lex)
         best = counts.max(axis=1, initial=0)
         won = (counts == best[:, None]) & (best[:, None] > 0)
@@ -328,10 +329,23 @@ def score_texts(texts: Sequence[str], lexicons: list[Lexicon],
         for j in range(n_lex):
             total += np.divide(sums[:, :, j], counts[:, j], out=np.zeros((3, m)), where=won[:, j])
         k = won.sum(axis=1)
-        rows = slice(lo, lo + m)
-        out.n_matched[rows] = best
-        np.divide(total.T, k[:, None], out=out.vad[rows], where=k[:, None] > 0)
-        out.winners[rows] = won
+        vad = np.full((m, 3), np.nan)
+        np.divide(total.T, k[:, None], out=vad, where=k[:, None] > 0)
+        return ScoreColumns(best.astype(np.int64, copy=False), vad, won)
+
+
+def score_texts(texts: Sequence[str], lexicons: list[Lexicon],
+                stoplist: GreetingStoplist | None = None) -> ScoreColumns:
+    """Score every text by ``score_text``'s rule with one ``Scorer``,
+    ``_CHUNK`` texts at a time, so only one chunk's tokens are alive."""
+    n = len(texts)
+    scorer = Scorer(lexicons, stoplist)
+    out = ScoreColumns(np.zeros(n, np.int64), np.full((n, 3), np.nan),
+                       np.zeros((n, len(lexicons)), bool))
+    for lo in range(0, n, _CHUNK):
+        cols = scorer.score(texts[lo:lo + _CHUNK])
+        for whole, part in zip(out, cols):
+            whole[lo:lo + len(part)] = part
     return out
 
 
@@ -365,17 +379,32 @@ LOW_CONFIDENCE_WEEK = 100  # scored texts; below this the week is flagged, not d
 
 def _columns(scored: list[ScoredRecord], country: str) -> tuple[np.ndarray, np.ndarray]:
     """GMT day ordinals (int64) and an (n, 3) valence/arousal/dominance array
-    of ``country``'s scored records, in input order.
-
-    The one place that filters records for grouping. ``date.toordinal`` is
-    1 for Monday 0001-01-01, so a day is a Sunday when ``ordinal % 7 == 0``
-    and its week starts at ``ordinal - ordinal % 7``.
-    """
+    of ``country``'s scored records, in input order: the one place the
+    adapters filter records for grouping."""
     mine = [r for r in scored if r.country == country and r.score is not None]
     days = np.fromiter((r.timestamp_utc.toordinal() for r in mine), np.int64, len(mine))
     vad_of = attrgetter(*(f"score.{dim}" for dim in DIMENSIONS))
     vad = np.fromiter(map(vad_of, mine), np.dtype((float, 3)), len(mine))
     return days, vad
+
+
+def week_of(days: np.ndarray) -> np.ndarray:
+    """The Sunday ordinal starting each GMT day ordinal's week.
+
+    ``date.toordinal`` is 1 for Monday 0001-01-01, so a day is a Sunday
+    when ``ordinal % 7 == 0``.
+    """
+    return days - days % 7
+
+
+_KEY = dt.date.max.toordinal() + 1  # a cell key is group * _KEY + day (or week) ordinal
+
+
+def _merge_keys(keys: np.ndarray, group, ordinals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted union of the cell keys ``keys`` (sorted, unique) and the
+    cells of rows (``group``, ``ordinals``), and the slot in it of each old
+    cell and then of each row."""
+    return np.unique(np.concatenate([keys, group * _KEY + ordinals]), return_inverse=True)
 
 
 @dataclass(frozen=True)
@@ -386,54 +415,62 @@ class WeeklyMood:
     low_confidence: bool = False
 
 
-def weekly_means(group: np.ndarray, days: np.ndarray, vad: np.ndarray,
-                 n_groups: int) -> list[tuple[list[WeeklyMood], list[dt.date]]]:
-    """``aggregate``'s (weekly means, gap week starts) for every group at once.
+class DayTotals:
+    """The count and valence/arousal/dominance sums of scored records per
+    (group, GMT day), folded in a chunk of records at a time.
 
-    Row r is a scored record of group ``group[r]`` (in ``range(n_groups)``)
-    on GMT day ordinal ``days[r]`` with scores ``vad[r]``. Each group's span
-    of Sunday weeks gets its own run of day slots, so one ``np.bincount``
-    over (group, day) gives every day's count and one per dimension its
-    sums, and one per dimension over (group, week) the sums of day means.
-    ``np.bincount`` adds its weights in input order, so each mean is the one
-    a loop over that group's records in input order gives.
+    Only days with records have a cell, so memory grows with the number of
+    (group, day) cells, not with records or with the span of days. Each
+    chunk's sums go through one ``np.bincount`` per dimension whose weights
+    put each cell's carried sum first, then the chunk's scores in input
+    order: ``np.bincount`` adds in that order, so every sum is the one a
+    loop over all the group's records of that day in input order gives.
     """
-    out: list[tuple[list[WeeklyMood], list[dt.date]]] = [([], []) for _ in range(n_groups)]
-    if not len(days):
-        return out
-    week = days - days % 7
-    first = np.full(n_groups, np.iinfo(np.int64).max)
-    last = np.full(n_groups, np.iinfo(np.int64).min)
-    np.minimum.at(first, group, week)
-    np.maximum.at(last, group, week)
-    present = np.flatnonzero(last >= first)
-    n_weeks = np.zeros(n_groups, np.int64)
-    n_weeks[present] = (last[present] - first[present]) // 7 + 1
-    base = np.cumsum(n_weeks) - n_weeks  # each group's first week slot
-    slots = int(n_weeks.sum())
-    day = 7 * base[group] + (days - first[group])
-    per_day = np.bincount(day, minlength=7 * slots)
-    has = per_day > 0
-    week_of_day = np.flatnonzero(has) // 7
-    day_means = [np.bincount(day, weights=vad[:, i], minlength=7 * slots)[has] / per_day[has]
-                 for i in range(3)]
-    n_days = np.bincount(week_of_day, minlength=slots)
-    sums = np.column_stack([np.bincount(week_of_day, weights=m, minlength=slots)
-                            for m in day_means])
-    n_scored = per_day.reshape(slots, 7).sum(axis=1)
 
-    for g in present.tolist():
-        weeks, gaps = out[g]
-        for w in range(int(n_weeks[g])):
-            slot = int(base[g]) + w
-            start = dt.date.fromordinal(int(first[g]) + 7 * w)
-            if not n_days[slot]:
-                gaps.append(start)
-                continue
-            n = int(n_scored[slot])
-            mean = tuple((sums[slot] / n_days[slot]).tolist())
-            weeks.append(WeeklyMood(start, mean, n, low_confidence=n < LOW_CONFIDENCE_WEEK))
-    return out
+    def __init__(self):
+        self.keys = np.empty(0, np.int64)    # group * _KEY + day ordinal, sorted
+        self.counts = np.empty(0, np.int64)
+        self.sums = np.empty((3, 0))
+
+    def add(self, group, days: np.ndarray, vad: np.ndarray) -> None:
+        """Fold in scored records: group ``group[r]`` (or one group for all),
+        GMT day ordinal ``days[r]``, (n, 3) scores ``vad[r]``, in input order."""
+        keys, slot = _merge_keys(self.keys, group, days)
+        carried = len(self.keys)
+        counts = np.bincount(slot[carried:], minlength=len(keys))
+        counts[slot[:carried]] += self.counts
+        self.sums = np.stack([np.bincount(slot, weights=np.concatenate([self.sums[i], vad[:, i]]),
+                                          minlength=len(keys)) for i in range(3)])
+        self.keys, self.counts = keys, counts
+
+    def weekly(self, n_groups: int) -> list[tuple[list[WeeklyMood], int]]:
+        """(weekly means, number of gap weeks) of each group in ``range(n_groups)``.
+
+        Each day with a scored record contributes its mean with equal weight
+        to its Sunday week's mean, days added in date order. A gap week lies
+        between the group's first and last week and has no scored record.
+        """
+        out: list[tuple[list[WeeklyMood], int]] = [([], 0) for _ in range(n_groups)]
+        if not len(self.keys):
+            return out
+        group, day = np.divmod(self.keys, _KEY)
+        week = week_of(day)
+        starts_week = np.r_[True, (group[1:] != group[:-1]) | (week[1:] != week[:-1])]
+        first = np.flatnonzero(starts_week)
+        slot = np.cumsum(starts_week) - 1
+        n_days = np.bincount(slot)
+        sums = np.column_stack([np.bincount(slot, weights=m) for m in self.sums / self.counts])
+        n_scored = np.add.reduceat(self.counts, first)
+        for s, (g, start) in enumerate(zip(group[first].tolist(), week[first].tolist())):
+            n = int(n_scored[s])
+            mean = tuple((sums[s] / n_days[s]).tolist())
+            out[g][0].append(WeeklyMood(dt.date.fromordinal(start), mean, n,
+                                        low_confidence=n < LOW_CONFIDENCE_WEEK))
+        for g, (weeks, _) in enumerate(out):
+            if weeks:
+                span = (weeks[-1].week_start - weeks[0].week_start).days // 7 + 1
+                out[g] = (weeks, span - len(weeks))
+        return out
 
 
 def aggregate(scored: list[ScoredRecord], country: str) -> tuple[list[WeeklyMood], list[dt.date]]:
@@ -443,19 +480,29 @@ def aggregate(scored: list[ScoredRecord], country: str) -> tuple[list[WeeklyMood
     least one scored record contributes its mean with equal weight to the
     weekly mean. Weeks between the country's first and last scored week
     with no scored records are returned as gaps rather than zero-filled
-    rows. ``weekly_means`` computes it.
+    rows. ``DayTotals`` computes it.
     """
     days, vad = _columns(scored, country)
-    return weekly_means(np.zeros(len(days), np.intp), days, vad, 1)[0]
+    totals = DayTotals()
+    totals.add(0, days, vad)
+    weeks, _ = totals.weekly(1)[0]
+    present = {week.week_start for week in weeks}
+    gaps = []
+    if weeks:
+        first, last = weeks[0].week_start, weeks[-1].week_start
+        gaps = [start for start in map(dt.date.fromordinal,
+                                       range(first.toordinal(), last.toordinal(), 7))
+                if start not in present]
+    return weeks, gaps
 
 
 def weekly_scores(scored: list[ScoredRecord], country: str) -> dict[dt.date, np.ndarray]:
     """One (n, 3) valence/arousal/dominance array per GMT Sunday week, for
     binning; weeks in date order, each week's rows in input order."""
-    week, vad = _columns(scored, country)
-    if not len(week):
+    days, vad = _columns(scored, country)
+    if not len(days):
         return {}
-    week -= week % 7
+    week = week_of(days)
     order = np.argsort(week, kind="stable")
     week, vad = week[order], vad[order]
     cuts = np.flatnonzero(week[1:] != week[:-1]) + 1
@@ -506,33 +553,40 @@ class BinnedWeek:
         return p
 
 
-def _bin_counts(week: np.ndarray, vad: np.ndarray, n_weeks: int, n_bins: int) -> np.ndarray:
-    """(3, n_weeks, n_bins) counts of the (n, 3) scores ``vad`` by week index
-    ``week`` and bin: one ``np.bincount`` per dimension over (week, bin)."""
-    idx = bin_index(vad, n_bins)
-    key = week * n_bins
-    return np.stack([np.bincount(key + idx[:, i], minlength=n_weeks * n_bins).reshape(n_weeks, n_bins)
-                     for i in range(3)])
+class WeekBins:
+    """Integer counts of scores per (group, week, dimension, bin), folded in
+    a chunk of records at a time; only weeks with scores have a cell."""
 
+    def __init__(self, n_bins: int = N_BINS):
+        self.n_bins = n_bins
+        self.keys = np.empty(0, np.int64)    # group * _KEY + week start ordinal, sorted
+        self.counts = np.empty((0, 3, n_bins), np.int64)
 
-def _binned(week_starts, counts: np.ndarray) -> list[BinnedWeek]:
-    return [BinnedWeek(start, dim, counts[i, w])
-            for w, start in enumerate(week_starts) for i, dim in enumerate(DIMENSIONS)]
+    def add(self, group, weeks: np.ndarray, vad: np.ndarray) -> None:
+        """Fold in scores: group ``group[r]`` (or one group for all), week
+        start ordinal ``weeks[r]``, (n, 3) scores ``vad[r]`` in [1, 9]."""
+        idx = bin_index(vad, self.n_bins)
+        keys, slot = _merge_keys(self.keys, group, weeks)
+        carried = len(self.keys)
+        counts = np.zeros((len(keys), 3, self.n_bins), np.int64)
+        counts[slot[:carried]] = self.counts
+        cell = slot[carried:] * self.n_bins
+        for i in range(3):
+            counts[:, i] += np.bincount(cell + idx[:, i],
+                                        minlength=len(keys) * self.n_bins).reshape(-1, self.n_bins)
+        self.keys, self.counts = keys, counts
 
+    def groups(self) -> set[int]:
+        """The groups with at least one score."""
+        return set(np.unique(self.keys // _KEY).tolist())
 
-def bin_days(days: np.ndarray, vad: np.ndarray, n_bins: int = N_BINS) -> list[BinnedWeek]:
-    """One BinnedWeek per (GMT Sunday week, dimension) of the (n, 3) scores
-    ``vad`` on GMT day ordinals ``days``; weeks with no score are left out,
-    weeks in date order, dimensions in ``DIMENSIONS`` order."""
-    if not len(days):
-        return []
-    week = days // 7  # the week starting on Sunday ordinal 7 * week
-    first = int(week.min())
-    week -= first
-    present = np.bincount(week) > 0  # at most the calendar's 521,775 weeks
-    rank = np.cumsum(present) - 1
-    starts = [dt.date.fromordinal(7 * (first + w)) for w in np.flatnonzero(present).tolist()]
-    return _binned(starts, _bin_counts(rank[week], vad, len(starts), n_bins))
+    def binned(self, group: int) -> list[BinnedWeek]:
+        """One BinnedWeek per (week, dimension) of ``group``: weeks in date
+        order, dimensions in ``DIMENSIONS`` order."""
+        mine = self.keys // _KEY == group
+        return [BinnedWeek(dt.date.fromordinal(week), dim, counts[i])
+                for week, counts in zip((self.keys[mine] % _KEY).tolist(), self.counts[mine])
+                for i, dim in enumerate(DIMENSIONS)]
 
 
 def bin_weeks(by_week: dict[dt.date, np.ndarray], n_bins: int = N_BINS) -> list[BinnedWeek]:
@@ -543,7 +597,8 @@ def bin_weeks(by_week: dict[dt.date, np.ndarray], n_bins: int = N_BINS) -> list[
     for week, block in zip(weeks, blocks):
         if not len(block):
             raise DataError(f"week {week}: no scores to bin")
-    if not weeks:
-        return []
-    week = np.repeat(np.arange(len(weeks)), [len(block) for block in blocks])
-    return _binned(weeks, _bin_counts(week, np.concatenate(blocks), len(weeks), n_bins))
+    bins = WeekBins(n_bins)
+    if weeks:
+        bins.add(0, np.repeat([week.toordinal() for week in weeks], [len(b) for b in blocks]),
+                 np.concatenate(blocks))
+    return bins.binned(0)

@@ -125,24 +125,12 @@ def _centered_distances(x: np.ndarray) -> np.ndarray:
     return d - d.mean(axis=0, keepdims=True) - d.mean(axis=1, keepdims=True) + d.mean()
 
 
-def distance_covariance(x, y) -> float:
-    """Sample distance covariance (biased estimator, scalar samples).
-
-    dCov^2 = mean_jk(A_jk * B_jk) with A, B the double-centered absolute
-    distance matrices. Zero iff (in the population) x and y are independent.
-    """
-    x, y = _paired(x, y)
-    A = _centered_distances(x)
-    B = _centered_distances(y)
+def _dcov(A: np.ndarray, B: np.ndarray) -> float:
     v2 = float((A * B).mean())
     return float(np.sqrt(max(v2, 0.0)))
 
 
-def distance_correlation(x, y) -> float:
-    """Distance covariance normalized by the geometric mean of the variances."""
-    x, y = _paired(x, y)
-    A = _centered_distances(x)
-    B = _centered_distances(y)
+def _dcor(A: np.ndarray, B: np.ndarray) -> float:
     vx = float((A * A).mean())
     vy = float((B * B).mean())
     if vx == 0.0 or vy == 0.0:
@@ -152,15 +140,32 @@ def distance_correlation(x, y) -> float:
     return float(np.sqrt(min(max(r2, 0.0), 1.0)))
 
 
-def _dcov_kernel(x: np.ndarray):
-    """n^2 * dCov^2(x, y) as a function of y, with x's matrix built once.
+def distance_covariance(x, y) -> float:
+    """Sample distance covariance (biased estimator, scalar samples).
+
+    dCov^2 = mean_jk(A_jk * B_jk) with A, B the double-centered absolute
+    distance matrices. Zero iff (in the population) x and y are independent.
+    """
+    x, y = _paired(x, y)
+    return _dcov(_centered_distances(x), _centered_distances(y))
+
+
+def distance_correlation(x, y) -> float:
+    """Distance covariance normalized by the geometric mean of the variances."""
+    x, y = _paired(x, y)
+    return _dcor(_centered_distances(x), _centered_distances(y))
+
+
+def _dcov_kernel(x: np.ndarray, A: np.ndarray | None = None):
+    """n^2 * dCov^2(x, y) as a function of y, with x's matrix built once
+    (or given as ``A``, ``_centered_distances(x)``).
 
     A is double-centered, so its rows and columns sum to zero and
     sum(A * B) = sum(A * b) for the raw distance matrix b of y: each call
     is one outer difference into a reused n x n buffer and one dot product,
     with no centering.
     """
-    a = _centered_distances(x).ravel()
+    a = (_centered_distances(x) if A is None else A).ravel()
     buf = np.empty((x.size, x.size))
 
     def kernel(y: np.ndarray) -> float:
@@ -169,6 +174,17 @@ def _dcov_kernel(x: np.ndarray):
         return float(a @ buf.ravel())
 
     return kernel
+
+
+def _permutation_p(score, y: np.ndarray, n_permutations: int, seed: int | None) -> float:
+    """(1 + #{score(permuted y) >= score(y)}) / (n_permutations + 1)."""
+    observed = score(y)
+    rng = np.random.default_rng(seed)
+    hits = 0
+    for _ in range(n_permutations):
+        if score(y[rng.permutation(y.size)]) >= observed:
+            hits += 1
+    return (1 + hits) / (n_permutations + 1)
 
 
 def permutation_test(
@@ -193,10 +209,18 @@ def permutation_test(
     else:
         def score(y_perm: np.ndarray) -> float:
             return float(statistic(x, y_perm))
-    observed = score(y)
-    rng = np.random.default_rng(seed)
-    hits = 0
-    for _ in range(n_permutations):
-        if score(y[rng.permutation(y.size)]) >= observed:
-            hits += 1
-    return float(statistic(x, y)), (1 + hits) / (n_permutations + 1)
+    p = _permutation_p(score, y, n_permutations, seed)
+    return float(statistic(x, y)), p
+
+
+def distance_statistics(x, y, n_permutations: int = 0,
+                        seed: int | None = None) -> tuple[float, float, float | None]:
+    """(dCov, dCor, p) of ``distance_covariance``, ``distance_correlation``
+    and ``permutation_test``'s p-value (None with no permutations), from
+    x's and y's double-centered distance matrices built once each."""
+    x, y = _paired(x, y)
+    A, B = _centered_distances(x), _centered_distances(y)
+    dcov, dcor = _dcov(A, B), _dcor(A, B)
+    if n_permutations < 1:
+        return dcov, dcor, None
+    return dcov, dcor, _permutation_p(_dcov_kernel(x, A), y, n_permutations, seed)

@@ -3,11 +3,16 @@
 import csv
 import datetime as dt
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import moodcycles
-from moodcycles import io, sentiment
+from moodcycles import io, sentiment, stats
 from moodcycles.cli import _apply_config, _build_parser, main
 from moodcycles.io import _fixture, expected_agreement, fmt
 
@@ -346,45 +351,165 @@ def record_lines(draw):
     return f"{stamp.isoformat()}{offset}\t{draw(st.sampled_from(COUNTRIES))}\t{' '.join(words)}"
 
 
+# lines that end up in no chunk: malformed or blank
+SKIPPED_LINES = [b"", b"not-a-stamp\tUS\tsun", b"2010-01-05T08:00:00Z\tUS\tsun\textra",
+                 b"2010-01-05T08:00:00Z\tUS", b"2010-01-05T08:00:00Z\tUS\tsu\xffn"]
+
+
+def manifest_entry(out, command):
+    return json.loads((Path(out) / "manifest.json").read_text())[command]
+
+
 class TestColumnarStages:
     """``score`` and ``bin`` write what ``score_records`` → ``aggregate`` and
-    ``weekly_scores`` → ``bin_weeks`` give."""
+    ``weekly_scores`` → ``bin_weeks`` give, whatever the chunk size."""
 
     @settings(max_examples=60, deadline=None)
-    @given(lines=st.lists(record_lines(), max_size=40),
-           country=st.sampled_from([None, *COUNTRIES]), stoplist=st.booleans())
-    def test_outputs_equal_the_adapter_path(self, lines, country, stoplist):
+    @given(lines=st.lists(st.one_of(record_lines().map(str.encode), st.sampled_from(SKIPPED_LINES)),
+                          max_size=40),
+           country=st.sampled_from([None, *COUNTRIES]), stoplist=st.booleans(),
+           chunk=st.integers(1, 7))
+    def test_outputs_equal_the_adapter_path(self, lines, country, stoplist, chunk):
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
             records, lexicon = tmp / "r.tsv", tmp / "lex.csv"
-            records.write_text("".join(line + "\n" for line in lines))
+            records.write_bytes(b"".join(line + b"\n" for line in lines))
             lexicon.write_text(LEXICON_CSV)
             argv = ["--records", str(records), "--lexicons", str(lexicon)]
             argv += [] if stoplist else ["--no-stoplist"]
             argv += ["--country", country] if country else []
-            recs, _ = io.read_records(records)
+            recs, n_malformed = io.read_records(records)
             scored = sentiment.score_records(recs, sentiment.load_lexicons(lexicon),
                                              sentiment.GreetingStoplist.default() if stoplist else None)
+            read_counts = {"records": len(recs), "records_malformed": n_malformed,
+                           "records_unscored": sum(r.score is None for r in scored)}
 
-            assert run("score", *argv, "--out", str(tmp / "cli")) == 0
+            with mock.patch.object(sentiment, "_CHUNK", chunk):
+                assert run("score", *argv, "--out", str(tmp / "cli")) == 0
             wanted = [country] if country else sorted({r.country for r in scored} - {"unknown"})
-            io.write_weekly_mood(tmp / "weekly_mood.csv", [
-                (c, week.week_start, dim, week.mean[i], week.n_scored)
-                for c in wanted for week in sentiment.aggregate(scored, c)[0]
-                for i, dim in enumerate(sentiment.DIMENSIONS)])
+            rows = [(c, week.week_start, dim, week.mean[i], week.n_scored)
+                    for c in wanted for week in sentiment.aggregate(scored, c)[0]
+                    for i, dim in enumerate(sentiment.DIMENSIONS)]
+            io.write_weekly_mood(tmp / "weekly_mood.csv", rows)
             assert ((tmp / "cli" / "weekly_mood.csv").read_bytes()
                     == (tmp / "weekly_mood.csv").read_bytes())
+            assert manifest_entry(tmp / "cli", "score")["counts"] == {
+                **read_counts, "countries": len(wanted), "weekly_rows": len(rows)}
 
-            code = run("bin", *argv, "--out", str(tmp / "cli"))
+            with mock.patch.object(sentiment, "_CHUNK", chunk):
+                code = run("bin", *argv, "--out", str(tmp / "cli"))
             present = sorted({r.country for r in scored if r.country != "unknown" and r.score})
             chosen = country or (present[0] if len(present) == 1 else None)
             by_week = sentiment.weekly_scores(scored, chosen) if chosen else {}
             assert code == (1 if chosen is None else 2 if not by_week else 0)
             if code == 0:
+                binned = sentiment.bin_weeks(by_week)
                 io.write_binned(tmp / "binned.tsv", [
-                    (b.week_start, b.dimension, b.n_scored, b.probs)
-                    for b in sentiment.bin_weeks(by_week)], sentiment.N_BINS)
+                    (b.week_start, b.dimension, b.n_scored, b.probs) for b in binned],
+                    sentiment.N_BINS)
                 assert (tmp / "cli" / "binned.tsv").read_bytes() == (tmp / "binned.tsv").read_bytes()
+                assert manifest_entry(tmp / "cli", "bin")["counts"] == {
+                    **read_counts, "weeks": len(by_week), "binned_rows": len(binned)}
+
+
+def synth_records(path, n, n_days=28):
+    """``n`` one-word records cycling through ``n_days`` days and two countries."""
+    words = ["sun", "rain", "joy", "sol", "lluvia", "zzz"]
+    with open(path, "w") as fh:
+        for i in range(n):
+            day = dt.date(2010, 1, 3) + dt.timedelta(days=i % n_days)
+            fh.write(f"{day.isoformat()}T12:00:00Z\t{'US' if i % 3 else 'GB'}\t{words[i % 6]}\n")
+
+
+class TestBoundedMemory:
+    """``score`` and ``bin`` hold a chunk of records at a time, plus one cell
+    per (country, day) or (country, week) seen."""
+
+    @pytest.mark.parametrize("stage", [["score"], ["bin", "--country", "US"]])
+    def test_peak_does_not_grow_with_the_records(self, tmp_path, stage):
+        lexicon = tmp_path / "lex.csv"
+        lexicon.write_text(LEXICON_CSV)
+
+        def peak(n):
+            records = tmp_path / f"r{n}.tsv"
+            synth_records(records, n)
+            argv = [*stage, "--records", str(records), "--lexicons", str(lexicon),
+                    "--no-stoplist", "--out", str(tmp_path / f"out{n}")]
+            tracemalloc.start()
+            try:
+                assert run(*argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        with mock.patch.object(sentiment, "_CHUNK", 256), redirect_stdout(StringIO()):
+            small, large = peak(2048), peak(4 * 2048)
+        assert large <= 1.5 * small
+
+    def test_gap_weeks_across_the_whole_calendar_are_only_counted(self, tmp_path, capsys):
+        records, lexicon = tmp_path / "r.tsv", tmp_path / "lex.csv"
+        records.write_text("".join(f"{stamp}T00:00:00Z\t{country}\tsun\n"
+                                   for country in ("US", "GB")
+                                   for stamp in ("0001-01-08", "9999-12-30")))
+        lexicon.write_text(LEXICON_CSV)
+        tracemalloc.start()
+        try:
+            assert run("score", "--records", str(records), "--lexicons", str(lexicon),
+                       "--out", str(tmp_path / "out")) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000
+        warnings = manifest_entry(tmp_path / "out", "score")["warnings"]
+        assert "GB: 521720 gap weeks with no scored records" in warnings
+        assert "US: 521720 gap weeks with no scored records" in warnings
+
+
+STAMPS = ["0001-01-01T00:00:00Z", "0001-01-07T00:00:00+00:01", "0001-01-07T00:00:00Z",
+          "0001-01-08T00:30:00-23:59", "2010-01-03T23:59:59+14:00", "2010-01-09T23:00:00-12:00",
+          "2010-01-04T08:00:00", "9999-12-31T23:59:59Z", "9999-12-31T23:00:00-05:00",
+          "9999-12-31T20:00:00+05:00", "2010-13-01T00:00:00Z", "", "nan"]
+FUZZ_PIECES = [b"sun", b"rain", b"joy", b"sol", b" ", b"\t", b"\r", b"\xff", b"\xc3", b"\xc3\xbc",
+               b"Merry Christmas", b"9.5", b"nan", b"-", b"US", b"unknown"]
+
+
+@st.composite
+def fuzz_lines(draw):
+    """A records line that may be anything: extreme or offset stamps, bad
+    bytes, lone carriage returns, extra tabs, or nothing at all."""
+    stamp = draw(st.one_of(st.sampled_from(STAMPS), st.text(max_size=12))).encode("utf-8", "surrogatepass")
+    country = draw(st.sampled_from([b"US", b"GB", b"unknown", b"", b" US "]))
+    text = b"".join(draw(st.lists(st.sampled_from(FUZZ_PIECES), max_size=6)))
+    return draw(st.sampled_from([stamp + b"\t" + country + b"\t" + text, b"", text,
+                                 stamp + b"\t" + text]))
+
+
+class TestRecordsFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(lines=st.lists(fuzz_lines(), max_size=12), ending=st.sampled_from([b"\n", b"\r\n", b"\r"]),
+           argv=st.sampled_from([["score"], ["score", "--country", "GB"], ["bin"],
+                                 ["bin", "--country", "US"], ["bin", "--bins", "3"]]),
+           chunk=st.integers(1, 4))
+    def test_score_and_bin_end_in_an_exit_code_and_finite_numbers(self, lines, ending, argv, chunk):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            records, lexicon, out = tmp / "r.tsv", tmp / "lex.csv", tmp / "out"
+            records.write_bytes(ending.join(lines))
+            lexicon.write_text(LEXICON_CSV)
+            err = StringIO()
+            with mock.patch.object(sentiment, "_CHUNK", chunk), redirect_stderr(err), \
+                    redirect_stdout(StringIO()):
+                code = run(*argv, "--records", str(records), "--lexicons", str(lexicon),
+                           "--out", str(out))
+            assert code in (0, 1, 2, 3)
+            assert "Traceback" not in err.getvalue()
+            if code == 0:
+                name, delimiter, first = (("weekly_mood.csv", ",", 3) if argv[0] == "score"
+                                          else ("binned.tsv", "\t", 2))
+                with open(out / name, newline="") as fh:
+                    rows = list(csv.reader(fh, delimiter=delimiter))[1:]
+                for row in rows:
+                    assert all(math.isfinite(float(v)) for v in row[first:])
 
 
 class TestMalformedRecords:
@@ -448,6 +573,23 @@ class TestPipelineChain:
         assert row["anchor"] == "christmas"
         assert int(row["week_index"]) == 26
         assert float(row["z"]) > 3.0
+
+
+def test_dcor_builds_each_centered_distance_matrix_once(tmp_path):
+    x, y = tmp_path / "x.csv", tmp_path / "y.csv"
+    write_keyed(x, [(f"k{i}", float(i % 7)) for i in range(30)])
+    write_keyed(y, [(f"k{i}", float(i * i % 11)) for i in range(30)])
+    argv = ["dcor", "--x", str(x), "--y", str(y), "--permutations", "49", "--seed", "3"]
+    with mock.patch.object(stats, "_centered_distances", wraps=stats._centered_distances) as spy:
+        assert run(*argv, "--out", str(tmp_path / "out")) == 0
+    assert spy.call_count == 2
+    written = read_keyed_rows(tmp_path / "out" / "dcor.csv")
+    xs, ys = io.read_keyed_values(x), io.read_keyed_values(y)
+    keys = sorted(xs)
+    xv, yv = [xs[k] for k in keys], [ys[k] for k in keys]
+    assert written["dcov"] == stats.distance_covariance(xv, yv)
+    assert written["dcor"] == stats.distance_correlation(xv, yv)
+    assert written["permutation_p"] == stats.permutation_test(xv, yv, n_permutations=49, seed=3)[1]
 
 
 def test_importing_the_cli_loads_no_scipy():
