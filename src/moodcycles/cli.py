@@ -15,6 +15,7 @@ import datetime as dt
 import json
 import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -122,7 +123,9 @@ def _fold_scored(args, manifest: RunManifest, fold) -> dict[str, int]:
     n = n_malformed = n_unscored = 0
     for days, countries, texts, bad in io.read_record_chunks(args.records, sentiment._CHUNK):
         scores = scorer.score(texts)
-        code = np.fromiter((codes.setdefault(c, len(codes)) for c in countries), np.intp, len(texts))
+        for country in dict.fromkeys(countries):  # each distinct country once, first seen first
+            codes.setdefault(country, len(codes))
+        code = np.fromiter(map(codes.__getitem__, countries), np.intp, len(texts))
         scored = scores.n_matched > 0
         keep = scored & (code == codes.get(args.country, -1)) if args.country else scored
         fold(code[keep], days[keep], scores.vad[keep])
@@ -312,12 +315,22 @@ def _load_matrices(args, manifest: RunManifest) -> dict[str, em.BinnedMoodMatrix
     return matrices
 
 
+@contextmanager
+def _naming(path):
+    """Prefix ``path`` to the message of a package error raised inside."""
+    try:
+        yield
+    except MoodcyclesError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
 def _holiday_rows(args, matrices: dict[str, em.BinnedMoodMatrix]) -> list[int]:
     _need(args, "holiday-weeks")
-    week_lists = {m.week_starts for m in matrices.values()}
-    if len(week_lists) != 1:
-        raise DataError("binned dimensions disagree on their week lists")
-    weeks = next(iter(week_lists))
+    (first, matrix), *others = matrices.items()
+    weeks = matrix.week_starts
+    for dim, other in others:
+        if other.week_starts != weeks:
+            raise DataError(f"binned dimensions {first} and {dim} disagree on their week lists")
     rows = []
     for day in _parse_dates(args.holiday_weeks):
         try:
@@ -328,11 +341,14 @@ def _holiday_rows(args, matrices: dict[str, em.BinnedMoodMatrix]) -> list[int]:
 
 
 def _select(args, manifest: RunManifest):
+    if not 0 < args.var_threshold <= 1:
+        raise UsageError(f"--var-threshold must be in (0, 1], got {args.var_threshold}")
     matrices = _load_matrices(args, manifest)
-    rows = _holiday_rows(args, matrices)
-    decs = {dim: em.decompose(m) for dim, m in matrices.items()}
-    mood = em.select_eigenmood(decs, rows, holiday=args.holiday,
-                               var_threshold=args.var_threshold, alt_score=args.alt_score)
+    with _naming(args.binned):
+        rows = _holiday_rows(args, matrices)
+        decs = {dim: em.decompose(m) for dim, m in matrices.items()}
+        mood = em.select_eigenmood(decs, rows, holiday=args.holiday,
+                                   var_threshold=args.var_threshold, alt_score=args.alt_score)
     manifest.counts["weeks"] = next(iter(matrices.values())).n_weeks
     manifest.counts["holiday_weeks"] = len(rows)
     manifest.counts["candidates"] = len(mood.selection)
@@ -371,8 +387,27 @@ def _projections(matrices, mood) -> tuple[tuple, list[em.WeekProjection]]:
 
 
 def cmd_eigenmood(args, manifest: RunManifest) -> None:
-    out = _out_dir(args)
     matrices, decs, rows, mood = _select(args, manifest)
+
+    # linguistic characterization of the holiday's mean reconstructed change,
+    # per dimension actually selected; it needs 25 bins, so it is computed
+    # before any output is written
+    ling_rows = []
+    for dim in sentiment.DIMENSIONS:
+        comps = [c for c in mood.components if c.dimension == dim]
+        if not comps:
+            continue
+        dec = decs[dim]
+        recon_row = np.zeros(matrices[dim].n_bins)
+        for c in comps:
+            mean_coord = float(np.mean([dec.coord(r, c.index) for r in rows]))
+            recon_row += mean_coord * c.eigenbin
+        with _naming(args.binned):
+            response = em.linguistic_response(recon_row)
+        for level, value in response.items():
+            ling_rows.append([dim, level, value])
+
+    out = _out_dir(args)
 
     dec_rows = []
     for dim in sentiment.DIMENSIONS:
@@ -398,20 +433,6 @@ def cmd_eigenmood(args, manifest: RunManifest) -> None:
     io.write_table(out / "projections.csv", ["week_start", "coord1", "coord2"],
                    [[w.isoformat(), p.coords[0], p.coords[1]] for w, p in zip(weeks, projs)])
 
-    # linguistic characterization of the holiday's mean reconstructed change,
-    # per dimension actually selected
-    ling_rows = []
-    for dim in sentiment.DIMENSIONS:
-        comps = [c for c in mood.components if c.dimension == dim]
-        if not comps:
-            continue
-        dec = decs[dim]
-        recon_row = np.zeros(matrices[dim].n_bins)
-        for c in comps:
-            mean_coord = float(np.mean([dec.coord(r, c.index) for r in rows]))
-            recon_row += mean_coord * c.eigenbin
-        for level, value in em.linguistic_response(recon_row).items():
-            ling_rows.append([dim, level, value])
     io.write_table(out / "linguistic.csv", ["dimension", "level", "response"], ling_rows)
 
     # heatmaps of the two-component reconstruction, one per selected dimension
@@ -430,8 +451,8 @@ def cmd_eigenmood(args, manifest: RunManifest) -> None:
 
 
 def cmd_similarity(args, manifest: RunManifest) -> None:
-    out = _out_dir(args)
     matrices, decs, rows, mood = _select(args, manifest)
+    out = _out_dir(args)
     weeks, projs = _projections(matrices, mood)
     holiday_mean = em.mean_projection([projs[r] for r in rows])
     sims = [em.similarity(p, holiday_mean) for p in projs]

@@ -23,6 +23,18 @@ from .sentiment import DIMENSIONS, BinnedWeek, N_BINS
 ROW_SUM_TOL = 1e-12
 
 
+def first_bad_row(m: np.ndarray) -> tuple[int, str] | None:
+    """The first row of a weeks-by-bins matrix that is not a probability
+    distribution, and what is wrong with it; None when every row is one."""
+    negative = ~np.isfinite(m).all(axis=1) | (m < 0).any(axis=1)
+    bad = np.flatnonzero(negative | (np.abs(m.sum(axis=1) - 1.0) > ROW_SUM_TOL))
+    if not len(bad):
+        return None
+    row = int(bad[0])
+    return row, ("bin probabilities must be finite and non-negative" if negative[row]
+                 else "every week's bin probabilities must sum to 1")
+
+
 @dataclass(frozen=True)
 class BinnedMoodMatrix:
     """Weeks-by-bins probability matrix for one sentiment dimension.
@@ -41,10 +53,9 @@ class BinnedMoodMatrix:
         object.__setattr__(self, "matrix", m)
         if m.ndim != 2 or m.shape[0] != len(self.week_starts):
             raise DataError("matrix shape does not match week list")
-        if not np.isfinite(m).all() or (m < 0).any():
-            raise DataError("bin probabilities must be finite and non-negative")
-        if np.abs(m.sum(axis=1) - 1.0).max() > ROW_SUM_TOL:
-            raise DataError("every week's bin probabilities must sum to 1")
+        bad = first_bad_row(m)
+        if bad is not None:
+            raise DataError(f"week {self.week_starts[bad[0]]}: {bad[1]}")
 
     @property
     def n_weeks(self) -> int:

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .eigenmood import first_bad_row
 from .errors import DataError
 from .timeseries import AnchorCalendar, AnchorKind, AveragedYear, CenteredYear, WeeklySeries
 
@@ -329,40 +330,45 @@ def _record_lines(path: str | Path):
                 yield line
 
 
-def _record(line: str) -> tuple[dt.datetime, str, str] | None:
-    """One records line as (GMT stamp, country, text), or None when it is
-    malformed: it has bytes that are not UTF-8, a wrong field count, an
-    unparseable timestamp, or a GMT day whose Sunday week would start
-    before 0001-01-01."""
+def _fields(line: str) -> list[str] | None:
+    """A records line's (stamp, country, text) fields, or None when the line
+    is malformed: it has bytes that are not UTF-8 or a wrong field count."""
     if not line.isascii():
         try:
             line.encode("utf-8")  # fails on the escapes of undecodable bytes
         except UnicodeEncodeError:
             return None
     parts = line.split("\t")
-    if len(parts) != 3:
-        return None
-    stamp = parse_timestamp(parts[0])
-    if stamp is None or stamp < _FIRST_SUNDAY:
-        return None
-    return stamp, parts[1].strip(), parts[2]
+    return parts if len(parts) == 3 else None
+
+
+def _gmt(stamp: str) -> dt.datetime | None:
+    """A stamp field as a GMT datetime, or None when the line is malformed:
+    the stamp is unparseable, or its GMT day's Sunday week would start
+    before 0001-01-01."""
+    gmt = parse_timestamp(stamp)
+    return None if gmt is None or gmt < _FIRST_SUNDAY else gmt
 
 
 def read_records(path: str | Path) -> tuple[list[tuple[dt.datetime, str, str]], int]:
     """Read tab-separated `timestamp_utc, country, text` records.
 
-    Returns (records, n_malformed). Malformed lines (see ``_record``) are
-    counted and skipped, not fatal.
+    Returns (records, n_malformed). Malformed lines (see ``_fields`` and
+    ``_gmt``) are counted and skipped, not fatal.
     """
     records: list[tuple[dt.datetime, str, str]] = []
     malformed = 0
     for line in _record_lines(path):
-        record = _record(line)
-        if record is None:
+        parts = _fields(line)
+        stamp = None if parts is None else _gmt(parts[0])
+        if stamp is None:
             malformed += 1
         else:
-            records.append(record)
+            records.append((stamp, parts[1].strip(), parts[2]))
     return records, malformed
+
+
+_UNSEEN = object()
 
 
 def read_record_chunks(path: str | Path, size: int):
@@ -372,22 +378,34 @@ def read_record_chunks(path: str | Path, size: int):
     chunk: ``size`` records, and whatever is left in the last chunk, which
     is always yielded, empty or not. ``n_malformed`` counts the lines
     skipped since the previous chunk. Only one chunk's records are held.
+    Each distinct stamp field is parsed once per chunk: a dict, cleared
+    with each chunk, holds its day ordinal, or None when it is malformed.
     """
     days: list[int] = []
     countries: list[str] = []
     texts: list[str] = []
     malformed = 0
+    day_of: dict[str, int | None] = {}
     for line in _record_lines(path):
-        record = _record(line)
-        if record is None:
+        parts = _fields(line)
+        if parts is None:
             malformed += 1
             continue
-        days.append(record[0].toordinal())
-        countries.append(record[1])
-        texts.append(record[2])
+        stamp, country, text = parts
+        day = day_of.get(stamp, _UNSEEN)
+        if day is _UNSEEN:
+            gmt = _gmt(stamp)
+            day = day_of[stamp] = None if gmt is None else gmt.toordinal()
+        if day is None:
+            malformed += 1
+            continue
+        days.append(day)
+        countries.append(country.strip())
+        texts.append(text)
         if len(texts) == size:
             yield np.array(days, np.int64), countries, texts, malformed
             days, countries, texts, malformed = [], [], [], 0
+            day_of.clear()
     yield np.array(days, np.int64), countries, texts, malformed
 
 
@@ -450,22 +468,34 @@ def _binned_header(header: list[str]) -> int:
 
 
 def read_binned(path: str | Path) -> dict[str, tuple[list[dt.date], list[int], np.ndarray]]:
-    """Binned TSV back as {dim: (week_starts, n_scored, probs matrix)}."""
-    acc: dict[str, tuple[list[dt.date], list[int], list[list[float]]]] = {}
+    """Binned TSV back as {dim: (week_starts, n_scored, probs matrix)}.
+
+    A row whose probabilities are not a distribution (see
+    ``eigenmood.first_bad_row``) is a DataError naming its line.
+    """
+    acc: dict[str, tuple[list[dt.date], list[int], list[list[float]], list[str]]] = {}
     for where, row in _rows(path, _binned_header, delimiter="\t"):
         week = _parse_date(row[0], where)
         dim = row[1].strip()
         n = _parse_int(row[2], where)
         probs = [_parse_float(v, where) for v in row[3:]]
-        weeks, counts, mat = acc.setdefault(dim, ([], [], []))
+        weeks, counts, mat, wheres = acc.setdefault(dim, ([], [], [], []))
         if weeks and week <= weeks[-1]:
             raise DataError(f"{where}: weeks out of order for dim {dim!r}")
         weeks.append(week)
         counts.append(n)
         mat.append(probs)
+        wheres.append(where)
     if not acc:
         raise DataError(f"{path}: no data rows")
-    return {dim: (weeks, counts, np.array(mat)) for dim, (weeks, counts, mat) in acc.items()}
+    out = {}
+    for dim, (weeks, counts, mat, wheres) in acc.items():
+        probs = np.array(mat)
+        bad = first_bad_row(probs)
+        if bad is not None:
+            raise DataError(f"{wheres[bad[0]]}: {bad[1]}")
+        out[dim] = (weeks, counts, probs)
+    return out
 
 
 # ------------------------------------------------------------------- flat tables

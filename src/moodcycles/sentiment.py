@@ -18,7 +18,7 @@ import datetime as dt
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
 from operator import attrgetter
 from typing import NamedTuple, Sequence
 
@@ -134,7 +134,8 @@ class GreetingStoplist:
             for token in ts:
                 node = node.setdefault(token.translate(self._fold), {})
             node[_END] = True
-        # cheap prefilter: texts without any phrase's first token skip matching
+        # cheap prefilter: texts with no ``tokenize`` token that starts a
+        # phrase skip matching
         self._first_tokens = frozenset(ts[0] for ts in cleaned)
 
     @classmethod
@@ -143,13 +144,9 @@ class GreetingStoplist:
 
         return cls(read_stoplist_lines())
 
-    def _may_match(self, tokens: list[str]) -> bool:
-        """Prefilter on the text's ``tokenize`` tokens."""
-        return not self._first_tokens.isdisjoint(tokens)
-
     def strip(self, text: str) -> str:
         """Text with every stoplist phrase removed (whitespace collapsed if any)."""
-        if not self._may_match(tokenize(text)):
+        if self._first_tokens.isdisjoint(tokenize(text)):
             return text
         return self._remove(text)
 
@@ -256,6 +253,8 @@ def score_text(text: str, lexicons: list[Lexicon], stoplist: GreetingStoplist | 
 
 
 _CHUNK = 8192  # texts per scoring chunk; records per chunk of the score and bin stages
+_SEPARATOR = "\n"  # joins a chunk's texts; never part of a token
+_PIECE = re.compile(f"{_TOKEN.pattern}|{_SEPARATOR}", re.UNICODE)  # a token or the separator
 
 
 class ScoreColumns(NamedTuple):
@@ -269,14 +268,21 @@ class ScoreColumns(NamedTuple):
 class Scorer:
     """``score_text``'s rule over a chunk of texts at a time, as arrays, bit for bit.
 
-    One table, built once, maps each word to its entries in every lexicon
-    that matches it. ``score`` tokenizes each text once (again only if the
-    stoplist changed it), maps tokens to word ids, expands each id to its
-    lexicon entries, and takes one ``np.bincount`` over (text, lexicon) for
-    the match counts and one per dimension for the sums. ``np.bincount``
-    adds its weights in input order, so each sum runs in token order as
-    ``score_text``'s loop does. Tied lexicons' means are added in lexicon
-    order, non-winners adding an exact 0.0.
+    One table, built once, gives an id to each lexicon word, each first
+    token of a stoplist phrase and the text separator ``"\n"``, and maps
+    each word id to its entries in every lexicon that matches it. ``score``
+    joins a chunk's texts with the separator (a separator inside a text
+    becomes a space), lowers the result and splits it with one regex pass
+    into tokens and separators; tokens map to ids, and a cumulative count
+    of separators gives each token's text. Texts with a token that starts
+    a stoplist phrase are stripped one by one; the tokens of those the
+    stoplist changes are replaced by the stripped text's, appended after
+    the rest. Each id expands to its lexicon entries, and one
+    ``np.bincount`` over (text, lexicon) gives the match counts and one per
+    dimension the sums. ``np.bincount`` adds its weights in input order,
+    and a text's tokens stay in text order, so each sum runs in token order
+    as ``score_text``'s loop does. Tied lexicons' means are added in
+    lexicon order, non-winners adding an exact 0.0.
     """
 
     def __init__(self, lexicons: list[Lexicon], stoplist: GreetingStoplist | None = None):
@@ -285,36 +291,59 @@ class Scorer:
             for word, scores in lex.entries.items():
                 if word not in lex.removed_words:
                     table.setdefault(word, []).append((index, scores))
+        opening = stoplist._first_tokens if stoplist is not None else frozenset()
+        for word in [*opening - table.keys(), _SEPARATOR]:
+            table[word] = []
         entries = list(table.values())
-        self._word_id = {word: i for i, word in enumerate(table)}
-        self._n_entries = np.array([len(e) for e in entries], dtype=np.intp)
+        self._id = {word: i for i, word in enumerate(table)}
+        self._separator = self._id[_SEPARATOR]
+        # an unknown token's id is len(table): one more row of each per-id array
+        self._n_entries = np.array([len(e) for e in entries] + [0], dtype=np.intp)
         self._first_entry = np.cumsum(self._n_entries) - self._n_entries
+        self._opens_phrase = np.array([word in opening for word in table] + [False])
         self._entry_lexicon = np.array([i for e in entries for i, _ in e], dtype=np.intp)
         self._entry_vad = np.array([s for e in entries for _, s in e],
                                    dtype=float).reshape(-1, 3).T.copy()
         self._n_lex = len(lexicons)
         self._stoplist = stoplist
 
+    def _ids(self, tokens: list[str]) -> np.ndarray:
+        return np.fromiter(map(self._id.get, tokens, repeat(len(self._id))), np.intp, len(tokens))
+
     def score(self, texts: Sequence[str]) -> ScoreColumns:
         """The scores of ``texts``, all at once: pass a chunk, not a corpus."""
         m, n_lex, stoplist = len(texts), self._n_lex, self._stoplist
         if m and not n_lex:
             raise DataError("need at least one lexicon")
-        tokens = []
-        for text in texts:
-            toks = tokenize(text)
-            if stoplist is not None and stoplist._may_match(toks):
-                stripped = stoplist._remove(text)
-                if stripped is not text:
+        parts, joined = texts, _SEPARATOR.join(texts)
+        if joined.count(_SEPARATOR) != max(m - 1, 0):
+            # a space splits tokens as the separator does, and neither is
+            # cased or case-ignorable, so no text lowers or splits otherwise
+            parts = [text.replace(_SEPARATOR, " ") for text in texts]
+            joined = _SEPARATOR.join(parts)
+        # str.lower of a non-ASCII string first fills a buffer of 12 bytes
+        # per character, so such a chunk is lowered a text at a time.
+        lowered = joined.lower() if joined.isascii() else _SEPARATOR.join(map(str.lower, parts))
+        del joined, parts
+        pieces = _PIECE.findall(lowered)
+        ids = self._ids(pieces)
+        del pieces
+        separator = ids == self._separator
+        token = ~separator
+        ids, text_of = ids[token], np.cumsum(separator)[token]
+        if stoplist is not None:
+            changed, n_tokens, tokens = [], [], []
+            for i in np.unique(text_of[self._opens_phrase[ids]]).tolist():
+                stripped = stoplist._remove(texts[i])
+                if stripped is not texts[i]:
                     toks = tokenize(stripped)
-            tokens.append(toks)
-        n_tokens = np.fromiter(map(len, tokens), np.intp, m)
-        ids = np.fromiter(map(self._word_id.get, chain.from_iterable(tokens), repeat(-1)),
-                          np.intp, int(n_tokens.sum()))
-        del tokens
-        text_of = np.repeat(np.arange(m), n_tokens)
-        hit = ids >= 0
-        ids, text_of = ids[hit], text_of[hit]
+                    changed.append(i)
+                    n_tokens.append(len(toks))
+                    tokens += toks
+            if changed:
+                keep = ~np.isin(text_of, changed)
+                ids = np.concatenate([ids[keep], self._ids(tokens)])
+                text_of = np.concatenate([text_of[keep], np.repeat(changed, n_tokens)])
         per_token = self._n_entries[ids]
         starts = np.cumsum(per_token) - per_token
         entry = (np.repeat(self._first_entry[ids] - starts, per_token)

@@ -92,6 +92,8 @@ class TestExitCodes:
         ("synth", "seed", "-1"),
         ("classify", "threshold", "nan"),
         ("report", "threshold", "inf"),
+        ("eigenmood", "var_threshold", "0"),
+        ("similarity", "var_threshold", "nan"),
     ])
     @pytest.mark.parametrize("route", ["flag", "config"])
     def test_bad_values_are_rejected_before_any_work(self, tmp_path, capsys, stage, key, value, route):
@@ -102,12 +104,14 @@ class TestExitCodes:
                   "dcor": ["--x", absent, "--y", absent],
                   "synth": [],
                   "classify": ["--zscores", absent],
-                  "report": ["--zscores", absent]}[stage]
+                  "report": ["--zscores", absent],
+                  "eigenmood": ["--binned", absent, "--holiday-weeks", "2010-01-03"],
+                  "similarity": ["--binned", absent, "--holiday-weeks", "2010-01-03"]}[stage]
         if stage == "dcor" and key != "seed":
             inputs += ["--seed", "1"]
         argv = [stage, *inputs, "--out", str(tmp_path / "out")]
         if route == "flag":
-            argv += [f"--{key}", value]
+            argv += [f"--{key.replace('_', '-')}", value]
         else:
             cfg = tmp_path / "run.cfg"
             cfg.write_text(f"{key}={value}\n")
@@ -465,6 +469,34 @@ class TestBoundedMemory:
         assert "US: 521720 gap weeks with no scored records" in warnings
 
 
+def run_quietly(argv) -> tuple[int, str]:
+    """``main(argv)``'s exit code and stderr, with stdout dropped."""
+    err = StringIO()
+    with redirect_stderr(err), redirect_stdout(StringIO()):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def assert_only_finite_numbers(out: Path) -> None:
+    """Every number in every file under ``out`` is finite."""
+    def no_constant(name):
+        raise AssertionError(f"{name} in a JSON output")
+
+    for path in out.iterdir():
+        if path.suffix == ".json":
+            json.loads(path.read_text(), parse_constant=no_constant)
+            continue
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh, delimiter="\t" if path.suffix == ".tsv" else ","))
+        for row in rows[1:]:
+            for cell in row:
+                try:
+                    value = float(cell)
+                except ValueError:
+                    continue
+                assert math.isfinite(value), (path.name, row)
+
+
 STAMPS = ["0001-01-01T00:00:00Z", "0001-01-07T00:00:00+00:01", "0001-01-07T00:00:00Z",
           "0001-01-08T00:30:00-23:59", "2010-01-03T23:59:59+14:00", "2010-01-09T23:00:00-12:00",
           "2010-01-04T08:00:00", "9999-12-31T23:59:59Z", "9999-12-31T23:00:00-05:00",
@@ -496,20 +528,184 @@ class TestRecordsFuzz:
             records, lexicon, out = tmp / "r.tsv", tmp / "lex.csv", tmp / "out"
             records.write_bytes(ending.join(lines))
             lexicon.write_text(LEXICON_CSV)
-            err = StringIO()
-            with mock.patch.object(sentiment, "_CHUNK", chunk), redirect_stderr(err), \
-                    redirect_stdout(StringIO()):
-                code = run(*argv, "--records", str(records), "--lexicons", str(lexicon),
-                           "--out", str(out))
+            with mock.patch.object(sentiment, "_CHUNK", chunk):
+                code, err = run_quietly([*argv, "--records", str(records), "--lexicons", str(lexicon),
+                                         "--out", str(out)])
             assert code in (0, 1, 2, 3)
-            assert "Traceback" not in err.getvalue()
+            assert "Traceback" not in err
             if code == 0:
-                name, delimiter, first = (("weekly_mood.csv", ",", 3) if argv[0] == "score"
-                                          else ("binned.tsv", "\t", 2))
-                with open(out / name, newline="") as fh:
-                    rows = list(csv.reader(fh, delimiter=delimiter))[1:]
-                for row in rows:
-                    assert all(math.isfinite(float(v)) for v in row[first:])
+                assert_only_finite_numbers(out)
+
+
+# Sundays of three holiday seasons: holiday rows can come from 1, 2 or 3 years
+BINNED_WEEKS = ["2010-12-19", "2010-12-26", "2011-01-02", "2011-12-25", "2012-01-01",
+                "2012-12-23", "2012-12-30"]
+
+
+def binned_tsv(rows, n_bins=3) -> str:
+    """A binned TSV of (week, dim, probabilities as text) rows."""
+    header = ["week_start", "dim", "n"] + [f"p{i:02d}" for i in range(1, n_bins + 1)]
+    return "".join("\t".join(row) + "\n"
+                   for row in [header] + [[week, dim, "10", *probs] for week, dim, probs in rows])
+
+
+def spread(i: int, n_bins: int = 3) -> list[str]:
+    """A valid distribution over ``n_bins`` bins that varies with ``i``."""
+    weights = [(i * 7 + b * 3) % 5 + 1 for b in range(n_bins)]
+    return [fmt(w / sum(weights)) for w in weights]
+
+
+class TestBinnedErrors:
+    """A bad ``--binned`` file ends in a data error that names the file, and
+    the line when one row is at fault."""
+
+    def rows(self, weeks=BINNED_WEEKS, dims=sentiment.DIMENSIONS):
+        return [(week, dim, spread(i + j)) for i, week in enumerate(weeks)
+                for j, dim in enumerate(dims)]
+
+    @pytest.mark.parametrize("stage", ["eigenmood", "similarity"])
+    @pytest.mark.parametrize("case", ["one-week", "negative", "unsummed", "weeks-disagree",
+                                      "one-holiday-year"])
+    def test_message_names_the_file(self, tmp_path, stage, case):
+        rows, holidays = self.rows(), "2010-12-26,2011-12-25"
+        if case == "one-week":
+            rows, holidays = self.rows(weeks=BINNED_WEEKS[:1]), BINNED_WEEKS[0]
+        elif case == "negative":
+            rows[4] = (*rows[4][:2], ["0.5", "-0.25", "0.75"])
+        elif case == "unsummed":
+            rows[4] = (*rows[4][:2], ["0.5", "0.25", "0.5"])
+        elif case == "weeks-disagree":
+            rows = [row for row in rows if not (row[1] == "arousal" and row[0] == BINNED_WEEKS[-1])]
+        else:
+            holidays = "2010-12-26"
+        path = tmp_path / "binned.tsv"
+        path.write_text(binned_tsv(rows))
+        code, err = run_quietly([stage, "--binned", str(path), "--holiday-weeks", holidays,
+                                 "--out", str(tmp_path / "out")])
+        expected = {
+            "one-week": f"{path}: need a 2-D matrix with at least 2 rows",
+            "negative": f"{path}:6: bin probabilities must be finite and non-negative",
+            "unsummed": f"{path}:6: every week's bin probabilities must sum to 1",
+            "weeks-disagree": f"{path}: binned dimensions valence and arousal disagree on their week lists",
+            "one-holiday-year": f"{path}: need holiday rows from at least 2 years",
+        }[case]
+        assert (code, err) == (2, f"data error: {expected}\n")
+
+    def test_the_linguistic_summary_names_the_file(self, tmp_path):
+        # the five-level summary is defined for 25 bins only
+        path = tmp_path / "binned.tsv"
+        path.write_text(binned_tsv(self.rows()))
+        code, err = run_quietly(["eigenmood", "--binned", str(path), "--holiday-weeks",
+                                 "2010-12-26,2011-12-25", "--out", str(tmp_path / "out")])
+        assert (code, err) == (2, f"data error: {path}: expected a 25-bin row\n")
+        assert not (tmp_path / "out").exists()
+
+
+PROBABILITY_CELLS = st.one_of(
+    st.sampled_from(["0", "1", "0.5", "-0.5", "nan", "inf", "", "x", "1e308", "1e-320"]),
+    st.floats(allow_nan=False, allow_infinity=False).map(fmt))
+
+
+@st.composite
+def binned_files(draw) -> bytes:
+    """A binned TSV that is valid or has one defect: a bad header, an odd
+    probability, a short row, a bad count, a row out of order or missing."""
+    n_bins = draw(st.sampled_from([2, 3, 25]))
+    weeks = BINNED_WEEKS if draw(st.booleans()) else sorted(draw(
+        st.lists(st.sampled_from(BINNED_WEEKS), unique=True, min_size=1, max_size=len(BINNED_WEEKS))))
+    dims = draw(st.sampled_from([list(sentiment.DIMENSIONS)] * 3 + [["valence"], ["arousal", "mood"]]))
+    header = ["week_start", "dim", "n"] + [f"p{i:02d}" for i in range(1, n_bins + 1)]
+    rows = [[week, dim, "10", *spread(draw(st.integers(0, 20)), n_bins)]
+            for week in weeks for dim in dims]
+    at = draw(st.integers(0, len(rows) - 1))
+    defect = draw(st.sampled_from([None] * 4 + ["header", "cell", "short", "count", "order",
+                                                "missing"]))
+    if defect == "header":
+        header = draw(st.lists(st.sampled_from(header + ["p99", "", "x"]), max_size=6))
+    elif defect == "cell":
+        rows[at][draw(st.integers(3, 2 + n_bins))] = draw(PROBABILITY_CELLS)
+    elif defect == "short":
+        rows[at].pop()
+    elif defect == "count":
+        rows[at][2] = draw(st.sampled_from(["0", "-1", "x", ""]))
+    elif defect == "order":
+        rows.append(rows.pop(at))
+    elif defect == "missing":
+        del rows[at]
+    return "".join("\t".join(row) + "\n" for row in [header] + rows).encode()
+
+
+CONFIG_KEYS = sorted({action.dest for command in _build_parser()[1].values()
+                      for action in command._actions if action.dest != "help"})
+CONFIG_VALUES = ["0", "1", "3", "-1", "0.5", "nan", "inf", "yes", "no", "", "x", "v,a", "d,bogus",
+                 "2010-12-26,2011-12-25", "2010-12-26", "٣", "1e400", "US", "=", "a=b"]
+
+
+@st.composite
+def config_files(draw) -> bytes:
+    """A config file of real keys with odd values, unknown keys, lines with
+    no '=', comments, duplicates and bytes that are not UTF-8."""
+    key = st.sampled_from(CONFIG_KEYS * 4 + ["bogus", "holiday-weeks", " bins ", "", "search_terms"])
+    value = st.one_of(st.sampled_from(CONFIG_VALUES), st.text(alphabet="ab,.-=# \t", max_size=5))
+    line = st.tuples(key, value).map(lambda kv: f"{kv[0]}={kv[1]}".encode())
+    lines = draw(st.lists(line, max_size=4))
+    if draw(st.integers(0, 3)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(
+            [b"", b"# comment", b"no value here", b"=1", b"bins=\xff", b"\xef\xbb\xbfbins=3"])))
+    return b"\n".join(lines)
+
+
+class TestInputFuzz:
+    """``--binned`` files and ``--config`` files, like records files, end in
+    an exit code, never a traceback, and a run that succeeds writes only
+    finite numbers."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(content=binned_files(), stage=st.sampled_from(["eigenmood", "similarity"]),
+           holidays=st.one_of(st.sampled_from([BINNED_WEEKS[1::2], BINNED_WEEKS[:2]]),
+                              st.lists(st.sampled_from(BINNED_WEEKS + ["2010-12-12"]), max_size=4)),
+           options=st.sampled_from([[], ["--dims", "v"], ["--dims", "a,d"], ["--alt-score"],
+                                    ["--var-threshold", "1"], ["--var-threshold", "0.5"],
+                                    ["--var-threshold", "0"], ["--var-threshold", "nan"]]))
+    def test_binned_files(self, content, stage, holidays, options):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            (tmp / "binned.tsv").write_bytes(content)
+            code, err = run_quietly([stage, "--binned", str(tmp / "binned.tsv"),
+                                     "--holiday-weeks", ",".join(holidays), *options,
+                                     "--out", str(tmp / "out")])
+            assert code in (0, 1, 2, 3)
+            assert "Traceback" not in err
+            if code == 0:
+                assert_only_finite_numbers(tmp / "out")
+
+    @settings(max_examples=150, deadline=None)
+    @given(content=config_files(), stage=st.sampled_from(
+        ["classify", "report", "score", "bin", "regress", "dcor", "eigenmood", "similarity"]))
+    def test_config_files(self, content, stage):
+        # every option whose value sets the size of the work is given as a
+        # flag, which wins over the config
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            (tmp / "run.cfg").write_bytes(content)
+            (tmp / "r.tsv").write_text("2010-01-03T08:00:00Z\tUS\tsun joy\n"
+                                       "2010-01-12T08:00:00Z\tGB\train\n")
+            (tmp / "lex.csv").write_text(LEXICON_CSV)
+            write_keyed(tmp / "x.csv", [("a", 1.0), ("b", 2.0), ("c", 4.0), ("d", 3.0)])
+            write_keyed(tmp / "y.csv", [("a", 2.0), ("b", 1.0), ("c", 5.0), ("d", 3.5)])
+            (tmp / "binned.tsv").write_text(binned_tsv(TestBinnedErrors().rows()))
+            records = ["--records", str(tmp / "r.tsv"), "--lexicons", str(tmp / "lex.csv")]
+            keyed = ["--x", str(tmp / "x.csv"), "--y", str(tmp / "y.csv")]
+            binned = ["--binned", str(tmp / "binned.tsv"), "--holiday-weeks", "2010-12-26,2011-12-25"]
+            argv = {"classify": [], "report": [], "score": records, "bin": records + ["--bins", "3"],
+                    "regress": keyed, "dcor": keyed + ["--permutations", "9", "--seed", "1"],
+                    "eigenmood": binned, "similarity": binned}[stage]
+            code, err = run_quietly(["--config", str(tmp / "run.cfg"), stage, *argv,
+                                     "--out", str(tmp / "out")])
+            assert code in (0, 1, 2, 3)
+            assert "Traceback" not in err
+            if code == 0:
+                assert_only_finite_numbers(tmp / "out")
 
 
 class TestMalformedRecords:

@@ -23,6 +23,7 @@ from moodcycles.io import (
     read_births,
     read_keyed_values,
     read_lexicons,
+    read_record_chunks,
     read_records,
     read_stoplist_lines,
     read_weekly_series,
@@ -181,6 +182,53 @@ class TestRecords:
         assert [text for _, _, text in records] == ["good", "first sunday", "grüße"]
 
 
+# Stamps drawn for the chunk reader: offsets that move the GMT day across
+# midnight, both Z cases, padding, days before the first Sunday week, and
+# stamps that are not timestamps or leave the GMT calendar.
+_CHUNK_STAMPS = st.one_of(
+    st.builds(lambda day, time, zone, pad: f"{pad}2010-01-{day:02d}T{time}{zone}{pad}",
+              st.integers(2, 9), st.sampled_from(["00:30:00", "12:00:00", "23:45:00"]),
+              st.sampled_from(["", "Z", "z", "+05:30", "-08:00", "+14:00", "-12:00"]),
+              st.sampled_from(["", " ", "  "])),
+    st.sampled_from(["0001-01-06T23:59:59Z", "0001-01-07T00:30:00+01:00", "0001-01-07T00:00:00z",
+                     "0001-01-01T00:30:00+01:00", "9999-12-31T23:00:00-05:00",
+                     "9999-12-31T20:00:00+05:00", "2010-13-01T00:00:00Z", "nan", "", " "]),
+)
+
+
+@st.composite
+def _chunk_lines(draw) -> bytes:
+    """Records lines whose stamps come from a pool of at most four, so the
+    same stamp, good or bad, repeats within and across chunks."""
+    pool = draw(st.lists(_CHUNK_STAMPS, min_size=1, max_size=4))
+    lines = []
+    for _ in range(draw(st.integers(0, 30))):
+        stamp = draw(st.sampled_from(pool)).encode()
+        country = draw(st.sampled_from([b"US", b" GB ", b""]))
+        text = draw(st.sampled_from([b"joy", b"gr\xc3\xbc\xc3\x9fe", b"ba\xffd", b""]))
+        shape = draw(st.sampled_from(["record", "record", "record", "two fields", "four fields"]))
+        lines.append({"record": [stamp, country, text], "two fields": [stamp, text],
+                      "four fields": [stamp, country, text, text]}[shape])
+    return b"".join(b"\t".join(fields) + b"\n" for fields in lines)
+
+
+@settings(max_examples=200, deadline=None)
+@given(content=_chunk_lines(), size=st.integers(1, 7))
+def test_record_chunks_equal_read_records(content, size):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "records.tsv"
+        path.write_bytes(content)
+        records, malformed = read_records(path)
+        chunks = list(read_record_chunks(path, size))
+    assert [len(texts) for _, _, texts, _ in chunks[:-1]] == [size] * (len(chunks) - 1)
+    assert len(chunks[-1][2]) < size
+    assert np.concatenate([days for days, _, _, _ in chunks]).tolist() == [
+        stamp.toordinal() for stamp, _, _ in records]
+    assert [c for _, countries, _, _ in chunks for c in countries] == [c for _, c, _ in records]
+    assert [t for _, _, texts, _ in chunks for t in texts] == [t for _, _, t in records]
+    assert sum(bad for _, _, _, bad in chunks) == malformed
+
+
 class TestBinnedIO:
     def rows(self):
         return [
@@ -215,6 +263,19 @@ class TestBinnedIO:
         path.write_text("week_start\tdim\tn\tp01\tq02\n")
         with pytest.raises(DataError):
             read_binned(path)
+
+    @pytest.mark.parametrize("probs, problem", [
+        ("0.5\t-0.25\t0.75", "bin probabilities must be finite and non-negative"),
+        ("0.5\t0.25\t0.5", "every week's bin probabilities must sum to 1"),
+    ])
+    def test_a_row_that_is_not_a_distribution_names_its_line(self, tmp_path, probs, problem):
+        path = tmp_path / "b.tsv"
+        write_binned(path, self.rows(), n_bins=3)
+        with open(path, "a") as fh:
+            fh.write(f"2010-01-10\tarousal\t4\t{probs}\n")
+        with pytest.raises(DataError) as err:
+            read_binned(path)
+        assert str(err.value) == f"{path}:5: {problem}"
 
 
 class TestLexiconIO:

@@ -257,21 +257,41 @@ def shared_lexicons(words, values, n):
 
 
 class TestScoreTexts:
-    WORDS = TestScoreRecords.WORDS
+    # "σος" and "σοσ" tell a final sigma from a medial one, and "i" is what
+    # a lowered dotted capital I tokenizes to.
+    WORDS = TestScoreRecords.WORDS + ["σος", "σοσ", "i"]
+    LEXICON = st.builds(
+        Lexicon,
+        language=st.sampled_from(["de", "en", "es", "pt"]),
+        entries=st.dictionaries(st.sampled_from(WORDS),
+                                st.tuples(*[TestScoreRecords.VALUE | st.floats(1.0, 9.0)] * 3),
+                                max_size=8),
+        removed_words=st.frozensets(st.sampled_from(WORDS), max_size=2),
+    )
     STOPLIST = GreetingStoplist(["feliz navidad", "sad joy", "joy"])
+    # Arbitrary text beside the words, and pieces that a chunk-wide tokenizer
+    # could get wrong at a seam: newlines, carriage returns, a final capital
+    # sigma, a dotted capital I, digits, underscores and stoplist phrases.
+    PIECE = st.one_of(
+        st.sampled_from(WORDS + ["Feliz Navidad", "JOY", "!"]),
+        st.text(max_size=6),
+        st.sampled_from(["\n", "\r", "\r\n", "ΣΟΣ", "ΟΣ", "Σ", "İ", "İSAD", "9", "joy9sad", "_",
+                         "sad_joy", "feliz\nnavidad", "SAD JOY", "sad joy feliz navidad"]),
+    )
+    TEXT = st.lists(st.tuples(PIECE, st.sampled_from(["", " ", "\n"])), max_size=6).map(
+        lambda pieces: "".join(piece + sep for piece, sep in pieces))
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=400, deadline=None)
     @given(
         lexicons=st.one_of(
-            st.lists(TestScoreRecords.LEXICON, min_size=1, max_size=4),
+            st.lists(LEXICON, min_size=1, max_size=4),
             st.builds(shared_lexicons,
                       st.lists(st.sampled_from(WORDS), min_size=1, max_size=5, unique=True),
                       st.lists(st.tuples(*[st.one_of(TestScoreRecords.VALUE, st.floats(1.0, 9.0))] * 3),
                                min_size=1, max_size=3),
                       st.integers(2, 4))),
         stoplist=st.sampled_from([None, STOPLIST]),
-        texts=st.lists(st.lists(st.sampled_from(WORDS + ["Feliz Navidad", "JOY", "!"]), max_size=6)
-                       .map(" ".join), max_size=20),
+        texts=st.lists(TEXT, max_size=20),
         chunk=st.integers(1, 7),
     )
     def test_equals_score_text_across_chunk_seams(self, lexicons, stoplist, texts, chunk):
@@ -290,6 +310,25 @@ class TestScoreTexts:
             names = [lex.language for lex, w in zip(lexicons, won) if w]
             assert "+".join(names) == expected.matched_language
             assert (len(names) > 1) == expected.tie
+
+    def test_final_sigma_and_newlines_tokenize_as_each_text_alone(self):
+        # lowered per text, the sigma ending each text is final; a newline
+        # inside a text splits tokens and never starts a new text
+        lexicons = [Lexicon("el", {"σος": (9.0, 9.0, 9.0), "σοσ": (1.0, 1.0, 1.0), "joy": (5.0, 5.0, 5.0)})]
+        texts = ["ΣΟΣ", "ΣΟΣ\njoy", "ΣΟΣ\n", "\nΣΟΣ\n\njoy ΣΟΣ", "σοσ"]
+        cols = score_texts(texts, lexicons)
+        assert cols.vad[:, 0].tolist() == [score_text(t, lexicons).valence for t in texts]
+        assert cols.n_matched.tolist() == [1, 2, 1, 3, 1]
+
+    def test_a_stripped_text_adds_its_scores_in_token_order(self):
+        # (1.0 + 1.2 + 1.6) / 3 and (1.6 + 1.2 + 1.0) / 3 differ in the last bit
+        lexicons = [Lexicon("es", {"sol": (1.0, 1.0, 1.0), "mesa": (1.2, 1.2, 1.2),
+                                   "both": (1.6, 1.6, 1.6)})]
+        texts = ["joy sol mesa both", "sol mesa both", "both mesa sol"]
+        cols = score_texts(texts, lexicons, self.STOPLIST)
+        assert cols.vad[:, 0].tolist() == [score_text(t, lexicons, self.STOPLIST).valence
+                                           for t in texts]
+        assert cols.vad[0, 0] == cols.vad[1, 0] != cols.vad[2, 0]
 
     def test_needs_a_lexicon_only_for_texts(self):
         assert score_texts([], []).winners.shape == (0, 0)
