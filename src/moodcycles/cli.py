@@ -341,8 +341,6 @@ def _holiday_rows(args, matrices: dict[str, em.BinnedMoodMatrix]) -> list[int]:
 
 
 def _select(args, manifest: RunManifest):
-    if not 0 < args.var_threshold <= 1:
-        raise UsageError(f"--var-threshold must be in (0, 1], got {args.var_threshold}")
     matrices = _load_matrices(args, manifest)
     with _naming(args.binned):
         rows = _holiday_rows(args, matrices)

@@ -18,21 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DegenerateSeriesError, NumericalError
+from .io import first_bad_row
 from .sentiment import DIMENSIONS, BinnedWeek, N_BINS
-
-ROW_SUM_TOL = 1e-12
-
-
-def first_bad_row(m: np.ndarray) -> tuple[int, str] | None:
-    """The first row of a weeks-by-bins matrix that is not a probability
-    distribution, and what is wrong with it; None when every row is one."""
-    negative = ~np.isfinite(m).all(axis=1) | (m < 0).any(axis=1)
-    bad = np.flatnonzero(negative | (np.abs(m.sum(axis=1) - 1.0) > ROW_SUM_TOL))
-    if not len(bad):
-        return None
-    row = int(bad[0])
-    return row, ("bin probabilities must be finite and non-negative" if negative[row]
-                 else "every week's bin probabilities must sum to 1")
 
 
 @dataclass(frozen=True)
@@ -55,7 +42,7 @@ class BinnedMoodMatrix:
             raise DataError("matrix shape does not match week list")
         bad = first_bad_row(m)
         if bad is not None:
-            raise DataError(f"week {self.week_starts[bad[0]]}: {bad[1]}")
+            raise DataError(bad[1])
 
     @property
     def n_weeks(self) -> int:

@@ -21,7 +21,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .eigenmood import first_bad_row
 from .errors import DataError
 from .timeseries import AnchorCalendar, AnchorKind, AveragedYear, CenteredYear, WeeklySeries
 
@@ -378,8 +377,10 @@ def read_record_chunks(path: str | Path, size: int):
     chunk: ``size`` records, and whatever is left in the last chunk, which
     is always yielded, empty or not. ``n_malformed`` counts the lines
     skipped since the previous chunk. Only one chunk's records are held.
-    Each distinct stamp field is parsed once per chunk: a dict, cleared
-    with each chunk, holds its day ordinal, or None when it is malformed.
+    Each distinct stamp field is parsed once per chunk: a dict holds its
+    day ordinal, or None when it is malformed. The dict is cleared with
+    each chunk and whenever it holds ``size`` stamps, so a run of distinct
+    malformed stamps cannot grow it past ``size`` either.
     """
     days: list[int] = []
     countries: list[str] = []
@@ -394,6 +395,8 @@ def read_record_chunks(path: str | Path, size: int):
         stamp, country, text = parts
         day = day_of.get(stamp, _UNSEEN)
         if day is _UNSEEN:
+            if len(day_of) == size:
+                day_of.clear()
             gmt = _gmt(stamp)
             day = day_of[stamp] = None if gmt is None else gmt.toordinal()
         if day is None:
@@ -467,11 +470,26 @@ def _binned_header(header: list[str]) -> int:
     return len(header)
 
 
+ROW_SUM_TOL = 1e-12
+
+
+def first_bad_row(m: np.ndarray) -> tuple[int, str] | None:
+    """The first row of a weeks-by-bins matrix that is not a probability
+    distribution, and what is wrong with it; None when every row is one."""
+    negative = ~np.isfinite(m).all(axis=1) | (m < 0).any(axis=1)
+    bad = np.flatnonzero(negative | (np.abs(m.sum(axis=1) - 1.0) > ROW_SUM_TOL))
+    if not len(bad):
+        return None
+    row = int(bad[0])
+    return row, ("bin probabilities must be finite and non-negative" if negative[row]
+                 else "every week's bin probabilities must sum to 1")
+
+
 def read_binned(path: str | Path) -> dict[str, tuple[list[dt.date], list[int], np.ndarray]]:
     """Binned TSV back as {dim: (week_starts, n_scored, probs matrix)}.
 
     A row whose probabilities are not a distribution (see
-    ``eigenmood.first_bad_row``) is a DataError naming its line.
+    ``first_bad_row``) is a DataError naming its line.
     """
     acc: dict[str, tuple[list[dt.date], list[int], list[list[float]], list[str]]] = {}
     for where, row in _rows(path, _binned_header, delimiter="\t"):

@@ -3,6 +3,7 @@
 import datetime as dt
 import os
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -227,6 +228,25 @@ def test_record_chunks_equal_read_records(content, size):
     assert [c for _, countries, _, _ in chunks for c in countries] == [c for _, c, _ in records]
     assert [t for _, _, texts, _ in chunks for t in texts] == [t for _, _, t in records]
     assert sum(bad for _, _, _, bad in chunks) == malformed
+
+
+def test_record_chunks_hold_few_distinct_malformed_stamps(tmp_path):
+    # Twitter's created_at format fails to parse; every stamp is distinct,
+    # and no chunk fills, so only the stamp memo's own bound keeps it small
+    def peak(n):
+        path = tmp_path / f"{n}.tsv"
+        path.write_text("".join(f"Wed Oct 10 20:{i // 60 % 60:02d}:{i % 60:02d} +0000 {2000 + i // 3600}"
+                                "\tUS\tjoy\n" for i in range(n)))
+        tracemalloc.start()
+        try:
+            chunks = list(read_record_chunks(path, 10))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(chunks) == 1 and chunks[0][3] == n
+        return peak
+
+    assert peak(20_000) < 2 * peak(2_000)
 
 
 class TestBinnedIO:
