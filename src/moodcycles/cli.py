@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import datetime as dt
-import json
 import math
 import sys
 from contextlib import contextmanager
@@ -78,6 +77,8 @@ def _parse_years(text: str) -> range:
         raise UsageError(f"bad year range {text!r}, expected e.g. 2004-2013") from None
     if y1 < y0:
         raise UsageError(f"empty year range {text!r}")
+    if y0 < 1 or y1 > 9999:
+        raise UsageError(f"year range {text!r} is outside years 1-9999")
     return range(y0, y1 + 1)
 
 
@@ -149,10 +150,10 @@ def cmd_center(args, manifest: RunManifest) -> None:
     except ValueError:
         raise UsageError(f"unknown anchor {args.anchor!r}; expected one of "
                          + ", ".join(k.value for k in AnchorKind)) from None
+    years = _parse_years(args.years)
     out = _out_dir(args)
     manifest.add_input(args.series)
     series = io.read_weekly_series(args.series)
-    years = _parse_years(args.years)
     if kind is AnchorKind.EID_AL_FITR and args.eid_dates:
         manifest.add_input(args.eid_dates)
     cal = io.calendar_for(kind, years, args.eid_dates)
@@ -234,6 +235,8 @@ def cmd_compare_terms(args, manifest: RunManifest) -> None:
 
 def cmd_births(args, manifest: RunManifest) -> None:
     _need(args, "births")
+    if not 0 <= args.shift < 12:
+        raise UsageError(f"--shift must be in [0, 12), got {args.shift}")
     out = _out_dir(args)
     manifest.add_input(args.births)
     data = io.read_births(args.births)
@@ -341,6 +344,8 @@ def _holiday_rows(args, matrices: dict[str, em.BinnedMoodMatrix]) -> list[int]:
 
 
 def _select(args, manifest: RunManifest):
+    if not 0.0 < args.var_threshold <= 1.0:
+        raise UsageError(f"--var-threshold must be in (0, 1], got {args.var_threshold}")
     matrices = _load_matrices(args, manifest)
     with _naming(args.binned):
         rows = _holiday_rows(args, matrices)
@@ -357,7 +362,7 @@ def _write_eigenmood_json(out: Path, mood: em.Eigenmood, args) -> None:
     # component indices are reported both absolute (1 = base distribution)
     # and relative to the post-baseline tail, since either convention is
     # common when naming components like "v4".
-    payload = {
+    io.write_json(out / "eigenmood.json", {
         "holiday": mood.holiday,
         "var_threshold": args.var_threshold,
         "alt_score": bool(args.alt_score),
@@ -371,10 +376,7 @@ def _write_eigenmood_json(out: Path, mood: em.Eigenmood, args) -> None:
             }
             for c in mood.components
         ],
-    }
-    with io.atomic_write(out / "eigenmood.json") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def _projections(matrices, mood) -> tuple[tuple, list[em.WeekProjection]]:
@@ -581,12 +583,16 @@ def cmd_report(args, manifest: RunManifest) -> None:
 
 def cmd_synth(args, manifest: RunManifest) -> None:
     _check_seed(args)
+    try:
+        spec = synth.SynthSpec(
+            seed=args.seed if args.seed is not None else 42,
+            n_years=args.n_years,
+            records_per_week=args.records_per_week,
+        )
+    except DataError as exc:
+        raise UsageError(f"--n-years {args.n_years}, --records-per-week "
+                         f"{args.records_per_week}: {exc}") from None
     out = _out_dir(args)
-    spec = synth.SynthSpec(
-        seed=args.seed if args.seed is not None else 42,
-        n_years=args.n_years,
-        records_per_week=args.records_per_week,
-    )
     summary = synth.generate_synthetic(out, spec)
     manifest.counts["records"] = summary["n_records"]
     manifest.counts["weeks"] = summary["n_weeks"]

@@ -40,6 +40,8 @@ RESPONSE_ANCHORS = (
     AnchorKind.DECEMBER_SOLSTICE,
 )
 
+_MIN_YEARS = 4  # centered years a calendar needs for a holiday response
+
 
 @dataclass(frozen=True)
 class HolidayResponse:
@@ -81,7 +83,6 @@ class CountryProfile:
 def holiday_response(
     series: WeeklySeries,
     calendars: dict[AnchorKind, AnchorCalendar],
-    min_years: int = 4,
 ) -> HolidayResponse:
     """Anchor-week z for each of the four response calendars.
 
@@ -101,9 +102,9 @@ def holiday_response(
             raise DataError(f"calendar for {kind.value} has kind {cal.kind.value}")
         try:
             years = build_centered_years(series, cal)
-            if len(years) < min_years:
+            if len(years) < _MIN_YEARS:
                 raise DataError(
-                    f"only {len(years)} usable centered years (need {min_years})"
+                    f"only {len(years)} usable centered years (need {_MIN_YEARS})"
                 )
             avg = average_years(normalize_yearly_max(years))
             z[kind] = float(zscore(avg.weeks)[cal.anchor_week_index - 1])

@@ -128,21 +128,19 @@ def decompose(M) -> EigenDecomposition:
 def retained_components(
     dec: EigenDecomposition,
     var_threshold: float = 0.95,
-    drop_first: bool = True,
 ) -> tuple[int, ...]:
     """Minimal prefix of candidate components reaching the variance share.
 
-    Candidates are components 2..r (or 1..r when drop_first is false), where
-    r is the numerical rank; singular values below eps-scale of the largest
-    are rounding artifacts, not variance. Singular values are non-increasing,
-    so the minimal subset by variance is a prefix. Empty when the candidates
-    carry no variance at all (a rank-1 matrix, for example).
+    Candidates are components 2..r, where r is the numerical rank; singular
+    values below eps-scale of the largest are rounding artifacts, not
+    variance. Singular values are non-increasing, so the minimal subset by
+    variance is a prefix. Empty when the candidates carry no variance at all
+    (a rank-1 matrix, for example).
     """
     if not 0.0 < var_threshold <= 1.0:
         raise DataError("variance threshold must be in (0, 1]")
     tol = float(dec.S[0]) * max(dec.U.shape[0], dec.V.shape[0]) * np.finfo(float).eps
-    first = 1 if drop_first else 0
-    tail = dec.S[first:]
+    tail = dec.S[1:]
     tail = tail[tail > tol]
     remaining = float(tail @ tail)
     if remaining == 0.0:
@@ -152,8 +150,8 @@ def retained_components(
     for i, s in enumerate(tail):
         acc += float(s) * float(s)
         if acc >= target:
-            return tuple(range(first + 1, first + i + 2))
-    return tuple(range(first + 1, first + len(tail) + 1))
+            return tuple(range(2, i + 3))
+    return tuple(range(2, len(tail) + 2))
 
 
 @dataclass(frozen=True)
@@ -165,7 +163,6 @@ class DenoiseResult:
 
 def denoise(
     dec: EigenDecomposition,
-    drop_first: bool = True,
     var_threshold: float = 0.95,
 ) -> DenoiseResult:
     """Reconstruction from the retained components only.
@@ -175,7 +172,7 @@ def denoise(
     variance is kept. A rank-1 input leaves nothing and yields the zero
     matrix, flagged degenerate.
     """
-    kept = retained_components(dec, var_threshold, drop_first)
+    kept = retained_components(dec, var_threshold)
     if not kept:
         zero = np.zeros((dec.U.shape[0], dec.V.shape[0]))
         return DenoiseResult(matrix=zero, kept=(), degenerate=True)
@@ -326,17 +323,15 @@ def similarity(a: WeekProjection, b: WeekProjection) -> float:
 MEMBERSHIP_NAMES = ("low", "medium-low", "medium", "medium-high", "high")
 
 
-def membership_matrix(n_bins: int = N_BINS) -> np.ndarray:
+def membership_matrix() -> np.ndarray:
     """Five fuzzy membership functions over the 25 bins, rows summing to 5.
 
     "low" is flat at 1 on bins 1..3 and falls linearly to 0 at bin 8;
     "high" mirrors it; the middle three are triangles of support width 10
     peaking at bins 8, 13, and 18. Every bin's memberships sum to 1.
     """
-    if n_bins != N_BINS:
-        raise DataError("membership functions are defined for 25 bins")
-    m = np.zeros((5, n_bins))
-    bins = np.arange(1, n_bins + 1, dtype=float)
+    m = np.zeros((5, N_BINS))
+    bins = np.arange(1, N_BINS + 1, dtype=float)
     m[0] = np.clip((8.0 - bins) / 5.0, 0.0, 1.0)          # low: flat 1..3, 0 from 8
     for j, center in enumerate((8.0, 13.0, 18.0), start=1):
         m[j] = np.clip(1.0 - np.abs(bins - center) / 5.0, 0.0, 1.0)

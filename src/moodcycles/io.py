@@ -1,16 +1,19 @@
 """File formats: readers and writers for every on-disk interface.
 
-All text files are UTF-8. Writers are atomic (temp file + rename) and emit
-floats with repr formatting, so identical inputs always produce byte-identical
-artifacts. Readers validate hard (a malformed file is a data error naming the
-file and line), with one exception: text-record TSVs skip and count malformed
-lines instead of failing, since raw social-media dumps are never clean.
+All text files are UTF-8. Every output table is written by ``write_table``
+and every JSON artifact by ``write_json``, atomically (temp file + rename)
+and with repr floats and sorted keys, so identical inputs always produce
+byte-identical artifacts. Readers validate hard (a malformed file is a data
+error naming the file and line), with one exception: text-record TSVs skip
+and count malformed lines instead of failing, since raw social-media dumps
+are never clean.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as dt
+import json
 import math
 import os
 import tempfile
@@ -35,13 +38,13 @@ def fmt(value: float) -> str:
 
 
 @contextmanager
-def atomic_write(path: str | Path, newline: str = ""):
+def atomic_write(path: str | Path):
     """Write to a temp file in the target directory, rename on success."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline=newline) as handle:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             yield handle
         os.replace(tmp, path)
     except BaseException:
@@ -149,12 +152,9 @@ def read_weekly_series(path: str | Path) -> WeeklySeries:
 
 
 def write_weekly_series(path: str | Path, series: WeeklySeries) -> int:
-    with atomic_write(path) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["week_start", "value"])
-        for i, value in enumerate(series.values):
-            writer.writerow([series.week_start(i).isoformat(), fmt(value)])
-    return len(series)
+    return write_table(path, ["week_start", "value"],
+                       [[series.week_start(i).isoformat(), float(value)]
+                        for i, value in enumerate(series.values)])
 
 
 # ------------------------------------------------------------- anchor calendars
@@ -208,38 +208,24 @@ def read_births(path: str | Path) -> dict[str, list[tuple[int, int, float]]]:
 
 def write_birth_series(path: str | Path, per_country: dict[str, "object"]) -> int:
     """Write shifted normalized rates as `country,year,month,rate` rows."""
-    rows = 0
-    with atomic_write(path) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["country", "year", "month", "rate"])
-        for country in sorted(per_country):
-            for year, month, rate in per_country[country].normalized:
-                writer.writerow([country, year, month, fmt(rate)])
-                rows += 1
-    return rows
+    return write_table(path, ["country", "year", "month", "rate"],
+                       [[country, year, month, float(rate)]
+                        for country in sorted(per_country)
+                        for year, month, rate in per_country[country].normalized])
 
 
 # --------------------------------------------------------------- centered years
 
 def write_centered_years(path: str | Path, years: list[CenteredYear]) -> int:
-    rows = 0
-    with atomic_write(path) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["anchor_date", "week_index", "value"])
-        for year in years:
-            for i, value in enumerate(year.weeks, start=1):
-                writer.writerow([year.anchor_date.isoformat(), i, fmt(value)])
-                rows += 1
-    return rows
+    return write_table(path, ["anchor_date", "week_index", "value"],
+                       [[year.anchor_date.isoformat(), i, float(value)]
+                        for year in years for i, value in enumerate(year.weeks, start=1)])
 
 
 def write_averaged_year(path: str | Path, avg: AveragedYear) -> int:
-    with atomic_write(path) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["week_index", "mean", "std", "n_years"])
-        for i, (m, s) in enumerate(zip(avg.weeks, avg.per_week_std), start=1):
-            writer.writerow([i, fmt(m), fmt(s), avg.n_years])
-    return len(avg.weeks)
+    return write_table(path, ["week_index", "mean", "std", "n_years"],
+                       [[i, float(m), float(s), avg.n_years]
+                        for i, (m, s) in enumerate(zip(avg.weeks, avg.per_week_std), start=1)])
 
 
 # -------------------------------------------------------------------- countries
@@ -437,12 +423,9 @@ def parse_timestamp(text: str) -> dt.datetime | None:
 
 def write_weekly_mood(path: str | Path, rows: list[tuple[str, dt.date, str, float, int]]) -> int:
     """`country,week_start,dim,mean,n_scored` rows."""
-    with atomic_write(path) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["country", "week_start", "dim", "mean", "n_scored"])
-        for country, week, dim, mean, n in rows:
-            writer.writerow([country, week.isoformat(), dim, fmt(mean), n])
-    return len(rows)
+    return write_table(path, ["country", "week_start", "dim", "mean", "n_scored"],
+                       [[country, week.isoformat(), dim, float(mean), n]
+                        for country, week, dim, mean, n in rows])
 
 
 def _prob_columns(n_bins: int) -> list[str]:
@@ -451,14 +434,12 @@ def _prob_columns(n_bins: int) -> list[str]:
 
 def write_binned(path: str | Path, rows: list[tuple[dt.date, str, int, np.ndarray]], n_bins: int) -> int:
     """Tab-separated `week_start,dim,n` plus one probability column per bin."""
-    with atomic_write(path) as handle:
-        writer = csv.writer(handle, delimiter="\t")
-        writer.writerow(["week_start", "dim", "n"] + _prob_columns(n_bins))
-        for week, dim, n, probs in rows:
-            if len(probs) != n_bins:
-                raise DataError(f"binned row for {week}/{dim} has {len(probs)} bins, wanted {n_bins}")
-            writer.writerow([week.isoformat(), dim, n] + [fmt(p) for p in probs])
-    return len(rows)
+    for week, dim, _, probs in rows:
+        if len(probs) != n_bins:
+            raise DataError(f"binned row for {week}/{dim} has {len(probs)} bins, wanted {n_bins}")
+    return write_table(path, ["week_start", "dim", "n"] + _prob_columns(n_bins),
+                       [[week.isoformat(), dim, n, *map(float, probs)] for week, dim, n, probs in rows],
+                       delimiter="\t")
 
 
 def _binned_header(header: list[str]) -> int:
@@ -496,6 +477,8 @@ def read_binned(path: str | Path) -> dict[str, tuple[list[dt.date], list[int], n
         week = _parse_date(row[0], where)
         dim = row[1].strip()
         n = _parse_int(row[2], where)
+        if n < 1:
+            raise DataError(f"{where}: n must be at least 1, got {n}")
         probs = [_parse_float(v, where) for v in row[3:]]
         weeks, counts, mat, wheres = acc.setdefault(dim, ([], [], [], []))
         if weeks and week <= weeks[-1]:
@@ -519,13 +502,21 @@ def read_binned(path: str | Path) -> dict[str, tuple[list[dt.date], list[int], n
 # ------------------------------------------------------------------- flat tables
 
 def write_table(path: str | Path, header: list[str], rows: list[list], delimiter: str = ",") -> int:
-    """Generic flat table writer with stable float formatting."""
+    """The one table writer: ``csv``'s default dialect (CRLF line ends) and
+    ``fmt`` for every float cell. Returns the number of data rows."""
     with atomic_write(path) as handle:
         writer = csv.writer(handle, delimiter=delimiter)
         writer.writerow(header)
         for row in rows:
             writer.writerow([fmt(v) if isinstance(v, float) else v for v in row])
     return len(rows)
+
+
+def write_json(path: str | Path, payload) -> None:
+    """The one JSON writer: two-space indent, sorted keys, a final newline."""
+    with atomic_write(path) as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
 
 
 def _any_two_columns(header: list[str]) -> None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import DataError
-from .io import atomic_write, read_text
+from .io import read_text, write_json
 
 TOOL_VERSION = "0.1.0"
 
@@ -90,7 +90,5 @@ def write_manifest(out_dir: str | Path, manifest: RunManifest) -> Path:
         if not isinstance(existing, dict):
             raise DataError(f"manifest {path} is not a JSON object")
     existing[manifest.command] = manifest.entry()
-    with atomic_write(path) as fh:
-        json.dump(existing, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, existing)
     return path

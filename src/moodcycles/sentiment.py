@@ -59,11 +59,11 @@ class Lexicon:
         return self.entries.get(token)
 
 
-def load_lexicons(path, removed_words: frozenset[str] = DEFAULT_REMOVED_WORDS) -> list[Lexicon]:
+def load_lexicons(path) -> list[Lexicon]:
     from .io import read_lexicons
 
     tables = read_lexicons(path)
-    return [Lexicon(lang, entries, removed_words) for lang, entries in sorted(tables.items())]
+    return [Lexicon(lang, entries) for lang, entries in sorted(tables.items())]
 
 
 _RUN = re.compile(r"[^\W_]+", re.UNICODE)  # the stoplist's token: a maximal alphanumeric run

@@ -12,13 +12,12 @@ analytically (documented in gen_spec.json alongside the data).
 from __future__ import annotations
 
 import datetime as dt
-import json
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from .errors import DataError
-from .io import atomic_write, fmt, write_weekly_series
+from .io import atomic_write, fmt, write_json, write_weekly_series
 from .timeseries import WeeklySeries
 
 _WORD_GRID = 25  # one word per score bin
@@ -105,6 +104,9 @@ def generate_synthetic(out_dir, spec: SynthSpec | None = None) -> dict:
     p_base = mixture(spec, holiday=False)
     p_holiday = mixture(spec, holiday=True)
 
+    # records.tsv and lexicon.csv are written by hand, not by write_table:
+    # the records loop is the generator's hot path, and the lexicon has LF
+    # line ends where the csv module writes CRLF
     records_path = out / "records.tsv"
     n_records = 0
     with atomic_write(records_path) as fh:
@@ -140,9 +142,7 @@ def generate_synthetic(out_dir, spec: SynthSpec | None = None) -> dict:
     meta["mixture_baseline"] = [fmt(p) for p in p_base]
     meta["mixture_holiday"] = [fmt(p) for p in p_holiday]
     spec_path = out / "gen_spec.json"
-    with atomic_write(spec_path) as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(spec_path, meta)
 
     return {
         "records": str(records_path),

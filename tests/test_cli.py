@@ -92,6 +92,13 @@ class TestExitCodes:
         ("synth", "seed", "-1"),
         ("classify", "threshold", "nan"),
         ("report", "threshold", "inf"),
+        ("births", "shift", "12"),
+        ("eigenmood", "var-threshold", "0"),
+        ("similarity", "var-threshold", "1.5"),
+        ("synth", "n-years", "0"),
+        ("synth", "records-per-week", "3"),
+        ("center", "years", "2004-99999"),
+        ("center", "years", "0-3"),
     ])
     @pytest.mark.parametrize("route", ["flag", "config"])
     def test_bad_values_are_rejected_before_any_work(self, tmp_path, capsys, stage, key, value, route):
@@ -102,9 +109,14 @@ class TestExitCodes:
                   "dcor": ["--x", absent, "--y", absent],
                   "synth": [],
                   "classify": ["--zscores", absent],
-                  "report": ["--zscores", absent]}[stage]
+                  "report": ["--zscores", absent],
+                  "births": ["--births", absent],
+                  "eigenmood": ["--binned", absent, "--holiday-weeks", "2010-12-26"],
+                  "similarity": ["--binned", absent, "--holiday-weeks", "2010-12-26"]}[stage]
         if stage == "dcor" and key != "seed":
             inputs += ["--seed", "1"]
+        if stage == "center" and key != "anchor":
+            inputs += ["--anchor", "christmas"]
         argv = [stage, *inputs, "--out", str(tmp_path / "out")]
         if route == "flag":
             argv += [f"--{key}", value]
@@ -474,7 +486,9 @@ def run_quietly(argv) -> tuple[int, str]:
 
 
 # The tables each stage writes when it succeeds, each with its text
-# columns: every other column holds numbers
+# columns: every other column holds numbers, or is blank where the value
+# does not exist and the column is in BLANK_CELLS
+BLANK_CELLS = {"actual_pct"}  # agreement_check.csv: a cell the z table has no group for
 TABLE_TEXT_COLUMNS = {
     "score": {"weekly_mood.csv": {"country", "week_start", "dim"}},
     "bin": {"binned.tsv": {"week_start", "dim"}},
@@ -513,7 +527,8 @@ def assert_only_finite_numbers(out: Path, stage: str) -> None:
         numeric = [i for i, column in enumerate(header) if column not in text]
         for row in rows:
             assert len(row) == len(header), (name, row)
-            assert all(math.isfinite(float(row[i])) for i in numeric), (name, row)
+            assert all(math.isfinite(float(row[i])) for i in numeric
+                       if row[i] or header[i] not in BLANK_CELLS), (name, row)
     for path in out.iterdir():
         if path.suffix == ".json":
             json.loads(path.read_text(), parse_constant=no_constant)
@@ -665,6 +680,31 @@ def binned_files(draw) -> bytes:
     return "".join("\t".join(row) + "\n" for row in [header] + rows).encode()
 
 
+Z_HEADER = ["code", "name", "identification", "hemisphere", "z_christmas", "z_eid", "z_june", "z_dec"]
+Z_TEXT_CELLS = ["US", "RU", "KZ", "", " Muslim ", "Christian", "Muslim", "Other", "North", "South",
+                "Ünïcode", "a,b", 'say "hi"']
+
+
+@st.composite
+def zscore_files(draw) -> bytes:
+    """A z table that is valid or has defects: a bad header, odd text or
+    number cells, a short row, a repeated code, bytes that are not UTF-8."""
+    header = Z_HEADER
+    if draw(st.integers(0, 5)) == 0:
+        header = draw(st.lists(st.sampled_from(Z_HEADER + ["", "z"]), max_size=9))
+    rows = [[draw(st.sampled_from(Z_TEXT_CELLS)) for _ in range(4)]
+            + [draw(st.one_of(PROBABILITY_CELLS, st.sampled_from(["2.5", "-3"]))) for _ in range(4)]
+            for _ in range(draw(st.integers(0, 6)))]
+    if rows and draw(st.integers(0, 9)) == 0:
+        del rows[0][draw(st.integers(0, 7)):]
+    text = StringIO()
+    csv.writer(text, lineterminator="\n").writerows([header] + rows)
+    content = text.getvalue().encode()
+    if draw(st.integers(0, 9)) == 0:
+        content += draw(st.sampled_from([b"\n", b"\xff,x\n", b"US,\n", b'"open\n']))
+    return content
+
+
 CONFIG_KEYS = sorted({action.dest for command in _build_parser()[1].values()
                       for action in command._actions if action.dest != "help"})
 CONFIG_VALUES = ["0", "1", "3", "-1", "0.5", "nan", "inf", "yes", "no", "", "x", "v,a", "d,bogus",
@@ -686,9 +726,9 @@ def config_files(draw) -> bytes:
 
 
 class TestInputFuzz:
-    """``--binned`` files and ``--config`` files, like records files, end in
-    an exit code, never a traceback, and a run that succeeds writes only
-    finite numbers."""
+    """``--binned``, ``--zscores`` and ``--config`` files, like records
+    files, end in an exit code, never a traceback, and a run that succeeds
+    writes only finite numbers."""
 
     @settings(max_examples=150, deadline=None)
     @given(content=binned_files(), stage=st.sampled_from(["eigenmood", "similarity"]),
@@ -703,6 +743,21 @@ class TestInputFuzz:
             (tmp / "binned.tsv").write_bytes(content)
             code, err = run_quietly([stage, "--binned", str(tmp / "binned.tsv"),
                                      "--holiday-weeks", ",".join(holidays), *options,
+                                     "--out", str(tmp / "out")])
+            assert code in (0, 1, 2, 3)
+            assert "Traceback" not in err
+            if code == 0:
+                assert_only_finite_numbers(tmp / "out", stage)
+
+    @settings(max_examples=150, deadline=None)
+    @given(content=zscore_files(), stage=st.sampled_from(["classify", "report"]),
+           options=st.sampled_from([[], ["--orthodox-as-other"], ["--threshold", "0"],
+                                    ["--threshold", "-1e308"], ["--threshold", "nan"]]))
+    def test_zscore_tables(self, content, stage, options):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            (tmp / "z.csv").write_bytes(content)
+            code, err = run_quietly([stage, "--zscores", str(tmp / "z.csv"), *options,
                                      "--out", str(tmp / "out")])
             assert code in (0, 1, 2, 3)
             assert "Traceback" not in err

@@ -117,7 +117,6 @@ class TestRetainedAndDenoise:
         dec = decompose(M)
         # tail variance 9 + 1 + 0.01 = 10.01; 95% needs the first two
         assert retained_components(dec) == (2, 3)
-        assert retained_components(dec, drop_first=False) == (1, 2)
         assert retained_components(dec, var_threshold=1.0) == (2, 3, 4)
 
     def test_full_threshold_removes_exactly_the_leading_component(self):
@@ -317,10 +316,6 @@ class TestMembership:
         assert m[3, 17] == 1.0       # medium-high peaks at bin 18
         assert m[4, 17] == 0.0
         assert m[4, 24] == 1.0       # high is flat at the top bins
-
-    def test_only_the_canonical_bin_count_is_supported(self):
-        with pytest.raises(DataError):
-            membership_matrix(5)
 
     def test_zero_deviation_maps_to_zero_response(self):
         response = linguistic_response(np.zeros(25))

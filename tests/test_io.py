@@ -284,15 +284,17 @@ class TestBinnedIO:
         with pytest.raises(DataError):
             read_binned(path)
 
-    @pytest.mark.parametrize("probs, problem", [
-        ("0.5\t-0.25\t0.75", "bin probabilities must be finite and non-negative"),
-        ("0.5\t0.25\t0.5", "every week's bin probabilities must sum to 1"),
+    @pytest.mark.parametrize("probs, problem, n", [
+        ("0.5\t-0.25\t0.75", "bin probabilities must be finite and non-negative", 4),
+        ("0.5\t0.25\t0.5", "every week's bin probabilities must sum to 1", 4),
+        ("0.5\t0.25\t0.25", "n must be at least 1, got 0", 0),
+        ("0.5\t0.25\t0.25", "n must be at least 1, got -1", -1),
     ])
-    def test_a_row_that_is_not_a_distribution_names_its_line(self, tmp_path, probs, problem):
+    def test_a_row_that_is_not_a_distribution_names_its_line(self, tmp_path, probs, problem, n):
         path = tmp_path / "b.tsv"
         write_binned(path, self.rows(), n_bins=3)
         with open(path, "a") as fh:
-            fh.write(f"2010-01-10\tarousal\t4\t{probs}\n")
+            fh.write(f"2010-01-10\tarousal\t{n}\t{probs}\n")
         with pytest.raises(DataError) as err:
             read_binned(path)
         assert str(err.value) == f"{path}:5: {problem}"
