@@ -53,6 +53,17 @@ def _bool(text: str) -> bool:
     raise UsageError(f"not a boolean: {text!r}")
 
 
+def _ranged(kind, rule: str, ok):
+    """An option ``type``: ``kind(text)``, refused unless ``ok``, as a flag or in the config."""
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
 _DIM_ALIASES = {"v": "valence", "a": "arousal", "d": "dominance"}
 
 
@@ -116,7 +127,7 @@ def _fold_scored(args, manifest: RunManifest, fold) -> dict[str, int]:
     scored records (only those of ``--country``, when it is given) to
     ``fold(country codes, GMT day ordinals, (n, 3) scores)`` in input
     order; returns each country's code, in first-seen order."""
-    _need(args, "records", "lexicons")
+    _need(args, "out", "records", "lexicons")  # callers make --out only after reading
     manifest.add_input(args.records)
     manifest.add_input(args.lexicons)
     scorer = sentiment.Scorer(sentiment.load_lexicons(args.lexicons), _stoplist(args, manifest))
@@ -190,8 +201,6 @@ def _classified(args, manifest: RunManifest):
     Returns the output directory, the z rows, the profiles and the cohort
     agreement rows.
     """
-    if not math.isfinite(args.threshold):
-        raise UsageError(f"--threshold must be a finite number, got {args.threshold}")
     out = _out_dir(args)
     if args.zscores:
         manifest.add_input(args.zscores)
@@ -235,8 +244,6 @@ def cmd_compare_terms(args, manifest: RunManifest) -> None:
 
 def cmd_births(args, manifest: RunManifest) -> None:
     _need(args, "births")
-    if not 0 <= args.shift < 12:
-        raise UsageError(f"--shift must be in [0, 12), got {args.shift}")
     out = _out_dir(args)
     manifest.add_input(args.births)
     data = io.read_births(args.births)
@@ -254,7 +261,6 @@ def _warn_low_confidence(manifest: RunManifest, n_low: int) -> None:
 
 
 def cmd_score(args, manifest: RunManifest) -> None:
-    out = _out_dir(args)
     totals = sentiment.DayTotals()
     codes = _fold_scored(args, manifest, totals.add)
     per_code = totals.weekly(len(codes))
@@ -271,16 +277,13 @@ def cmd_score(args, manifest: RunManifest) -> None:
         if n_gaps:
             manifest.warnings.append(f"{country}: {n_gaps} gap weeks with no scored records")
     _warn_low_confidence(manifest, n_low)
-    io.write_weekly_mood(out / "weekly_mood.csv", rows)
+    io.write_weekly_mood(_out_dir(args) / "weekly_mood.csv", rows)
     manifest.counts["countries"] = len(wanted)
     manifest.counts["weekly_rows"] = len(rows)
     print(f"wrote weekly means for {len(wanted)} countries ({len(rows)} rows)")
 
 
 def cmd_bin(args, manifest: RunManifest) -> None:
-    if args.bins < 1:
-        raise UsageError(f"--bins must be at least 1, got {args.bins}")
-    out = _out_dir(args)
     bins = sentiment.WeekBins(args.bins)
     codes = _fold_scored(args, manifest,
                          lambda code, days, vad: bins.add(code, sentiment.week_of(days), vad))
@@ -296,7 +299,7 @@ def cmd_bin(args, manifest: RunManifest) -> None:
         raise DataError(f"no scored records for country {country!r}")
     weeks = binned[::len(sentiment.DIMENSIONS)]
     _warn_low_confidence(manifest, sum(w.n_scored < sentiment.LOW_CONFIDENCE_WEEK for w in weeks))
-    io.write_binned(out / "binned.tsv",
+    io.write_binned(_out_dir(args) / "binned.tsv",
                     [(b.week_start, b.dimension, b.n_scored, b.probs) for b in binned],
                     args.bins)
     manifest.counts["weeks"] = len(weeks)
@@ -344,8 +347,6 @@ def _holiday_rows(args, matrices: dict[str, em.BinnedMoodMatrix]) -> list[int]:
 
 
 def _select(args, manifest: RunManifest):
-    if not 0.0 < args.var_threshold <= 1.0:
-        raise UsageError(f"--var-threshold must be in (0, 1], got {args.var_threshold}")
     matrices = _load_matrices(args, manifest)
     with _naming(args.binned):
         rows = _holiday_rows(args, matrices)
@@ -479,8 +480,10 @@ def _joined(y_path: str, x_paths: list[str]) -> tuple[np.ndarray, np.ndarray, li
 
 def cmd_regress(args, manifest: RunManifest) -> None:
     _need(args, "y", "x")
-    out = _out_dir(args)
     x_paths = [p.strip() for p in args.x.split(",") if p.strip()]
+    if not x_paths:
+        raise UsageError(f"--x names no file: {args.x!r}")
+    out = _out_dir(args)
     manifest.add_input(args.y)
     for p in x_paths:
         manifest.add_input(p)
@@ -504,15 +507,7 @@ def cmd_regress(args, manifest: RunManifest) -> None:
           f"F p = {result.f_pvalue:.3g}")
 
 
-def _check_seed(args) -> None:
-    if args.seed is not None and args.seed < 0:
-        raise UsageError(f"--seed must be at least 0, got {args.seed}")
-
-
 def cmd_dcor(args, manifest: RunManifest) -> None:
-    if args.permutations < 0:
-        raise UsageError(f"--permutations must be at least 0, got {args.permutations}")
-    _check_seed(args)
     _need(args, "x", "y")
     if args.permutations > 0 and args.seed is None:
         raise UsageError("--seed is required when --permutations > 0")
@@ -582,7 +577,6 @@ def cmd_report(args, manifest: RunManifest) -> None:
 
 
 def cmd_synth(args, manifest: RunManifest) -> None:
-    _check_seed(args)
     try:
         spec = synth.SynthSpec(
             seed=args.seed if args.seed is not None else 42,
@@ -608,6 +602,9 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     parser.add_argument("--config", help="flat key=value config file; flags override it")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser, metavar="COMMAND")
     commands: dict[str, _Parser] = {}
+    finite = _ranged(float, "a finite number", math.isfinite)
+    count = _ranged(int, "at least 0", lambda n: n >= 0)
+    pairs = _ranged(int, "at least 2", lambda n: n >= 2)  # two bins, or two points for an r
 
     def add(name: str, func, help_text: str) -> _Parser:
         p = sub.add_parser(name, help=help_text)
@@ -624,18 +621,19 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
     p = add("classify", cmd_classify, "classify countries from holiday z-scores")
     p.add_argument("--zscores", help="z-score table CSV (default: bundled table)")
-    p.add_argument("--threshold", type=float, default=1.0, help="z threshold (default 1.0)")
+    p.add_argument("--threshold", type=finite, default=1.0, help="z threshold (default 1.0)")
     p.add_argument("--orthodox-as-other", action="store_true",
                    help="group January-Christmas countries as Other")
 
     p = add("compare-terms", cmd_compare_terms, "volume ratio and correlation of two series")
     p.add_argument("--a", help="numerator weekly series CSV")
     p.add_argument("--b", help="reference weekly series CSV")
-    p.add_argument("--min-overlap", type=int, default=8, help="minimum overlapping weeks")
+    p.add_argument("--min-overlap", type=pairs, default=8, help="minimum overlapping weeks")
 
     p = add("births", cmd_births, "normalize monthly births and shift to conception months")
     p.add_argument("--births", help="monthly births CSV (country,year,month,count)")
-    p.add_argument("--shift", type=int, default=9, help="months to shift back (default 9)")
+    p.add_argument("--shift", type=_ranged(int, "in [0, 12)", lambda n: 0 <= n < 12), default=9,
+                   help="months to shift back (default 9)")
 
     for name, func, help_text in (
         ("score", cmd_score, "score text records and aggregate weekly means"),
@@ -648,7 +646,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
         p.add_argument("--no-stoplist", action="store_true", help="skip greeting removal")
         p.add_argument("--country", help="restrict to one country code")
         if name == "bin":
-            p.add_argument("--bins", type=int, default=sentiment.N_BINS,
+            p.add_argument("--bins", type=pairs, default=sentiment.N_BINS,
                            help="number of score bins (default 25)")
 
     for name, func, help_text in (
@@ -660,30 +658,31 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
         p.add_argument("--holiday-weeks", help="comma-separated week-start dates of the holiday")
         p.add_argument("--holiday", default="holiday", help="name for the anchor in outputs")
         p.add_argument("--dims", default="v,a,d", help="dimensions to decompose (default v,a,d)")
-        p.add_argument("--var-threshold", type=float, default=0.95,
+        p.add_argument("--var-threshold", default=0.95,
+                       type=_ranged(float, "in (0, 1]", lambda v: 0 < v <= 1),
                        help="share of post-baseline variance to keep (default 0.95)")
         p.add_argument("--alt-score", action="store_true",
                        help="rank candidates by |mean - std| instead of |mean| - std")
 
     p = add("regress", cmd_regress, "ordinary least squares between keyed CSV files")
     p.add_argument("--y", help="response CSV (key,value)")
-    p.add_argument("--x", help="regressor CSV, or up to three comma-separated")
+    p.add_argument("--x", help="regressor CSV, or several comma-separated")
 
     p = add("dcor", cmd_dcor, "distance covariance/correlation with permutation test")
     p.add_argument("--x", help="regressor CSV (key,value)")
     p.add_argument("--y", help="response CSV (key,value)")
-    p.add_argument("--permutations", type=int, default=999,
+    p.add_argument("--permutations", type=count, default=999,
                    help="permutations for the p-value (default 999; 0 disables)")
-    p.add_argument("--seed", type=int, help="RNG seed (required when permutations > 0)")
+    p.add_argument("--seed", type=count, help="RNG seed (required when permutations > 0)")
 
     p = add("report", cmd_report, "compose classification tables and check them")
     p.add_argument("--zscores", help="z-score table CSV (default: bundled table)")
-    p.add_argument("--threshold", type=float, default=1.0, help="z threshold (default 1.0)")
+    p.add_argument("--threshold", type=finite, default=1.0, help="z threshold (default 1.0)")
     p.add_argument("--orthodox-as-other", action="store_true",
                    help="group January-Christmas countries as Other")
 
     p = add("synth", cmd_synth, "generate a deterministic synthetic corpus")
-    p.add_argument("--seed", type=int, help="generator seed (default 42)")
+    p.add_argument("--seed", type=count, help="generator seed (default 42)")
     p.add_argument("--n-years", type=int, default=3, help="years of weekly data (default 3)")
     p.add_argument("--records-per-week", type=int, default=400,
                    help="records per week (default 400)")
@@ -697,9 +696,9 @@ def _apply_config(parser: _Parser, commands: dict[str, _Parser], argv: list[str]
     Config keys are the subcommands' option names (``dest``, e.g.
     ``holiday_weeks``) and become the chosen subcommand's option defaults,
     so explicit flags always win. A key is coerced as its option is:
-    ``_bool`` for a switch, otherwise the option's ``type``. Keys the chosen
-    subcommand does not define are ignored (one config file may drive
-    several pipeline stages), but every key must be an option of some
+    ``_bool`` for a switch, otherwise the option's ``type`` and its range.
+    Keys the chosen subcommand does not define are ignored (one config file
+    may drive several stages), but every key must be an option of some
     subcommand and its value must coerce.
     """
     probe = _Parser(add_help=False)
@@ -719,8 +718,8 @@ def _apply_config(parser: _Parser, commands: dict[str, _Parser], argv: list[str]
                 raise UsageError(f"unknown config key {key!r}")
             try:
                 value = coerce[key](raw)
-            except (ValueError, UsageError) as exc:
-                raise UsageError(f"config key {key!r}: bad value {raw!r}") from exc
+            except (ValueError, argparse.ArgumentTypeError, UsageError) as exc:
+                raise UsageError(f"config key {key!r}: bad value {raw!r}: {exc}") from exc
             if chosen is not None and key in dests:
                 chosen.set_defaults(**{key: value})
     return parser.parse_args(argv)

@@ -86,6 +86,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("stage, key, value", [
         ("bin", "bins", "0"),
         ("bin", "bins", "-3"),
+        ("bin", "bins", "1"),
+        ("compare-terms", "min-overlap", "1"),
+        ("compare-terms", "min-overlap", "0"),
+        ("compare-terms", "min-overlap", "-3"),
         ("center", "anchor", "bogus"),
         ("dcor", "permutations", "-5"),
         ("dcor", "seed", "-1"),
@@ -106,6 +110,7 @@ class TestExitCodes:
         absent = str(tmp_path / "absent")
         inputs = {"bin": ["--records", absent, "--lexicons", absent],
                   "center": ["--series", absent],
+                  "compare-terms": ["--a", absent, "--b", absent],
                   "dcor": ["--x", absent, "--y", absent],
                   "synth": [],
                   "classify": ["--zscores", absent],
@@ -127,6 +132,29 @@ class TestExitCodes:
         assert run(*argv) == 1
         err = capsys.readouterr().err
         assert value in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("x", [",", " , "])
+    def test_regress_needs_an_x_file(self, tmp_path, capsys, x):
+        y = tmp_path / "y.csv"
+        write_keyed(y, [("a", 1.0), ("b", 2.0), ("c", 4.0)])
+        assert run("regress", "--y", str(y), "--x", x, "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert "--x" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [["score", "--lexicons", "lex.csv"],
+                                      ["bin", "--records", "r.tsv"],
+                                      ["bin", "--records", "r.tsv", "--lexicons", "lex.csv"]],
+                             ids=["score-no-records", "bin-no-lexicons", "bin-no-country"])
+    def test_score_and_bin_usage_errors_create_no_out(self, tmp_path, capsys, argv):
+        (tmp_path / "r.tsv").write_text("2010-01-03T08:00:00Z\tUS\tsun\n"
+                                        "2010-01-04T08:00:00Z\tGB\train\n")
+        (tmp_path / "lex.csv").write_text(LEXICON_CSV)
+        argv = [str(tmp_path / a) if a.endswith((".tsv", ".csv")) else a for a in argv]
+        assert run(*argv, "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert "--" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("target", ["regress-y", "zscores", "config", "stoplist"])
@@ -202,7 +230,8 @@ class TestConfig:
                 if action.nargs == 0:  # a switch
                     flag_argv, raw = [flag], "yes"
                 else:
-                    raw = {int: "7", float: "0.5"}.get(action.type, "2010-01-03")
+                    kind = getattr(action.type, "__name__", None)  # a ranged type's too
+                    raw = {"int": "7", "float": "0.5"}.get(kind, "2010-01-03")
                     flag_argv = [flag, raw]
                 from_flag = getattr(parser.parse_args([name, *flag_argv]), action.dest)
                 cfg.write_text(f"{action.dest}={raw}\n")
@@ -791,6 +820,87 @@ class TestInputFuzz:
             assert "Traceback" not in err
             if code == 0:
                 assert_only_finite_numbers(tmp / "out", stage)
+
+
+def tiny_inputs(tmp: Path) -> dict[str, str]:
+    """A valid value for every option of every subcommand that takes one,
+    keyed by the option's ``dest``; the files it names are written to ``tmp``,
+    and ``--out`` is ``out`` in the working directory."""
+    write_series(tmp / "series.csv", "2010-01-03",
+                 [9.0 if i % 52 == 51 else 1.0 + i % 3 for i in range(156)])
+    (tmp / "eid.csv").write_text("kind,anchor_date\neid-al-fitr,2010-09-10\neid-al-fitr,2011-08-30\n")
+    (tmp / "births.csv").write_text("country,year,month,count\n"
+                                    + "".join(f"US,2010,{m},{100 + m}\n" for m in range(1, 13)))
+    (tmp / "r.tsv").write_text("2010-01-03T08:00:00Z\tUS\tsun joy\n2010-01-12T08:00:00Z\tUS\train\n"
+                               "2010-01-13T08:00:00Z\tunknown\tsol\n")
+    (tmp / "lex.csv").write_text(LEXICON_CSV)
+    (tmp / "stop.txt").write_text("merry christmas\n")
+    (tmp / "binned.tsv").write_text(binned_tsv(  # eigenmood's linguistic summary needs 25 bins
+        [(week, dim, spread(i + j, 25)) for i, week in enumerate(BINNED_WEEKS)
+         for j, dim in enumerate(sentiment.DIMENSIONS)], 25))
+    write_keyed(tmp / "x.csv", [("a", 1.0), ("b", 2.0), ("c", 4.0), ("d", 3.0)])
+    write_keyed(tmp / "y.csv", [("a", 2.0), ("b", 1.0), ("c", 5.0), ("d", 3.5)])
+    files = {"series": "series.csv", "eid_dates": "eid.csv", "births": "births.csv",
+             "records": "r.tsv", "lexicons": "lex.csv", "stoplist": "stop.txt",
+             "binned": "binned.tsv", "x": "x.csv", "y": "y.csv", "a": "series.csv",
+             "b": "series.csv"}
+    return {**{dest: str(tmp / name) for dest, name in files.items()},
+            "zscores": str(_fixture("holiday_zscores.csv")), "out": "out",
+            "anchor": "christmas", "years": "2010-2011", "country": "US",
+            "holiday_weeks": "2010-12-26,2011-12-25", "holiday": "xmas", "dims": "v,a",
+            "threshold": "1.5", "min_overlap": "2", "shift": "3", "bins": "3",
+            "var_threshold": "0.9", "permutations": "9", "seed": "1", "n_years": "1",
+            "records_per_week": "7"}
+
+
+# No large numbers: no value asks --bins, --permutations or synth for big work
+ARGV_POOL = ["0", "1", "2", "3", "-1", "0.5", "nan", "inf", "1e400", "", ",", "x", "٣"]
+
+
+@st.composite
+def subcommand_argv(draw, command: str, valid: dict[str, str]) -> list[str]:
+    """``command`` with each of its options omitted or given a valid value,
+    an absent path or a value from ``ARGV_POOL``, in a drawn order."""
+    options = []
+    for action in _build_parser()[1][command]._actions:
+        flag = action.option_strings[0]
+        if action.dest == "help":
+            continue
+        if action.nargs == 0:  # a switch
+            options += [[flag]] if draw(st.booleans()) else []
+            continue
+        value = draw(st.sampled_from([None, "valid", "valid", "valid", "absent", "pool"]))
+        if value == "valid":
+            value = valid[action.dest]
+        elif value == "pool":
+            value = draw(st.sampled_from(ARGV_POOL))
+        options += [[flag, value]] if value is not None else []
+    return [command] + [part for option in draw(st.permutations(options)) for part in option]
+
+
+class TestArgvFuzz:
+    """Every subcommand, on any argv its options allow, ends in an exit
+    code and never an exception, and a usage error creates no --out."""
+
+    @pytest.mark.parametrize("command", sorted(_build_parser()[1]))
+    def test_every_subcommand(self, tmp_path, command):
+        @settings(max_examples=40, deadline=None)
+        @given(argv=subcommand_argv(command, tiny_inputs(tmp_path)))
+        def check(argv):
+            cwd = os.getcwd()
+            with tempfile.TemporaryDirectory() as run_dir:
+                os.chdir(run_dir)  # relative paths, --out among them, start out absent
+                try:
+                    code, err = run_quietly(argv)
+                    assert code in (0, 1, 2, 3), (argv, err)
+                    assert "Traceback" not in err
+                    out = argv[argv.index("--out") + 1] if "--out" in argv else ""
+                    if code == 1 and out:
+                        assert not Path(out).exists(), (argv, err)
+                finally:
+                    os.chdir(cwd)
+
+        check()
 
 
 class TestMalformedRecords:
