@@ -67,19 +67,6 @@ def _ranged(kind, rule: str, ok):
 _DIM_ALIASES = {"v": "valence", "a": "arousal", "d": "dominance"}
 
 
-def _need(args, *names: str) -> None:
-    missing = [n for n in names if getattr(args, n.replace("-", "_"), None) in (None, "")]
-    if missing:
-        raise UsageError("missing required option(s): " + ", ".join(f"--{n}" for n in missing))
-
-
-def _out_dir(args) -> Path:
-    _need(args, "out")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _parse_years(text: str) -> range:
     try:
         first, _, last = text.partition("-")
@@ -95,9 +82,12 @@ def _parse_years(text: str) -> range:
 
 def _parse_dates(text: str) -> list[dt.date]:
     try:
-        return [dt.date.fromisoformat(part.strip()) for part in text.split(",") if part.strip()]
+        days = [dt.date.fromisoformat(part.strip()) for part in text.split(",") if part.strip()]
     except ValueError as exc:
         raise UsageError(f"bad date list {text!r}: {exc}") from None
+    if len(set(days)) < len(days):
+        raise UsageError(f"repeated date in {text!r}")
+    return days
 
 
 def _parse_dims(text: str) -> list[str]:
@@ -127,7 +117,6 @@ def _fold_scored(args, manifest: RunManifest, fold) -> dict[str, int]:
     scored records (only those of ``--country``, when it is given) to
     ``fold(country codes, GMT day ordinals, (n, 3) scores)`` in input
     order; returns each country's code, in first-seen order."""
-    _need(args, "out", "records", "lexicons")  # callers make --out only after reading
     manifest.add_input(args.records)
     manifest.add_input(args.lexicons)
     scorer = sentiment.Scorer(sentiment.load_lexicons(args.lexicons), _stoplist(args, manifest))
@@ -155,14 +144,12 @@ def _fold_scored(args, manifest: RunManifest, fold) -> dict[str, int]:
 # ------------------------------------------------------------------ subcommands
 
 def cmd_center(args, manifest: RunManifest) -> None:
-    _need(args, "series", "anchor")
     try:
         kind = AnchorKind(args.anchor)
     except ValueError:
         raise UsageError(f"unknown anchor {args.anchor!r}; expected one of "
                          + ", ".join(k.value for k in AnchorKind)) from None
     years = _parse_years(args.years)
-    out = _out_dir(args)
     manifest.add_input(args.series)
     series = io.read_weekly_series(args.series)
     if kind is AnchorKind.EID_AL_FITR and args.eid_dates:
@@ -172,17 +159,17 @@ def cmd_center(args, manifest: RunManifest) -> None:
     centered = build_centered_years(series, cal, warnings=warnings)
     if not centered:
         raise DataError("no complete centered years in the series span")
+    avg = average_years(normalize_yearly_max(centered))
+    z = zscore(avg.weeks)
+    anchor_z = float(z[cal.anchor_week_index - 1])
     manifest.counts["centered_years"] = len(centered)
     manifest.counts["dropped_weeks"] = sum(len(y.dropped_weeks) for y in centered)
     manifest.warnings.extend(warnings)
-    io.write_centered_years(out / "centered.csv", centered)
-    avg = average_years(normalize_yearly_max(centered))
-    io.write_averaged_year(out / "averaged.csv", avg)
-    z = zscore(avg.weeks)
-    io.write_table(out / "zscores.csv", ["week_index", "z"],
+    io.write_centered_years(args.out / "centered.csv", centered)
+    io.write_averaged_year(args.out / "averaged.csv", avg)
+    io.write_table(args.out / "zscores.csv", ["week_index", "z"],
                    [[i, float(v)] for i, v in enumerate(z, start=1)])
-    anchor_z = float(z[cal.anchor_week_index - 1])
-    io.write_table(out / "anchor_z.csv", ["anchor", "week_index", "z"],
+    io.write_table(args.out / "anchor_z.csv", ["anchor", "week_index", "z"],
                    [[kind.value, cal.anchor_week_index, anchor_z]])
     print(f"{len(centered)} centered years; anchor-week z = {anchor_z:.3f}")
 
@@ -198,30 +185,28 @@ _AGREEMENT_HEADER = ["group_kind", "group", "anchor", "n_group", "n_above", "pct
 def _classified(args, manifest: RunManifest):
     """Classify the z table's countries; write classification.csv and agreement.csv.
 
-    Returns the output directory, the z rows, the profiles and the cohort
-    agreement rows.
+    Returns the z rows, the profiles and the cohort agreement rows.
     """
-    out = _out_dir(args)
     if args.zscores:
         manifest.add_input(args.zscores)
     zrows = io.read_zscore_table(args.zscores or None)
     profiles = countries.build_profiles(zrows, args.threshold, args.orthodox_as_other)
+    agreement = countries.cohort_agreement(profiles, args.threshold)
     manifest.counts["countries"] = len(profiles)
-    io.write_table(out / "classification.csv", _CLASSIFICATION_HEADER, [
+    io.write_table(args.out / "classification.csv", _CLASSIFICATION_HEADER, [
         [p.code, p.name, p.identification, p.hemisphere,
          p.response.z_christmas, p.response.z_eid, p.response.z_june, p.response.z_dec,
          p.classification.label, "+".join(p.classification.basis),
          "yes" if p.classification.tie_resolved else "no"]
         for p in profiles
     ])
-    agreement = countries.cohort_agreement(profiles, args.threshold)
-    io.write_table(out / "agreement.csv", _AGREEMENT_HEADER,
+    io.write_table(args.out / "agreement.csv", _AGREEMENT_HEADER,
                    [[r[k] for k in _AGREEMENT_HEADER] for r in agreement])
-    return out, zrows, profiles, agreement
+    return zrows, profiles, agreement
 
 
 def cmd_classify(args, manifest: RunManifest) -> None:
-    _, _, profiles, _ = _classified(args, manifest)
+    _, profiles, _ = _classified(args, manifest)
     labels = {label: sum(1 for p in profiles if p.classification.label == label)
               for label in ("Christian", "Muslim", "Other")}
     print(f"classified {len(profiles)} countries: " +
@@ -229,26 +214,22 @@ def cmd_classify(args, manifest: RunManifest) -> None:
 
 
 def cmd_compare_terms(args, manifest: RunManifest) -> None:
-    _need(args, "a", "b")
-    out = _out_dir(args)
     manifest.add_input(args.a)
     manifest.add_input(args.b)
     a = io.read_weekly_series(args.a)
     b = io.read_weekly_series(args.b)
     ratio, r = countries.compare_search_terms(a, b, args.min_overlap)
-    io.write_table(out / "compare.csv", ["volume_ratio", "pearson_r"], [[ratio, r]])
+    io.write_table(args.out / "compare.csv", ["volume_ratio", "pearson_r"], [[ratio, r]])
     manifest.counts["weeks_a"] = len(a)
     manifest.counts["weeks_b"] = len(b)
     print(f"volume ratio = {io.fmt(ratio)}, pearson r = {io.fmt(r)}")
 
 
 def cmd_births(args, manifest: RunManifest) -> None:
-    _need(args, "births")
-    out = _out_dir(args)
     manifest.add_input(args.births)
     data = io.read_births(args.births)
     shifted = {country: normalize_births(entries, args.shift) for country, entries in data.items()}
-    rows = io.write_birth_series(out / "shifted_births.csv", shifted)
+    rows = io.write_birth_series(args.out / "shifted_births.csv", shifted)
     manifest.counts["countries"] = len(shifted)
     manifest.counts["rows"] = rows
     print(f"shifted birth series for {len(shifted)} countries ({rows} rows)")
@@ -277,7 +258,7 @@ def cmd_score(args, manifest: RunManifest) -> None:
         if n_gaps:
             manifest.warnings.append(f"{country}: {n_gaps} gap weeks with no scored records")
     _warn_low_confidence(manifest, n_low)
-    io.write_weekly_mood(_out_dir(args) / "weekly_mood.csv", rows)
+    io.write_weekly_mood(args.out / "weekly_mood.csv", rows)
     manifest.counts["countries"] = len(wanted)
     manifest.counts["weekly_rows"] = len(rows)
     print(f"wrote weekly means for {len(wanted)} countries ({len(rows)} rows)")
@@ -291,34 +272,22 @@ def cmd_bin(args, manifest: RunManifest) -> None:
     if not country:
         scored = bins.groups()
         present = [name for name, code in codes.items() if code in scored and name != "unknown"]
-        if len(present) != 1:
+        if len(present) > 1:
             raise UsageError("--country is required when records cover several countries")
+        if not present:
+            raise DataError("the records hold no scored record for any country")
         country = present[0]
     binned = bins.binned(codes.get(country, -1))
     if not binned:
         raise DataError(f"no scored records for country {country!r}")
     weeks = binned[::len(sentiment.DIMENSIONS)]
     _warn_low_confidence(manifest, sum(w.n_scored < sentiment.LOW_CONFIDENCE_WEEK for w in weeks))
-    io.write_binned(_out_dir(args) / "binned.tsv",
+    io.write_binned(args.out / "binned.tsv",
                     [(b.week_start, b.dimension, b.n_scored, b.probs) for b in binned],
                     args.bins)
     manifest.counts["weeks"] = len(weeks)
     manifest.counts["binned_rows"] = len(binned)
     print(f"binned {len(weeks)} weeks for {country} into {args.bins} bins")
-
-
-def _load_matrices(args, manifest: RunManifest) -> dict[str, em.BinnedMoodMatrix]:
-    _need(args, "binned")
-    manifest.add_input(args.binned)
-    data = io.read_binned(args.binned)
-    dims = _parse_dims(args.dims)
-    matrices = {}
-    for dim in dims:
-        if dim not in data:
-            raise DataError(f"{args.binned}: no rows for dimension {dim!r}")
-        weeks, _, probs = data[dim]
-        matrices[dim] = em.BinnedMoodMatrix(dimension=dim, week_starts=tuple(weeks), matrix=probs)
-    return matrices
 
 
 @contextmanager
@@ -330,40 +299,48 @@ def _naming(path):
         raise type(exc)(f"{path}: {exc}") from exc
 
 
-def _holiday_rows(args, matrices: dict[str, em.BinnedMoodMatrix]) -> list[int]:
-    _need(args, "holiday-weeks")
+def _holiday_rows(days: list[dt.date], matrices: dict[str, em.BinnedMoodMatrix]):
+    """The week list every loaded dimension shares, and the holiday weeks' rows in it."""
     (first, matrix), *others = matrices.items()
     weeks = matrix.week_starts
     for dim, other in others:
         if other.week_starts != weeks:
             raise DataError(f"binned dimensions {first} and {dim} disagree on their week lists")
     rows = []
-    for day in _parse_dates(args.holiday_weeks):
+    for day in days:
         try:
             rows.append(weeks.index(day))
         except ValueError:
             raise DataError(f"holiday week {day} is not present in the binned data") from None
-    return rows
+    return weeks, rows
 
 
 def _select(args, manifest: RunManifest):
-    matrices = _load_matrices(args, manifest)
+    dims, days = _parse_dims(args.dims), _parse_dates(args.holiday_weeks)
+    manifest.add_input(args.binned)
+    data = io.read_binned(args.binned)
+    matrices = {}
+    for dim in dims:
+        if dim not in data:
+            raise DataError(f"{args.binned}: no rows for dimension {dim!r}")
+        weeks, _, probs = data[dim]
+        matrices[dim] = em.BinnedMoodMatrix(dimension=dim, week_starts=tuple(weeks), matrix=probs)
     with _naming(args.binned):
-        rows = _holiday_rows(args, matrices)
+        weeks, rows = _holiday_rows(days, matrices)
         decs = {dim: em.decompose(m) for dim, m in matrices.items()}
         mood = em.select_eigenmood(decs, rows, holiday=args.holiday,
                                    var_threshold=args.var_threshold, alt_score=args.alt_score)
-    manifest.counts["weeks"] = next(iter(matrices.values())).n_weeks
+    manifest.counts["weeks"] = len(weeks)
     manifest.counts["holiday_weeks"] = len(rows)
     manifest.counts["candidates"] = len(mood.selection)
-    return matrices, decs, rows, mood
+    return weeks, matrices, decs, rows, mood
 
 
-def _write_eigenmood_json(out: Path, mood: em.Eigenmood, args) -> None:
+def _write_eigenmood_json(mood: em.Eigenmood, args) -> None:
     # component indices are reported both absolute (1 = base distribution)
     # and relative to the post-baseline tail, since either convention is
     # common when naming components like "v4".
-    io.write_json(out / "eigenmood.json", {
+    io.write_json(args.out / "eigenmood.json", {
         "holiday": mood.holiday,
         "var_threshold": args.var_threshold,
         "alt_score": bool(args.alt_score),
@@ -380,20 +357,13 @@ def _write_eigenmood_json(out: Path, mood: em.Eigenmood, args) -> None:
     })
 
 
-def _projections(matrices, mood) -> tuple[tuple, list[em.WeekProjection]]:
-    needed = {c.dimension for c in mood.components}
-    weeks = next(iter(matrices.values())).week_starts
-    projs = em.project_weeks(mood, {d: matrices[d] for d in needed})
-    return weeks, projs
-
-
 def cmd_eigenmood(args, manifest: RunManifest) -> None:
-    matrices, decs, rows, mood = _select(args, manifest)
+    weeks, matrices, decs, rows, mood = _select(args, manifest)
 
-    # linguistic characterization of the holiday's mean reconstructed change,
-    # per dimension actually selected; it needs 25 bins, so it is computed
-    # before any output is written
-    ling_rows = []
+    # per selected dimension, the linguistic characterization of the
+    # holiday's mean reconstructed change (it needs 25 bins) and the heatmap
+    # of the two-component reconstruction, computed before any output is written
+    ling_rows, heatmaps = [], {}
     for dim in sentiment.DIMENSIONS:
         comps = [c for c in mood.components if c.dimension == dim]
         if not comps:
@@ -407,8 +377,8 @@ def cmd_eigenmood(args, manifest: RunManifest) -> None:
             response = em.linguistic_response(recon_row)
         for level, value in response.items():
             ling_rows.append([dim, level, value])
-
-    out = _out_dir(args)
+        heatmaps[dim] = em.heatmap(dec.reconstruct([c.index for c in comps]))
+    projs = em.project_weeks(mood, matrices)
 
     dec_rows = []
     for dim in sentiment.DIMENSIONS:
@@ -416,7 +386,7 @@ def cmd_eigenmood(args, manifest: RunManifest) -> None:
             dec = decs[dim]
             for k in range(1, dec.rank + 1):
                 dec_rows.append([dim, k, float(dec.S[k - 1]), float(dec.rel_var[k - 1])])
-    io.write_table(out / "decomposition.csv",
+    io.write_table(args.out / "decomposition.csv",
                    ["dimension", "component", "singular_value", "rel_var"], dec_rows)
 
     selected = {(c.dimension, c.index) for c in mood.components}
@@ -425,26 +395,22 @@ def cmd_eigenmood(args, manifest: RunManifest) -> None:
          "yes" if (c.dimension, c.index) in selected else "no"]
         for rank, c in enumerate(mood.selection, start=1)
     ]
-    io.write_table(out / "selection.csv",
+    io.write_table(args.out / "selection.csv",
                    ["rank", "dimension", "component", "component_after_baseline",
                     "mean", "std", "score", "selected"], sel_rows)
-    _write_eigenmood_json(out, mood, args)
+    _write_eigenmood_json(mood, args)
 
-    weeks, projs = _projections(matrices, mood)
-    io.write_table(out / "projections.csv", ["week_start", "coord1", "coord2"],
+    io.write_table(args.out / "projections.csv", ["week_start", "coord1", "coord2"],
                    [[w.isoformat(), p.coords[0], p.coords[1]] for w, p in zip(weeks, projs)])
 
-    io.write_table(out / "linguistic.csv", ["dimension", "level", "response"], ling_rows)
+    io.write_table(args.out / "linguistic.csv", ["dimension", "level", "response"], ling_rows)
 
-    # heatmaps of the two-component reconstruction, one per selected dimension
-    for dim in sorted({c.dimension for c in mood.components}):
-        comps = [c for c in mood.components if c.dimension == dim]
-        dev, signs = em.heatmap(decs[dim].reconstruct([c.index for c in comps]))
-        weeks_header = [w.isoformat() for w in matrices[dim].week_starts]
-        io.write_table(out / f"heatmap_{dim}.tsv", ["bin"] + weeks_header,
+    header = ["bin"] + [w.isoformat() for w in weeks]
+    for dim, (dev, signs) in heatmaps.items():
+        io.write_table(args.out / f"heatmap_{dim}.tsv", header,
                        [[b + 1] + [float(v) for v in row] for b, row in enumerate(dev)],
                        delimiter="\t")
-        io.write_table(out / f"heatmap_{dim}_signs.tsv", ["bin"] + weeks_header,
+        io.write_table(args.out / f"heatmap_{dim}_signs.tsv", header,
                        [[b + 1] + row for b, row in enumerate(signs)], delimiter="\t")
 
     print(f"eigenmood for {mood.holiday}: {mood.labels[0]}, {mood.labels[1]} "
@@ -452,18 +418,17 @@ def cmd_eigenmood(args, manifest: RunManifest) -> None:
 
 
 def cmd_similarity(args, manifest: RunManifest) -> None:
-    matrices, decs, rows, mood = _select(args, manifest)
-    out = _out_dir(args)
-    weeks, projs = _projections(matrices, mood)
+    weeks, matrices, _, rows, mood = _select(args, manifest)
+    projs = em.project_weeks(mood, matrices)
     holiday_mean = em.mean_projection([projs[r] for r in rows])
     sims = [em.similarity(p, holiday_mean) for p in projs]
-    io.write_table(out / "projections.csv",
+    io.write_table(args.out / "projections.csv",
                    ["week_start", "coord1", "coord2", "similarity"],
                    [[w.isoformat(), p.coords[0], p.coords[1], s]
                     for w, p, s in zip(weeks, projs, sims)])
-    io.write_table(out / "similarity.csv", ["week_start", "similarity"],
+    io.write_table(args.out / "similarity.csv", ["week_start", "similarity"],
                    [[w.isoformat(), s] for w, s in zip(weeks, sims)])
-    _write_eigenmood_json(out, mood, args)
+    _write_eigenmood_json(mood, args)
     print(f"projected {len(weeks)} weeks onto {mood.labels[0]}, {mood.labels[1]}")
 
 
@@ -479,11 +444,9 @@ def _joined(y_path: str, x_paths: list[str]) -> tuple[np.ndarray, np.ndarray, li
 
 
 def cmd_regress(args, manifest: RunManifest) -> None:
-    _need(args, "y", "x")
     x_paths = [p.strip() for p in args.x.split(",") if p.strip()]
     if not x_paths:
         raise UsageError(f"--x names no file: {args.x!r}")
-    out = _out_dir(args)
     manifest.add_input(args.y)
     for p in x_paths:
         manifest.add_input(p)
@@ -502,16 +465,14 @@ def cmd_regress(args, manifest: RunManifest) -> None:
         rows.append([f"t_{name}", float(result.t_stats[i])])
         rows.append([f"t_pvalue_{name}", float(result.t_pvalues[i])])
         rows.append([f"t_pvalue_bonferroni_{name}", float(bonf[i])])
-    io.write_table(out / "regression.csv", ["field", "value"], rows)
+    io.write_table(args.out / "regression.csv", ["field", "value"], rows)
     print(f"OLS on {result.n} observations: R^2 = {result.r_squared:.4f}, "
           f"F p = {result.f_pvalue:.3g}")
 
 
 def cmd_dcor(args, manifest: RunManifest) -> None:
-    _need(args, "x", "y")
     if args.permutations > 0 and args.seed is None:
         raise UsageError("--seed is required when --permutations > 0")
-    out = _out_dir(args)
     manifest.add_input(args.x)
     manifest.add_input(args.y)
     X, y, _ = _joined(args.y, [args.x])
@@ -521,13 +482,13 @@ def cmd_dcor(args, manifest: RunManifest) -> None:
         rows += [["permutation_p", p], ["n_permutations", float(args.permutations)]]
         manifest.counts["permutations"] = args.permutations
     manifest.counts["observations"] = len(y)
-    io.write_table(out / "dcor.csv", ["field", "value"], rows)
+    io.write_table(args.out / "dcor.csv", ["field", "value"], rows)
     print(f"dCov = {io.fmt(dcov)}, dCor = {io.fmt(dcor)}" +
           (f", p = {io.fmt(p)}" if p is not None else ""))
 
 
 def cmd_report(args, manifest: RunManifest) -> None:
-    out, zrows, profiles, agreement = _classified(args, manifest)
+    zrows, profiles, agreement = _classified(args, manifest)
 
     expected = io.expected_agreement()
     actual = {(r["group_kind"], r["group"], r["anchor"]): r["pct"] for r in agreement}
@@ -544,7 +505,7 @@ def cmd_report(args, manifest: RunManifest) -> None:
             mismatches += 1
         check_rows.append(list(key) + [expected[key], "" if got is None else got,
                                        "yes" if ok else "NO"])
-    io.write_table(out / "agreement_check.csv",
+    io.write_table(args.out / "agreement_check.csv",
                    ["group_kind", "group", "anchor", "expected_pct", "actual_pct", "match"],
                    check_rows)
     manifest.counts["cells_checked"] = len(check_rows)
@@ -570,7 +531,7 @@ def cmd_report(args, manifest: RunManifest) -> None:
         f"Expected-table check: {len(check_rows) - mismatches}/{len(check_rows)} cells match.",
         "",
     ]
-    with io.atomic_write(out / "report.md") as fh:
+    with io.atomic_write(args.out / "report.md") as fh:
         fh.write("\n".join(lines))
     status = "all cells match" if mismatches == 0 else f"{mismatches} MISMATCHES"
     print(f"report written ({status})")
@@ -586,8 +547,7 @@ def cmd_synth(args, manifest: RunManifest) -> None:
     except DataError as exc:
         raise UsageError(f"--n-years {args.n_years}, --records-per-week "
                          f"{args.records_per_week}: {exc}") from None
-    out = _out_dir(args)
-    summary = synth.generate_synthetic(out, spec)
+    summary = synth.generate_synthetic(args.out, spec)
     manifest.counts["records"] = summary["n_records"]
     manifest.counts["weeks"] = summary["n_weeks"]
     print(f"synthetic corpus: {summary['n_records']} records over {summary['n_weeks']} weeks "
@@ -606,14 +566,16 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     count = _ranged(int, "at least 0", lambda n: n >= 0)
     pairs = _ranged(int, "at least 2", lambda n: n >= 2)  # two bins, or two points for an r
 
-    def add(name: str, func, help_text: str) -> _Parser:
+    def add(name: str, func, help_text: str, need=()) -> _Parser:
+        """Declare a subcommand; ``main`` checks --out and the ``need`` options before it runs."""
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, need=("out", *need))
         p.add_argument("--out", help="output directory")
         commands[name] = p
         return p
 
-    p = add("center", cmd_center, "re-center a weekly series on a recurring anchor")
+    p = add("center", cmd_center, "re-center a weekly series on a recurring anchor",
+            need=("series", "anchor"))
     p.add_argument("--series", help="weekly series CSV (week_start,value)")
     p.add_argument("--anchor", help="civil | christmas | eid-al-fitr | june-solstice | december-solstice")
     p.add_argument("--years", default="2004-2013", help="solar anchor year range, e.g. 2004-2013")
@@ -625,12 +587,14 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--orthodox-as-other", action="store_true",
                    help="group January-Christmas countries as Other")
 
-    p = add("compare-terms", cmd_compare_terms, "volume ratio and correlation of two series")
+    p = add("compare-terms", cmd_compare_terms, "volume ratio and correlation of two series",
+            need=("a", "b"))
     p.add_argument("--a", help="numerator weekly series CSV")
     p.add_argument("--b", help="reference weekly series CSV")
     p.add_argument("--min-overlap", type=pairs, default=8, help="minimum overlapping weeks")
 
-    p = add("births", cmd_births, "normalize monthly births and shift to conception months")
+    p = add("births", cmd_births, "normalize monthly births and shift to conception months",
+            need=("births",))
     p.add_argument("--births", help="monthly births CSV (country,year,month,count)")
     p.add_argument("--shift", type=_ranged(int, "in [0, 12)", lambda n: 0 <= n < 12), default=9,
                    help="months to shift back (default 9)")
@@ -639,7 +603,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
         ("score", cmd_score, "score text records and aggregate weekly means"),
         ("bin", cmd_bin, "score text records and bin weekly distributions"),
     ):
-        p = add(name, func, help_text)
+        p = add(name, func, help_text, need=("records", "lexicons"))
         p.add_argument("--records", help="TSV records: timestamp_utc, country, text")
         p.add_argument("--lexicons", help="lexicon CSV (language,word,valence,arousal,dominance)")
         p.add_argument("--stoplist", help="greeting stoplist file (default: bundled list)")
@@ -653,7 +617,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
         ("eigenmood", cmd_eigenmood, "decompose binned weeks and select a holiday eigenmood"),
         ("similarity", cmd_similarity, "project weeks and compare them with the holiday mean"),
     ):
-        p = add(name, func, help_text)
+        p = add(name, func, help_text, need=("binned", "holiday-weeks"))
         p.add_argument("--binned", help="binned TSV from the bin stage")
         p.add_argument("--holiday-weeks", help="comma-separated week-start dates of the holiday")
         p.add_argument("--holiday", default="holiday", help="name for the anchor in outputs")
@@ -664,11 +628,13 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
         p.add_argument("--alt-score", action="store_true",
                        help="rank candidates by |mean - std| instead of |mean| - std")
 
-    p = add("regress", cmd_regress, "ordinary least squares between keyed CSV files")
+    p = add("regress", cmd_regress, "ordinary least squares between keyed CSV files",
+            need=("y", "x"))
     p.add_argument("--y", help="response CSV (key,value)")
     p.add_argument("--x", help="regressor CSV, or several comma-separated")
 
-    p = add("dcor", cmd_dcor, "distance covariance/correlation with permutation test")
+    p = add("dcor", cmd_dcor, "distance covariance/correlation with permutation test",
+            need=("x", "y"))
     p.add_argument("--x", help="regressor CSV (key,value)")
     p.add_argument("--y", help="response CSV (key,value)")
     p.add_argument("--permutations", type=count, default=999,
@@ -734,11 +700,14 @@ def main(argv: list[str] | None = None) -> int:
             parser.print_usage(sys.stderr)
             print("moodcycles: a subcommand is required", file=sys.stderr)
             return 1
-        settings = {k: v for k, v in vars(args).items() if k not in ("func", "config")}
+        missing = [f"--{n}" for n in args.need if getattr(args, n.replace("-", "_")) in (None, "")]
+        if missing:
+            raise UsageError("missing required option(s): " + ", ".join(missing))
+        settings = {k: v for k, v in vars(args).items() if k not in ("func", "need", "config")}
         manifest = RunManifest(command=args.command, config_hash=config_hash(settings))
+        args.out = Path(args.out)  # made by the stage's first write, so a failed stage leaves none
         args.func(args, manifest)
-        if getattr(args, "out", None):
-            write_manifest(args.out, manifest)
+        write_manifest(args.out, manifest)
         return 0
     except UsageError as exc:
         print(str(exc), file=sys.stderr)

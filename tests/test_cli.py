@@ -67,6 +67,7 @@ class TestExitCodes:
                    "--b", str(tmp_path / "absent.csv"), "--out", str(tmp_path / "out"))
         assert code == 2
         assert "data error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_degenerate_numerics_exit_three(self, tmp_path, capsys):
         x, y = tmp_path / "x.csv", tmp_path / "y.csv"
@@ -76,6 +77,51 @@ class TestExitCodes:
                    "--permutations", "0", "--out", str(tmp_path / "out"))
         assert code == 3
         assert "numerical error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case", ["terms-apart", "regress-collinear", "center-zero-year",
+                                      "bin-unscored", "bin-unknown-only"])
+    def test_a_failed_stage_creates_no_out(self, tmp_path, capsys, case):
+        # --out appears with a stage's first artifact, after every check
+        write_series(tmp_path / "a.csv", "2010-01-03", [1.0, 2.0])
+        write_series(tmp_path / "b.csv", "2011-01-02", [1.0, 2.0])
+        write_series(tmp_path / "zero.csv", "2010-01-03", [0.0] * 156)
+        write_keyed(tmp_path / "k.csv", [("a", 1.0), ("b", 2.0), ("c", 4.0), ("d", 3.0)])
+        (tmp_path / "lex.csv").write_text(LEXICON_CSV)
+        (tmp_path / "zzz.tsv").write_text("2010-01-03T08:00:00Z\tUS\tzzz\n"
+                                          "2010-01-04T08:00:00Z\tGB\tzzz\n")
+        (tmp_path / "unknown.tsv").write_text("2010-01-03T08:00:00Z\tunknown\tsun\n")
+        def f(name):
+            return str(tmp_path / name)
+        records = ["--lexicons", f("lex.csv"), "--no-stoplist", "--records"]
+        argv, code, message = {
+            "terms-apart": (["compare-terms", "--a", f("a.csv"), "--b", f("b.csv")], 2,
+                            "overlap 0 weeks"),
+            "regress-collinear": (["regress", "--y", f("k.csv"), "--x", f"{f('k.csv')},{f('k.csv')}"],
+                                  3, "rank-deficient"),
+            "center-zero-year": (["center", "--series", f("zero.csv"), "--anchor", "christmas",
+                                  "--years", "2010-2011"], 3, "no positive value"),
+            "bin-unscored": (["bin", *records, f("zzz.tsv")], 2, "no scored record"),
+            "bin-unknown-only": (["bin", *records, f("unknown.tsv")], 2, "no scored record"),
+        }[case]
+        assert run(*argv, "--out", str(tmp_path / "out")) == code
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("stage", ["eigenmood", "similarity"])
+    @pytest.mark.parametrize("options, message", [
+        (["--dims", "bogus", "--holiday-weeks", "2010-01-03"], "unknown dimension 'bogus'"),
+        ([], "missing required option(s): --holiday-weeks"),
+        (["--holiday-weeks", "2010-01-03, 2010-01-03"], "repeated date"),
+    ], ids=["bad-dims", "no-holiday-weeks", "repeated-week"])
+    def test_binned_stage_usage_errors_precede_the_read(self, tmp_path, capsys, stage, options,
+                                                        message):
+        out = tmp_path / "out"
+        assert run(stage, "--binned", str(tmp_path / "absent.tsv"), *options, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_dcor_requires_a_seed_for_permutations(self, tmp_path, capsys):
         x = tmp_path / "x.csv"
@@ -442,7 +488,8 @@ class TestColumnarStages:
             present = sorted({r.country for r in scored if r.country != "unknown" and r.score})
             chosen = country or (present[0] if len(present) == 1 else None)
             by_week = sentiment.weekly_scores(scored, chosen) if chosen else {}
-            assert code == (1 if chosen is None else 2 if not by_week else 0)
+            # several scored countries need --country; none at all is a data error
+            assert code == (1 if len(present) > 1 and not country else 2 if not by_week else 0)
             if code == 0:
                 binned = sentiment.bin_weeks(by_week)
                 io.write_binned(tmp / "binned.tsv", [
@@ -880,7 +927,7 @@ def subcommand_argv(draw, command: str, valid: dict[str, str]) -> list[str]:
 
 class TestArgvFuzz:
     """Every subcommand, on any argv its options allow, ends in an exit
-    code and never an exception, and a usage error creates no --out."""
+    code and never an exception, and a run that fails creates no --out."""
 
     @pytest.mark.parametrize("command", sorted(_build_parser()[1]))
     def test_every_subcommand(self, tmp_path, command):
@@ -895,7 +942,7 @@ class TestArgvFuzz:
                     assert code in (0, 1, 2, 3), (argv, err)
                     assert "Traceback" not in err
                     out = argv[argv.index("--out") + 1] if "--out" in argv else ""
-                    if code == 1 and out:
+                    if code != 0 and out:
                         assert not Path(out).exists(), (argv, err)
                 finally:
                     os.chdir(cwd)
