@@ -108,7 +108,11 @@ def _stoplist(args, manifest: RunManifest) -> sentiment.GreetingStoplist | None:
         return None
     if getattr(args, "stoplist", None):
         manifest.add_input(args.stoplist)
-        return sentiment.GreetingStoplist(io.read_stoplist_lines(args.stoplist))
+        phrases = io.read_stoplist_lines(args.stoplist)
+        try:
+            return sentiment.GreetingStoplist(phrases)
+        except DataError as exc:
+            raise DataError(f"{args.stoplist}: {exc}") from None
     return sentiment.GreetingStoplist.default()
 
 

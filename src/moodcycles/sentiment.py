@@ -118,9 +118,9 @@ class GreetingStoplist:
         cleaned = []
         seen = set()
         for phrase in phrases:
+            if not tokenize(phrase):
+                raise DataError(f"stoplist phrase {phrase!r} has no letter")
             tokens = _RUN.findall(phrase.lower())
-            if not tokens:
-                raise DataError("stoplist contains an empty phrase")
             key = tuple(tokens)
             if key not in seen:
                 seen.add(key)
@@ -134,9 +134,9 @@ class GreetingStoplist:
             for token in ts:
                 node = node.setdefault(token.translate(self._fold), {})
             node[_END] = True
-        # cheap prefilter: texts with no ``tokenize`` token that starts a
-        # phrase skip matching
-        self._first_tokens = frozenset(ts[0] for ts in cleaned)
+        # cheap prefilter: texts without the first ``tokenize`` token of any
+        # phrase skip matching ("4th of july" is keyed on "th")
+        self._first_tokens = frozenset(tokenize(phrase)[0] for phrase in self.phrases)
 
     @classmethod
     def default(cls) -> "GreetingStoplist":
@@ -268,16 +268,19 @@ class ScoreColumns(NamedTuple):
 class Scorer:
     """``score_text``'s rule over a chunk of texts at a time, as arrays, bit for bit.
 
-    One table, built once, gives an id to each lexicon word, each first
-    token of a stoplist phrase and the text separator ``"\n"``, and maps
-    each word id to its entries in every lexicon that matches it. ``score``
-    joins a chunk's texts with the separator (a separator inside a text
-    becomes a space), lowers the result and splits it with one regex pass
-    into tokens and separators; tokens map to ids, and a cumulative count
-    of separators gives each token's text. Texts with a token that starts
-    a stoplist phrase are stripped one by one; the tokens of those the
-    stoplist changes are replaced by the stripped text's, appended after
-    the rest. Each id expands to its lexicon entries, and one
+    A text's scores depend on the text alone, so ``score`` maps the chunk's
+    texts to their distinct values with one dict, scores each distinct text
+    once and gathers the rows back to one per text: a repeated text (a
+    retweet, a stock greeting) costs one dict lookup. One table, built once,
+    gives an id to each lexicon word, each first token of a stoplist phrase
+    and the text separator ``"\n"``, and maps each word id to its entries in
+    every lexicon that matches it. The distinct texts are joined with the
+    separator (a separator inside a text becomes a space), lowered and split
+    with one regex pass into tokens and separators; tokens map to ids, and a
+    cumulative count of separators gives each token's text. Texts with a
+    token that starts a stoplist phrase are stripped one by one; the tokens
+    of those the stoplist changes are replaced by the stripped text's,
+    appended after the rest. Each id expands to its lexicon entries, and one
     ``np.bincount`` over (text, lexicon) gives the match counts and one per
     dimension the sums. ``np.bincount`` adds its weights in input order,
     and a text's tokens stay in text order, so each sum runs in token order
@@ -312,9 +315,17 @@ class Scorer:
 
     def score(self, texts: Sequence[str]) -> ScoreColumns:
         """The scores of ``texts``, all at once: pass a chunk, not a corpus."""
-        m, n_lex, stoplist = len(texts), self._n_lex, self._stoplist
-        if m and not n_lex:
+        m = len(texts)
+        if m and not self._n_lex:
             raise DataError("need at least one lexicon")
+        first: dict[str, int] = {}  # each distinct text's row, first seen first
+        row = np.fromiter((first.setdefault(text, len(first)) for text in texts), np.intp, m)
+        n_matched, vad, won = self._score_distinct(list(first))
+        return ScoreColumns(n_matched[row], vad[row], won[row])
+
+    def _score_distinct(self, texts: list[str]) -> ScoreColumns:
+        """``score`` of distinct texts, one row per text."""
+        m, n_lex, stoplist = len(texts), self._n_lex, self._stoplist
         parts, joined = texts, _SEPARATOR.join(texts)
         if joined.count(_SEPARATOR) != max(m - 1, 0):
             # a space splits tokens as the separator does, and neither is

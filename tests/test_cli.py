@@ -223,6 +223,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{bad}:3" in err and "Traceback" not in err
 
+    def test_a_stoplist_phrase_without_a_letter_is_a_data_error(self, tmp_path, capsys):
+        records, lexicon, stoplist = tmp_path / "r.tsv", tmp_path / "lex.csv", tmp_path / "stop.txt"
+        records.write_text("2010-01-03T08:00:00Z\tUS\tsun\n")
+        lexicon.write_text(LEXICON_CSV)
+        stoplist.write_text("merry christmas\n2013!\n")
+        assert run("score", "--records", str(records), "--lexicons", str(lexicon),
+                   "--stoplist", str(stoplist), "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert f"{stoplist}: stoplist phrase '2013!' has no letter" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestConfig:
     def test_config_supplies_options(self, tmp_path, capsys):
@@ -427,20 +438,36 @@ LEXICON_CSV = ("language,word,valence,arousal,dominance\n"
 COUNTRIES = ["US", "GB", "DE", "unknown"]
 
 
+# "merry" alone is a stoplist candidate the stoplist keeps
+TEXTS = st.lists(st.sampled_from(["sun", "rain", "joy", "sol", "lluvia", "zzz", "merry",
+                                  "Merry Christmas"]), max_size=4).map(" ".join)
+
+
 @st.composite
-def record_lines(draw):
+def record_lines(draw, texts=TEXTS):
     """A records line on one of six weeks, at a UTC offset or none."""
     stamp = dt.datetime(2010, 1, 1) + dt.timedelta(days=draw(st.integers(0, 41)),
                                                    minutes=draw(st.integers(0, 1439)))
     offset = draw(st.sampled_from(["Z", "", "+05:30", "-08:00"]))
-    words = draw(st.lists(st.sampled_from(["sun", "rain", "joy", "sol", "lluvia", "zzz",
-                                           "Merry Christmas"]), max_size=4))
-    return f"{stamp.isoformat()}{offset}\t{draw(st.sampled_from(COUNTRIES))}\t{' '.join(words)}"
+    return f"{stamp.isoformat()}{offset}\t{draw(st.sampled_from(COUNTRIES))}\t{draw(texts)}"
 
 
 # lines that end up in no chunk: malformed or blank
 SKIPPED_LINES = [b"", b"not-a-stamp\tUS\tsun", b"2010-01-05T08:00:00Z\tUS\tsun\textra",
                  b"2010-01-05T08:00:00Z\tUS", b"2010-01-05T08:00:00Z\tUS\tsu\xffn"]
+
+
+@st.composite
+def records_files(draw):
+    """The lines of a records file. In pool mode every text comes from a
+    pool of at most three (a greeting, "merry", a tie on "joy", an unscored
+    text), so chunks repeat texts within themselves and across their seams."""
+    texts = TEXTS
+    if draw(st.booleans()):
+        pool = st.one_of(TEXTS, st.sampled_from(["Merry Christmas sun", "merry", "joy", "zzz", ""]))
+        texts = st.sampled_from(draw(st.lists(pool, min_size=1, max_size=3)))
+    line = st.one_of(record_lines(texts).map(str.encode), st.sampled_from(SKIPPED_LINES))
+    return draw(st.lists(line, max_size=40))
 
 
 def manifest_entry(out, command):
@@ -452,8 +479,7 @@ class TestColumnarStages:
     ``weekly_scores`` → ``bin_weeks`` give, whatever the chunk size."""
 
     @settings(max_examples=60, deadline=None)
-    @given(lines=st.lists(st.one_of(record_lines().map(str.encode), st.sampled_from(SKIPPED_LINES)),
-                          max_size=40),
+    @given(lines=records_files(),
            country=st.sampled_from([None, *COUNTRIES]), stoplist=st.booleans(),
            chunk=st.integers(1, 7))
     def test_outputs_equal_the_adapter_path(self, lines, country, stoplist, chunk):

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from moodcycles import (
@@ -44,7 +44,8 @@ class RegexStoplist:
             r"(?<![^\W_])(?:" + alternation + r")(?![^\W_])",
             re.IGNORECASE | re.UNICODE,
         )
-        self._first_tokens = frozenset(ts[0] for ts in cleaned)
+        # the prefilter GreetingStoplist uses: a phrase's first letters-only token
+        self._first_tokens = frozenset(tokenize(phrase)[0] for phrase in stoplist.phrases)
 
     def strip(self, text: str) -> str:
         if self._first_tokens.isdisjoint(tokenize(text)):
@@ -124,8 +125,22 @@ class TestStoplist:
     def test_duplicate_and_empty_phrases(self):
         s = GreetingStoplist(["Happy Day", "happy day"])
         assert s.phrases == ["happy day"]
-        with pytest.raises(DataError):
-            GreetingStoplist(["..."])
+        # a phrase without a letter counts as empty: a data error naming it
+        for phrase in ["...", "2013 !"]:
+            with pytest.raises(DataError, match=re.escape(repr(phrase))):
+                GreetingStoplist(["merry christmas", phrase])
+
+    def test_a_phrase_whose_first_word_holds_a_digit_always_applies(self, english_lexicon):
+        # tokenize("4th") is ["th"], so the prefilter keys "4th of july" on "th"
+        stoplist = GreetingStoplist(["4th of july", "merry christmas"])
+        texts = ["4th of july laughter", "merry 4th of july laughter", "4TH of July!"]
+        assert [stoplist.strip(t) for t in texts] == ["laughter", "merry laughter", "!"]
+        expected = score_text("laughter", [english_lexicon])
+        assert score_text(texts[0], [english_lexicon], stoplist) == expected
+        assert score_text(texts[2], [english_lexicon], stoplist) is None
+        cols = sentiment.Scorer([english_lexicon], stoplist).score(texts)
+        assert cols.n_matched.tolist() == [1, 1, 0]
+        assert cols.vad[0].tolist() == [expected.valence, expected.arousal, expected.dominance]
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -268,7 +283,10 @@ class TestScoreTexts:
                                 max_size=8),
         removed_words=st.frozensets(st.sampled_from(WORDS), max_size=2),
     )
-    STOPLIST = GreetingStoplist(["feliz navidad", "sad joy", "joy"])
+    # "i sad" strips "İ SAD" and "İSAD".lower(), but not "İSAD": one run
+    # that re.IGNORECASE folds to "isad". So texts equal under str.lower
+    # can score apart.
+    STOPLIST = GreetingStoplist(["feliz navidad", "sad joy", "joy", "i sad"])
     # Arbitrary text beside the words, and pieces that a chunk-wide tokenizer
     # could get wrong at a seam: newlines, carriage returns, a final capital
     # sigma, a dotted capital I, digits, underscores and stoplist phrases.
@@ -280,6 +298,16 @@ class TestScoreTexts:
     )
     TEXT = st.lists(st.tuples(PIECE, st.sampled_from(["", " ", "\n"])), max_size=6).map(
         lambda pieces: "".join(piece + sep for piece, sep in pieces))
+    # Pool texts: a stoplist candidate it keeps ("sad"), texts it changes,
+    # an unscored one, words that shared lexicons tie on, and "İSAD", which
+    # scores apart from its lowered form.
+    POOLED = st.one_of(TEXT, st.sampled_from(["sad", "JOY", "sad joy sol", "feliz navidad mesa", "",
+                                              "zzz", "sol mesa", "İSAD", "ΣΟΣ", "σοσ"]))
+    # Texts drawn from a pool of at most four and their lowered forms, so
+    # chunks repeat texts within themselves and across their seams, and hold
+    # texts that are equal only under str.lower.
+    REPEATED = st.lists(POOLED, min_size=1, max_size=4).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool + [text.lower() for text in pool]), max_size=20))
 
     @settings(max_examples=400, deadline=None)
     @given(
@@ -291,9 +319,11 @@ class TestScoreTexts:
                                min_size=1, max_size=3),
                       st.integers(2, 4))),
         stoplist=st.sampled_from([None, STOPLIST]),
-        texts=st.lists(TEXT, max_size=20),
+        texts=st.one_of(st.lists(TEXT, max_size=20), REPEATED),
         chunk=st.integers(1, 7),
     )
+    @example(lexicons=[Lexicon("en", {"sad": (2.5, 5.0, 7.25)})], stoplist=STOPLIST,
+             texts=["İSAD", "İSAD".lower(), "İSAD"], chunk=3)
     def test_equals_score_text_across_chunk_seams(self, lexicons, stoplist, texts, chunk):
         with mock.patch.object(sentiment, "_CHUNK", chunk):
             cols = score_texts(texts, lexicons, stoplist)
