@@ -120,23 +120,26 @@ def _fold_scored(args, manifest: RunManifest, fold) -> dict[str, int]:
     """Read and score the records a chunk at a time, passing each chunk's
     scored records (only those of ``--country``, when it is given) to
     ``fold(country codes, GMT day ordinals, (n, 3) scores)`` in input
-    order; returns each country's code, in first-seen order."""
+    order; returns each country's code, in first-seen order. Each distinct
+    line of a chunk is scored and coded once, and its columns are gathered
+    back to the chunk's records."""
     manifest.add_input(args.records)
     manifest.add_input(args.lexicons)
     scorer = sentiment.Scorer(sentiment.load_lexicons(args.lexicons), _stoplist(args, manifest))
     codes: dict[str, int] = {}
     n = n_malformed = n_unscored = 0
-    for days, countries, texts, bad in io.read_record_chunks(args.records, sentiment._CHUNK):
+    for days, countries, texts, row, bad in io.read_record_chunks(args.records, sentiment._CHUNK):
         scores = scorer.score(texts)
         for country in dict.fromkeys(countries):  # each distinct country once, first seen first
             codes.setdefault(country, len(codes))
-        code = np.fromiter(map(codes.__getitem__, countries), np.intp, len(texts))
+        code = np.fromiter(map(codes.__getitem__, countries), np.intp, len(countries))
         scored = scores.n_matched > 0
         keep = scored & (code == codes.get(args.country, -1)) if args.country else scored
-        fold(code[keep], days[keep], scores.vad[keep])
-        n += len(texts)
+        kept = row[keep[row]]
+        fold(code[kept], days[kept], scores.vad[kept])
+        n += len(row)
         n_malformed += bad
-        n_unscored += len(texts) - int(np.count_nonzero(scored))
+        n_unscored += len(row) - int(np.count_nonzero(scored[row]))
     manifest.counts["records"] = n
     manifest.counts["records_malformed"] = n_malformed
     manifest.counts["records_unscored"] = n_unscored

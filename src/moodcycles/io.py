@@ -20,6 +20,7 @@ import tempfile
 from contextlib import contextmanager
 from importlib.resources import files as _package_files
 from io import StringIO
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -301,101 +302,110 @@ def read_stoplist_lines(path: str | Path | None = None) -> list[str]:
 _FIRST_SUNDAY = dt.datetime(1, 1, 7, tzinfo=dt.timezone.utc)
 
 
-def _record_lines(path: str | Path):
-    """The records file's non-empty lines, line endings removed. A lone
-    carriage return ends a line, as a newline does."""
+def _open_records(path: str | Path):
+    """The records file, opened so that lines keep their line ends and a
+    lone carriage return ends a line, as a newline does."""
     try:
-        handle = open(path, encoding="utf-8", errors="surrogateescape", newline="")
+        return open(path, encoding="utf-8", errors="surrogateescape", newline="")
     except OSError as exc:
         raise DataError(f"{path}: {exc}") from exc
-    with handle:
-        for line in handle:
-            line = line.rstrip("\n").rstrip("\r")
-            if line:
-                yield line
 
 
-def _fields(line: str) -> list[str] | None:
-    """A records line's (stamp, country, text) fields, or None when the line
-    is malformed: it has bytes that are not UTF-8 or a wrong field count."""
+def _record(line: str) -> tuple[dt.datetime, str, str] | None:
+    """A non-empty records line, line end removed, as (GMT datetime, country,
+    text); None when the line is malformed: it has bytes that are not UTF-8
+    or a wrong field count, its stamp is unparseable, or the stamp's GMT
+    day's Sunday week would start before 0001-01-01."""
     if not line.isascii():
         try:
             line.encode("utf-8")  # fails on the escapes of undecodable bytes
         except UnicodeEncodeError:
             return None
     parts = line.split("\t")
-    return parts if len(parts) == 3 else None
-
-
-def _gmt(stamp: str) -> dt.datetime | None:
-    """A stamp field as a GMT datetime, or None when the line is malformed:
-    the stamp is unparseable, or its GMT day's Sunday week would start
-    before 0001-01-01."""
-    gmt = parse_timestamp(stamp)
-    return None if gmt is None or gmt < _FIRST_SUNDAY else gmt
+    if len(parts) != 3:
+        return None
+    gmt = parse_timestamp(parts[0])
+    if gmt is None or gmt < _FIRST_SUNDAY:
+        return None
+    return gmt, parts[1].strip(), parts[2]
 
 
 def read_records(path: str | Path) -> tuple[list[tuple[dt.datetime, str, str]], int]:
     """Read tab-separated `timestamp_utc, country, text` records.
 
-    Returns (records, n_malformed). Malformed lines (see ``_fields`` and
-    ``_gmt``) are counted and skipped, not fatal.
+    Returns (records, n_malformed). Empty lines are skipped; malformed lines
+    (see ``_record``) are counted and skipped, not fatal.
     """
     records: list[tuple[dt.datetime, str, str]] = []
     malformed = 0
-    for line in _record_lines(path):
-        parts = _fields(line)
-        stamp = None if parts is None else _gmt(parts[0])
-        if stamp is None:
-            malformed += 1
-        else:
-            records.append((stamp, parts[1].strip(), parts[2]))
+    with _open_records(path) as handle:
+        for line in handle:
+            line = line.rstrip("\n").rstrip("\r")
+            if line:
+                record = _record(line)
+                if record is None:
+                    malformed += 1
+                else:
+                    records.append(record)
     return records, malformed
 
 
-_UNSEEN = object()
+_MALFORMED, _BLANK = -1, -2  # a line's row when it is not a record
 
 
 def read_record_chunks(path: str | Path, size: int):
-    """``read_records``'s records, ``size`` at a time, as columns.
+    """``read_records``'s records, ``size`` at a time, as columns of each
+    chunk's distinct lines.
 
-    Yields (GMT day ordinals as int64, countries, texts, n_malformed) per
-    chunk: ``size`` records, and whatever is left in the last chunk, which
-    is always yielded, empty or not. ``n_malformed`` counts the lines
-    skipped since the previous chunk. Only one chunk's records are held.
-    Each distinct stamp field is parsed once per chunk: a dict holds its
-    day ordinal, or None when it is malformed. The dict is cleared with
-    each chunk and whenever it holds ``size`` stamps, so a run of distinct
-    malformed stamps cannot grow it past ``size`` either.
+    Yields (days, countries, texts, row, n_malformed) per chunk: the GMT day
+    ordinals (int64), countries and texts of the chunk's distinct good
+    lines, first seen first; ``row`` (intp), the index in those columns of
+    each of the chunk's records, in input order; and the number of
+    malformed lines skipped since the previous chunk. A chunk holds
+    ``size`` records, and whatever is left in the last chunk, which is
+    always yielded, empty or not. Lines are read in blocks of as many as
+    the chunk still lacks, so only one chunk's lines are held. Each
+    distinct raw line of a chunk (line end included) is parsed once: a dict
+    maps it to its row, or to -1 when it is malformed and -2 when it is
+    empty, so a repeated malformed line counts each time. The dict is
+    cleared with each chunk, and before a block whose new lines would take
+    it past ``size`` lines, so distinct malformed lines cannot grow it.
     """
     days: list[int] = []
     countries: list[str] = []
     texts: list[str] = []
-    malformed = 0
-    day_of: dict[str, int | None] = {}
-    for line in _record_lines(path):
-        parts = _fields(line)
-        if parts is None:
-            malformed += 1
-            continue
-        stamp, country, text = parts
-        day = day_of.get(stamp, _UNSEEN)
-        if day is _UNSEEN:
-            if len(day_of) == size:
-                day_of.clear()
-            gmt = _gmt(stamp)
-            day = day_of[stamp] = None if gmt is None else gmt.toordinal()
-        if day is None:
-            malformed += 1
-            continue
-        days.append(day)
-        countries.append(country.strip())
-        texts.append(text)
-        if len(texts) == size:
-            yield np.array(days, np.int64), countries, texts, malformed
-            days, countries, texts, malformed = [], [], [], 0
-            day_of.clear()
-    yield np.array(days, np.int64), countries, texts, malformed
+    rows: list[np.ndarray] = []
+    n_rows = malformed = 0
+    row_of: dict[str, int] = {}
+    with _open_records(path) as handle:
+        while block := list(islice(handle, size - n_rows)):
+            new = [line for line in dict.fromkeys(block) if line not in row_of]  # first seen first
+            if len(row_of) + len(new) > size:
+                row_of.clear()
+                new = list(dict.fromkeys(block))
+            for line in new:
+                bare = line.rstrip("\n").rstrip("\r")
+                record = _record(bare) if bare else None
+                if record is None:
+                    row_of[line] = _MALFORMED if bare else _BLANK
+                else:
+                    row_of[line] = len(texts)
+                    days.append(record[0].toordinal())
+                    countries.append(record[1])
+                    texts.append(record[2])
+            row = np.fromiter(map(row_of.__getitem__, block), np.intp, len(block))
+            malformed += int(np.count_nonzero(row == _MALFORMED))
+            row = row[row >= 0]
+            if len(row):
+                rows.append(row)
+                n_rows += len(row)
+            if n_rows == size:
+                row_of.clear()
+                del block, new  # hold no raw line while the chunk is used
+                yield np.array(days, np.int64), countries, texts, np.concatenate(rows), malformed
+                days, countries, texts, rows, n_rows, malformed = [], [], [], [], 0, 0
+    yield (np.array(days, np.int64), countries, texts,
+           np.concatenate(rows) if rows else np.empty(0, np.intp), malformed)
 
 
 def parse_timestamp(text: str) -> dt.datetime | None:

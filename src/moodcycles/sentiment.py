@@ -69,6 +69,24 @@ def load_lexicons(path) -> list[Lexicon]:
 _RUN = re.compile(r"[^\W_]+", re.UNICODE)  # the stoplist's token: a maximal alphanumeric run
 _END = None  # trie key marking that a phrase ends at this node
 
+# Every non-ASCII character that re.IGNORECASE equates with a character
+# str.lower maps elsewhere: the long s (with s), dotted capital I and
+# dotless i (with i), the micro sign, Greek letters and their symbol forms
+# (final sigma, theta symbol, ...), Cyrillic letters and their historic
+# forms, and two ligatures. tests/test_sentiment.py scans every code point
+# to show the list complete under the running Python.
+_WIDER_FOLD = (
+    "\u00b5\u0130\u0131\u017f\u0345\u0390\u0392\u0395\u0398\u0399\u039a\u039c"
+    "\u03a0\u03a1\u03a3\u03a6\u03b0\u03b2\u03b5\u03b8\u03b9\u03ba\u03bc\u03c0"
+    "\u03c1\u03c2\u03c3\u03c6\u03d0\u03d1\u03d5\u03d6\u03f0\u03f1\u03f4\u03f5"
+    "\u0412\u0414\u041e\u0421\u0422\u042a\u0432\u0434\u043e\u0441\u0442\u044a"
+    "\u0462\u0463\u1c80\u1c81\u1c82\u1c83\u1c84\u1c85\u1c86\u1c87\u1c88\u1e60"
+    "\u1e61\u1e9b\u1fbe\u1fd3\u1fe3\ua64a\ua64b\ufb05\ufb06"
+)
+# The characters of _WIDER_FOLD that re.IGNORECASE equates with an ASCII
+# letter, mapped to its lowercase.
+_ASCII_FOLD = str.maketrans("\u0130\u0131\u017f", "iis")
+
 
 class _CaseFold(dict):
     """``str.translate`` table folding case the way ``re.IGNORECASE`` does.
@@ -127,7 +145,8 @@ class GreetingStoplist:
                 cleaned.append(tokens)
         cleaned.sort(key=lambda ts: (-len(ts), -sum(map(len, ts))))
         self.phrases = [" ".join(ts) for ts in cleaned]
-        self._fold = _CaseFold({c for ts in cleaned for t in ts for c in t})
+        alphabet = "".join(sorted({c for ts in cleaned for t in ts for c in t}))
+        self._fold = _CaseFold(alphabet)
         self._trie: dict = {}
         for ts in cleaned:
             node = self._trie
@@ -135,8 +154,15 @@ class GreetingStoplist:
                 node = node.setdefault(token.translate(self._fold), {})
             node[_END] = True
         # cheap prefilter: texts without the first ``tokenize`` token of any
-        # phrase skip matching ("4th of july" is keyed on "th")
-        self._first_tokens = frozenset(tokenize(phrase)[0] for phrase in self.phrases)
+        # phrase skip matching ("4th of july" is keyed on "th"). A token of
+        # a text that holds no character of ``_wider`` lowers to an ASCII
+        # letter wherever re.IGNORECASE would equate it with one, so the
+        # keys are spelled that way too ("ſun" is keyed on "sun").
+        self._first_tokens = frozenset(tokenize(phrase)[0].translate(_ASCII_FOLD)
+                                       for phrase in self.phrases)
+        # the characters of _WIDER_FOLD that match a phrase character
+        phrase_char = re.compile(f"[{alphabet}]", re.IGNORECASE)
+        self._wider = "".join(filter(phrase_char.fullmatch, _WIDER_FOLD))
 
     @classmethod
     def default(cls) -> "GreetingStoplist":
@@ -146,9 +172,15 @@ class GreetingStoplist:
 
     def strip(self, text: str) -> str:
         """Text with every stoplist phrase removed (whitespace collapsed if any)."""
-        if self._first_tokens.isdisjoint(tokenize(text)):
+        if self._first_tokens.isdisjoint(tokenize(text)) and not self._folds_wider(text):
             return text
         return self._remove(text)
+
+    def _folds_wider(self, text: str) -> bool:
+        """Whether ``text`` holds a character that re.IGNORECASE equates
+        with a phrase character but str.lower maps elsewhere, so that the
+        prefilter's ``tokenize`` tokens cannot rule a match out."""
+        return not text.isascii() and any(char in text for char in self._wider)
 
     def _match_end(self, folded: list[str], alive: list[int], j: int) -> int:
         """End (exclusive, in ``alive``) of the longest phrase starting at alive[j]; 0 if none."""
@@ -278,7 +310,9 @@ class Scorer:
     separator (a separator inside a text becomes a space), lowered and split
     with one regex pass into tokens and separators; tokens map to ids, and a
     cumulative count of separators gives each token's text. Texts with a
-    token that starts a stoplist phrase are stripped one by one; the tokens
+    token that starts a stoplist phrase, and in a chunk that holds one,
+    texts with a character the prefilter cannot rule out (see
+    ``GreetingStoplist._folds_wider``), are stripped one by one; the tokens
     of those the stoplist changes are replaced by the stripped text's,
     appended after the rest. Each id expands to its lexicon entries, and one
     ``np.bincount`` over (text, lexicon) gives the match counts and one per
@@ -318,9 +352,10 @@ class Scorer:
         m = len(texts)
         if m and not self._n_lex:
             raise DataError("need at least one lexicon")
-        first: dict[str, int] = {}  # each distinct text's row, first seen first
-        row = np.fromiter((first.setdefault(text, len(first)) for text in texts), np.intp, m)
-        n_matched, vad, won = self._score_distinct(list(first))
+        distinct = list(dict.fromkeys(texts))  # first seen first
+        row_of = dict(zip(distinct, range(len(distinct))))
+        row = np.fromiter(map(row_of.__getitem__, texts), np.intp, m)
+        n_matched, vad, won = self._score_distinct(distinct)
         return ScoreColumns(n_matched[row], vad[row], won[row])
 
     def _score_distinct(self, texts: list[str]) -> ScoreColumns:
@@ -335,6 +370,7 @@ class Scorer:
         # str.lower of a non-ASCII string first fills a buffer of 12 bytes
         # per character, so such a chunk is lowered a text at a time.
         lowered = joined.lower() if joined.isascii() else _SEPARATOR.join(map(str.lower, parts))
+        wider = stoplist is not None and stoplist._folds_wider(joined)  # one check per chunk
         del joined, parts
         pieces = _PIECE.findall(lowered)
         ids = self._ids(pieces)
@@ -344,7 +380,11 @@ class Scorer:
         ids, text_of = ids[token], np.cumsum(separator)[token]
         if stoplist is not None:
             changed, n_tokens, tokens = [], [], []
-            for i in np.unique(text_of[self._opens_phrase[ids]]).tolist():
+            candidates = np.unique(text_of[self._opens_phrase[ids]])
+            if wider:
+                candidates = np.union1d(candidates, [i for i, text in enumerate(texts)
+                                                     if stoplist._folds_wider(text)])
+            for i in candidates.tolist():
                 stripped = stoplist._remove(texts[i])
                 if stripped is not texts[i]:
                     toks = tokenize(stripped)

@@ -5,13 +5,14 @@ import os
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moodcycles import AnchorKind, DataError, WeeklySeries
+from moodcycles import AnchorKind, DataError, WeeklySeries, io
 from moodcycles.io import (
     atomic_write,
     calendar_for,
@@ -197,23 +198,31 @@ _CHUNK_STAMPS = st.one_of(
 )
 
 
+_CHUNK_TEXTS = [b"joy", b"gr\xc3\xbc\xc3\x9fe", b"ba\xffd", b"", b"joy joy"]
+
+
 @st.composite
 def _chunk_lines(draw) -> bytes:
-    """Records lines whose stamps come from a pool of at most four, so the
-    same stamp, good or bad, repeats within and across chunks."""
-    pool = draw(st.lists(_CHUNK_STAMPS, min_size=1, max_size=4))
+    """Records lines drawn from a pool of at most five, built from at most
+    four stamps and three texts, so that whole lines, stamps alone and texts
+    alone repeat within chunks and across their cuts, good or malformed
+    (bad stamps, non-UTF-8 texts, wrong field counts) or empty. Each line
+    ends with a newline, CRLF or a lone carriage return."""
+    stamps = draw(st.lists(_CHUNK_STAMPS, min_size=1, max_size=4))
+    texts = draw(st.lists(st.sampled_from(_CHUNK_TEXTS), min_size=1, max_size=3))
+    field = st.tuples(st.sampled_from(stamps).map(str.encode), st.sampled_from([b"US", b" GB ", b""]),
+                      st.sampled_from(texts))
+    shape = st.sampled_from(["record", "record", "record", "two fields", "four fields", "empty"])
     lines = []
-    for _ in range(draw(st.integers(0, 30))):
-        stamp = draw(st.sampled_from(pool)).encode()
-        country = draw(st.sampled_from([b"US", b" GB ", b""]))
-        text = draw(st.sampled_from([b"joy", b"gr\xc3\xbc\xc3\x9fe", b"ba\xffd", b""]))
-        shape = draw(st.sampled_from(["record", "record", "record", "two fields", "four fields"]))
-        lines.append({"record": [stamp, country, text], "two fields": [stamp, text],
-                      "four fields": [stamp, country, text, text]}[shape])
-    return b"".join(b"\t".join(fields) + b"\n" for fields in lines)
+    for _ in range(draw(st.integers(1, 5))):
+        (stamp, country, text), kind = draw(field), draw(shape)
+        lines.append(b"\t".join({"record": [stamp, country, text], "two fields": [stamp, text],
+                                 "four fields": [stamp, country, text, text], "empty": []}[kind]))
+    ends = st.sampled_from([b"\n", b"\n", b"\r\n", b"\r"])
+    return b"".join(draw(st.sampled_from(lines)) + draw(ends) for _ in range(draw(st.integers(0, 30))))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(content=_chunk_lines(), size=st.integers(1, 7))
 def test_record_chunks_equal_read_records(content, size):
     with tempfile.TemporaryDirectory() as tmp:
@@ -221,18 +230,55 @@ def test_record_chunks_equal_read_records(content, size):
         path.write_bytes(content)
         records, malformed = read_records(path)
         chunks = list(read_record_chunks(path, size))
-    assert [len(texts) for _, _, texts, _ in chunks[:-1]] == [size] * (len(chunks) - 1)
-    assert len(chunks[-1][2]) < size
-    assert np.concatenate([days for days, _, _, _ in chunks]).tolist() == [
+    assert [len(row) for _, _, _, row, _ in chunks[:-1]] == [size] * (len(chunks) - 1)
+    assert len(chunks[-1][3]) < size
+    assert np.concatenate([days[row] for days, _, _, row, _ in chunks]).tolist() == [
         stamp.toordinal() for stamp, _, _ in records]
-    assert [c for _, countries, _, _ in chunks for c in countries] == [c for _, c, _ in records]
-    assert [t for _, _, texts, _ in chunks for t in texts] == [t for _, _, t in records]
-    assert sum(bad for _, _, _, bad in chunks) == malformed
+    assert [countries[r] for _, countries, _, row, _ in chunks for r in row] == [c for _, c, _ in records]
+    assert [texts[r] for _, _, texts, row, _ in chunks for r in row] == [t for _, _, t in records]
+    assert sum(bad for _, _, _, _, bad in chunks) == malformed
+    for days, countries, texts, row, _ in chunks:
+        # every distinct line is some record's, and rows are numbered first seen first
+        assert len(days) == len(countries) == len(texts)
+        assert list(dict.fromkeys(row.tolist())) == list(range(len(texts)))
+
+
+def test_record_chunks_parse_each_distinct_line_once(tmp_path):
+    # lines repeat whole, by stamp alone and by text alone; CRLF and LF
+    # spell two raw lines; a repeated malformed line counts every time
+    lines = [b"2010-01-03T08:00:00Z\tUS\tjoy\n", b"2010-01-03T08:00:00Z\tUS\tjoy\r\n",
+             b"2010-01-03T08:00:00Z\tGB\tjoy\n", b"2010-01-04T08:00:00Z\tUS\tjoy\n",
+             b"not-a-stamp\tUS\tjoy\n", b"2010-01-03T08:00:00Z\tUS\tba\xffd\n", b"\n"]
+    pattern = [0, 1, 0, 4, 2, 0, 4, 3, 5, 6, 0, 5, 1, 6, 0]
+    path = tmp_path / "records.tsv"
+    path.write_bytes(b"".join(lines[i] for i in pattern))
+    with mock.patch.object(io, "_record", wraps=io._record) as parse:
+        chunks = list(read_record_chunks(path, 100))
+    assert parse.call_count == 6  # every line but the empty one, once
+    ((days, countries, texts, row, bad),) = chunks
+    assert bad == 4
+    assert len(texts) == 4 and row.tolist() == [0, 1, 0, 2, 0, 3, 0, 1, 0]
+    assert [texts[r] for r in row] == [t for _, _, t in read_records(path)[0]]
+
+
+def test_record_chunks_parse_a_line_once_across_the_blocks_of_a_chunk(tmp_path):
+    # a chunk of 4 records takes three blocks here: 4 lines (two
+    # malformed), 2 lines (one malformed), 1 line; "good" is parsed once
+    path = tmp_path / "records.tsv"
+    path.write_text("".join(f"{line}\n" for line in [
+        "2010-01-03T08:00:00Z\tUS\tgood", "bad", "2010-01-03T08:00:00Z\tUS\tgood", "bad",
+        "2010-01-03T08:00:00Z\tUS\tgood", "worse", "2010-01-03T08:00:00Z\tUS\tgood",
+        "2010-01-03T08:00:00Z\tUS\tnext chunk"]))
+    with mock.patch.object(io, "_record", wraps=io._record) as parse:
+        chunks = list(read_record_chunks(path, 4))
+    assert parse.call_count == 4
+    assert [(texts, row.tolist(), bad) for _, _, texts, row, bad in chunks] == [
+        (["good"], [0, 0, 0, 0], 3), (["next chunk"], [0], 0)]
 
 
 def test_record_chunks_hold_few_distinct_malformed_stamps(tmp_path):
     # Twitter's created_at format fails to parse; every stamp is distinct,
-    # and no chunk fills, so only the stamp memo's own bound keeps it small
+    # and no chunk fills, so only the line memo's own bound keeps it small
     def peak(n):
         path = tmp_path / f"{n}.tsv"
         path.write_text("".join(f"Wed Oct 10 20:{i // 60 % 60:02d}:{i % 60:02d} +0000 {2000 + i // 3600}"
@@ -243,7 +289,7 @@ def test_record_chunks_hold_few_distinct_malformed_stamps(tmp_path):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(chunks) == 1 and chunks[0][3] == n
+        assert len(chunks) == 1 and chunks[0][4] == n
         return peak
 
     assert peak(20_000) < 2 * peak(2_000)

@@ -3,6 +3,8 @@
 import datetime as dt
 import random
 import re
+import string
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -35,7 +37,8 @@ UTC = dt.timezone.utc
 
 class RegexStoplist:
     """Reference stoplist: one case-insensitive alternation of the phrases,
-    longest first, substituted until no phrase remains."""
+    longest first, substituted until no phrase remains. It has no
+    prefilter: every text goes through the regex."""
 
     def __init__(self, stoplist: GreetingStoplist):
         cleaned = [phrase.split(" ") for phrase in stoplist.phrases]
@@ -44,12 +47,8 @@ class RegexStoplist:
             r"(?<![^\W_])(?:" + alternation + r")(?![^\W_])",
             re.IGNORECASE | re.UNICODE,
         )
-        # the prefilter GreetingStoplist uses: a phrase's first letters-only token
-        self._first_tokens = frozenset(tokenize(phrase)[0] for phrase in stoplist.phrases)
 
     def strip(self, text: str) -> str:
-        if self._first_tokens.isdisjoint(tokenize(text)):
-            return text
         result, changed = text, False
         while True:
             result, n = self._pattern.subn(" ", result)
@@ -158,18 +157,54 @@ class TestStoplist:
         once = default_stoplist.strip(text)
         assert default_stoplist.strip(once) == once
 
-    @pytest.mark.parametrize("text", ["merry CHRİSTMAS x", "merry chriſtmas x", "merry christmaſ x"])
+    @pytest.mark.parametrize("text", ["merry CHRİSTMAS x", "merry chriſtmas x", "merry christmaſ x",
+                                      "CHRİSTMAS x", "chriſtmas x", "chrıstmas x"])
     def test_case_folds_like_re_ignorecase(self, default_stoplist, reference_stoplist, text):
-        # str.lower() would leave each of these unmatched
+        # str.lower() would leave each of these unmatched; in the last three
+        # no other phrase's first token lets the text past the prefilter
         assert default_stoplist.strip(text) == "x"
         assert reference_stoplist.strip(text) == "x"
+        # the Scorer strips them too: every token of the unstripped text scores
+        lexicon = Lexicon("en", {token: (5.0, 5.0, 5.0) for token in tokenize(text)},
+                          removed_words=frozenset())
+        cols = sentiment.Scorer([lexicon], default_stoplist).score([text, "x"])
+        assert cols.n_matched.tolist() == [1, 1]
+
+    @pytest.mark.parametrize("phrase, text, stripped", [
+        ("iyi bayramlar", "İyi bayramlar dostum", "dostum"),  # Turkish, opening a sentence
+        ("iyi bayramlar", "ıyi bayramlar dostum", "dostum"),
+        ("ſun day", "Sun day x", "x"),                       # keyed on "sun", not "ſun"
+        ("ıyi bayramlar", "IYI BAYRAMLAR dostum", "dostum"),
+        ("σοσ x", "ΣΟΣ x y", "y"),                           # "ΣΟΣ".lower() ends in a final sigma
+    ])
+    def test_a_phrase_that_matches_only_under_re_ignorecase_applies(self, phrase, text, stripped):
+        # str.lower keeps each text's first word apart from the phrase's
+        stoplist = GreetingStoplist([phrase])
+        assert stoplist.strip(text) == stripped == RegexStoplist(stoplist).strip(text)
+
+    def test_the_wider_fold_constants_are_complete(self):
+        # every code point whose re.IGNORECASE class holds a character that
+        # str.lower maps elsewhere. The classes are found among the
+        # characters that str.lower or str.upper changes; the last check
+        # shows that no other character is in one of them.
+        every = [chr(code) for code in range(sys.maxunicode + 1)]
+        cased = "".join(c for c in every if c.lower() != c or c.upper() != c)
+        folds = {c: re.findall(re.escape(c), cased, re.IGNORECASE) for c in cased}
+        wider = {c for c, same in folds.items() if any(d.lower() != c.lower() for d in same)}
+        assert set(sentiment._WIDER_FOLD) == {c for c in wider if not c.isascii()}
+        assert wider <= set(sentiment._WIDER_FOLD) | set(string.ascii_letters)
+        assert {chr(k): chr(v) for k, v in sentiment._ASCII_FOLD.items()} == {
+            c: d.lower() for c in sentiment._WIDER_FOLD for d in folds[c] if d.isascii()}
+        uncased = "".join(c for c in every if c.lower() == c == c.upper())
+        assert re.search(f"[{re.escape(cased)}]", uncased, re.IGNORECASE) is None
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), seed=st.integers(0, 2**32))
     def test_bundled_phrases_match_the_regex_reference(self, default_stoplist, reference_stoplist,
                                                        data, seed):
         words = ["merry", "christmas", "happy", "new", "year", "feliz", "navidad", "año",
-                 "nuevo", "día", "kiss", "snow", "unhappy", "xmas", "2013", "straße"]
+                 "nuevo", "día", "kiss", "snow", "unhappy", "xmas", "2013", "straße",
+                 "İyi", "ıyi", "ſeason"]
         piece = st.one_of(st.sampled_from(default_stoplist.phrases), st.sampled_from(words))
         pieces = data.draw(st.lists(st.tuples(piece, st.sampled_from(_SEPARATORS)), max_size=10))
         rng = random.Random(seed)
@@ -179,7 +214,8 @@ class TestStoplist:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), seed=st.integers(0, 2**32))
     def test_generated_phrases_match_the_regex_reference(self, data, seed):
-        words = ["a", "ab", "ba", "kiss", "sis", "ik", "año", "é", "x1", "İz", "ſun", "\u212a"]
+        words = ["a", "ab", "ba", "kiss", "sis", "ik", "año", "é", "x1", "İz", "ıyi", "ſun", "\u212a",
+                 "σος", "ΣΟΣ"]
         phrase = st.lists(st.sampled_from(words), min_size=1, max_size=3).map(" ".join)
         phrases = data.draw(st.lists(phrase, min_size=1, max_size=6))
         stoplist = GreetingStoplist(phrases)
@@ -289,12 +325,15 @@ class TestScoreTexts:
     STOPLIST = GreetingStoplist(["feliz navidad", "sad joy", "joy", "i sad"])
     # Arbitrary text beside the words, and pieces that a chunk-wide tokenizer
     # could get wrong at a seam: newlines, carriage returns, a final capital
-    # sigma, a dotted capital I, digits, underscores and stoplist phrases.
+    # sigma, a dotted capital I, digits, underscores and stoplist phrases,
+    # some spelled with a long s or a dotless i, which str.lower keeps
+    # apart from s and i.
     PIECE = st.one_of(
         st.sampled_from(WORDS + ["Feliz Navidad", "JOY", "!"]),
         st.text(max_size=6),
         st.sampled_from(["\n", "\r", "\r\n", "ΣΟΣ", "ΟΣ", "Σ", "İ", "İSAD", "9", "joy9sad", "_",
-                         "sad_joy", "feliz\nnavidad", "SAD JOY", "sad joy feliz navidad"]),
+                         "sad_joy", "feliz\nnavidad", "SAD JOY", "sad joy feliz navidad",
+                         "ſad joy", "ı ſad", "JOY ſol"]),
     )
     TEXT = st.lists(st.tuples(PIECE, st.sampled_from(["", " ", "\n"])), max_size=6).map(
         lambda pieces: "".join(piece + sep for piece, sep in pieces))
