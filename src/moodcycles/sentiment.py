@@ -86,6 +86,25 @@ _WIDER_FOLD = (
 # The characters of _WIDER_FOLD that re.IGNORECASE equates with an ASCII
 # letter, mapped to its lowercase.
 _ASCII_FOLD = str.maketrans("\u0130\u0131\u017f", "iis")
+# The one character that str.lower turns into two (dotted capital I) and the
+# one whose lowercase depends on its neighbours (capital sigma).
+_LOWERS_APART = "\u0130\u03a3"
+
+
+def _trie_pattern(node: dict) -> str:
+    """A regex for the phrases of a trie in a text without ``_``, where a
+    run is a maximal ``\\w+``: each key a whole run, keys joined by
+    separators, and a node's children tried before the phrase that ends
+    there, so the longest phrase matches."""
+    branches = []
+    for key, child in node.items():
+        if key is _END:
+            continue
+        branch = re.escape(key) + r"\b"
+        if len(child) > (_END in child):
+            branch += r"(?:\W+" + _trie_pattern(child) + (")?" if _END in child else ")")
+        branches.append(branch)
+    return "(?:" + "|".join(branches) + ")"
 
 
 class _CaseFold(dict):
@@ -163,6 +182,25 @@ class GreetingStoplist:
         # the characters of _WIDER_FOLD that match a phrase character
         phrase_char = re.compile(f"[{alphabet}]", re.IGNORECASE)
         self._wider = "".join(filter(phrase_char.fullmatch, _WIDER_FOLD))
+        # A text with none of these lowers a character at a time to a text
+        # of the same runs and tokens, and each of its runs folds to a
+        # phrase token exactly when the run lowered equals the token spelled
+        # as the prefilter spells it; tests/test_sentiment.py scans every
+        # code point for the premises. Such a text is stripped on its
+        # lowered form by ``_lowered_phrase``.
+        self._unsafe = "".join(dict.fromkeys(self._wider + _LOWERS_APART))
+
+    @cached_property
+    def _lowered_phrase(self) -> re.Pattern:
+        """One case-sensitive regex of the phrases, tokens spelled as the
+        prefilter spells them, for texts without ``_``; compiled on first use."""
+        trie: dict = {}
+        for phrase in self.phrases:
+            node = trie
+            for token in phrase.split(" "):
+                node = node.setdefault(token.translate(_ASCII_FOLD), {})
+            node[_END] = True
+        return re.compile(r"\b" + _trie_pattern(trie))
 
     @classmethod
     def default(cls) -> "GreetingStoplist":
@@ -181,6 +219,21 @@ class GreetingStoplist:
         with a phrase character but str.lower maps elsewhere, so that the
         prefilter's ``tokenize`` tokens cannot rule a match out."""
         return not text.isascii() and any(char in text for char in self._wider)
+
+    def _stripped_tokens(self, text: str, lowered: str) -> list[str] | None:
+        """``tokenize(strip(text))`` past the prefilter, given ``text.lower()``
+        (newlines may be spaces in it); None when nothing matches. A text
+        that lowers safely is stripped on ``lowered``, any other by ``_remove``."""
+        if text.isascii() or not any(char in text for char in self._unsafe):
+            # "_" separates runs as a space does, and is part of no token
+            lowered, n = self._lowered_phrase.subn(" ", lowered.replace("_", " "))
+            if not n:
+                return None
+            while n:
+                lowered, n = self._lowered_phrase.subn(" ", lowered)
+            return _TOKEN.findall(lowered)
+        stripped = self._remove(text)
+        return None if stripped is text else tokenize(stripped)
 
     def _match_end(self, folded: list[str], alive: list[int], j: int) -> int:
         """End (exclusive, in ``alive``) of the longest phrase starting at alive[j]; 0 if none."""
@@ -312,9 +365,11 @@ class Scorer:
     cumulative count of separators gives each token's text. Texts with a
     token that starts a stoplist phrase, and in a chunk that holds one,
     texts with a character the prefilter cannot rule out (see
-    ``GreetingStoplist._folds_wider``), are stripped one by one; the tokens
-    of those the stoplist changes are replaced by the stripped text's,
-    appended after the rest. Each id expands to its lexicon entries, and one
+    ``GreetingStoplist._folds_wider``), are stripped one by one, most of
+    them on their part of the lowered chunk (see
+    ``GreetingStoplist._stripped_tokens``); the tokens of those the
+    stoplist changes are replaced by the stripped text's, appended after
+    the rest. Each id expands to its lexicon entries, and one
     ``np.bincount`` over (text, lexicon) gives the match counts and one per
     dimension the sums. ``np.bincount`` adds its weights in input order,
     and a text's tokens stay in text order, so each sum runs in token order
@@ -384,10 +439,10 @@ class Scorer:
             if wider:
                 candidates = np.union1d(candidates, [i for i, text in enumerate(texts)
                                                      if stoplist._folds_wider(text)])
+            lowered_texts = lowered.split(_SEPARATOR) if len(candidates) else []
             for i in candidates.tolist():
-                stripped = stoplist._remove(texts[i])
-                if stripped is not texts[i]:
-                    toks = tokenize(stripped)
+                toks = stoplist._stripped_tokens(texts[i], lowered_texts[i])
+                if toks is not None:
                     changed.append(i)
                     n_tokens.append(len(toks))
                     tokens += toks

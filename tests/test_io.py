@@ -2,6 +2,7 @@
 
 import datetime as dt
 import os
+import stat
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -9,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from moodcycles import AnchorKind, DataError, WeeklySeries, io
@@ -99,6 +100,20 @@ class TestAtomicWrite:
             handle.write("new")
         assert target.read_text() == "new"
         assert os.listdir(tmp_path) == ["out.csv"]
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask-022", "umask-077"])
+    def test_a_written_file_gets_the_mode_open_gives(self, tmp_path, umask, mode):
+        old = os.umask(umask)
+        try:
+            with atomic_write(tmp_path / "new.csv") as handle:
+                handle.write("a\n")
+            write_table(tmp_path / "table.csv", ["a"], [[1.0]])
+            with open(tmp_path / "plain.csv", "w") as handle:
+                handle.write("a\n")
+        finally:
+            os.umask(old)
+        assert {path.name: stat.S_IMODE(path.stat().st_mode) for path in tmp_path.iterdir()} == {
+            "new.csv": mode, "table.csv": mode, "plain.csv": mode}
 
 
 class TestCalendars:
@@ -252,9 +267,11 @@ def test_record_chunks_parse_each_distinct_line_once(tmp_path):
     pattern = [0, 1, 0, 4, 2, 0, 4, 3, 5, 6, 0, 5, 1, 6, 0]
     path = tmp_path / "records.tsv"
     path.write_bytes(b"".join(lines[i] for i in pattern))
-    with mock.patch.object(io, "_record", wraps=io._record) as parse:
+    with mock.patch.object(io, "_records", wraps=io._records) as parse:
         chunks = list(read_record_chunks(path, 100))
-    assert parse.call_count == 6  # every line but the empty one, once
+    # every distinct raw line once, first seen first
+    assert [line for call in parse.call_args_list for line in call.args[0]] == [
+        lines[i].decode("utf-8", "surrogateescape") for i in dict.fromkeys(pattern)]
     ((days, countries, texts, row, bad),) = chunks
     assert bad == 4
     assert len(texts) == 4 and row.tolist() == [0, 1, 0, 2, 0, 3, 0, 1, 0]
@@ -269,9 +286,11 @@ def test_record_chunks_parse_a_line_once_across_the_blocks_of_a_chunk(tmp_path):
         "2010-01-03T08:00:00Z\tUS\tgood", "bad", "2010-01-03T08:00:00Z\tUS\tgood", "bad",
         "2010-01-03T08:00:00Z\tUS\tgood", "worse", "2010-01-03T08:00:00Z\tUS\tgood",
         "2010-01-03T08:00:00Z\tUS\tnext chunk"]))
-    with mock.patch.object(io, "_record", wraps=io._record) as parse:
+    with mock.patch.object(io, "_records", wraps=io._records) as parse:
         chunks = list(read_record_chunks(path, 4))
-    assert parse.call_count == 4
+    assert [call.args[0] for call in parse.call_args_list] == [
+        ["2010-01-03T08:00:00Z\tUS\tgood\n", "bad\n"], ["worse\n"], [],
+        ["2010-01-03T08:00:00Z\tUS\tnext chunk\n"]]
     assert [(texts, row.tolist(), bad) for _, _, texts, row, bad in chunks] == [
         (["good"], [0, 0, 0, 0], 3), (["next chunk"], [0], 0)]
 
@@ -293,6 +312,50 @@ def test_record_chunks_hold_few_distinct_malformed_stamps(tmp_path):
         return peak
 
     assert peak(20_000) < 2 * peak(2_000)
+
+
+# Stamps for the array parse: the fixed form with every field in and out of
+# range, leap days in century years, offsets up to and past a day that move
+# the GMT day across the ends of the calendar, padding, other separators and
+# digits of other scripts.
+_ZONES = st.sampled_from(["", "Z", "z", "+00:00", "-00:00", "+23:59", "-23:59", "+24:00", "-24:00",
+                          "+05:30", "-08:00", "Z ", "x", "+", "0", "+0530", "UTC"]) | st.builds(
+    "{}{:02d}:{:02d}".format, st.sampled_from("+-"), st.integers(0, 25), st.integers(0, 60))
+
+
+@st.composite
+def _stamps(draw) -> str:
+    year = draw(st.sampled_from([1, 1600, 1700, 1900, 2000, 2010, 2100, 2400, 9999]) | st.integers(0, 9999))
+    month, day = draw(st.sampled_from([(1, 1), (1, 6), (1, 7), (1, 8), (2, 28), (2, 29), (2, 30),
+                                       (4, 31), (12, 31)]) | st.tuples(st.integers(0, 13), st.integers(0, 32)))
+    hour, minute, second = draw(st.sampled_from([(0, 0, 0), (0, 30, 0), (23, 59, 59), (24, 0, 0)])
+                                | st.tuples(st.integers(0, 24), st.integers(0, 60), st.integers(0, 60)))
+    stamp = (f"{year:04d}-{month:02d}-{day:02d}{draw(st.sampled_from('TTTTTTt '))}"
+             f"{hour:02d}:{minute:02d}:{second:02d}{draw(_ZONES)}")
+    if draw(st.integers(0, 7)) == 0:  # a digit of another script: Arabic-Indic, Devanagari, fullwidth
+        at = draw(st.sampled_from([i for i, ch in enumerate(stamp) if ch.isdigit()]))
+        zero = draw(st.sampled_from(["\u0660", "\u0966", "\uff10"]))
+        stamp = stamp[:at] + chr(ord(zero) + int(stamp[at])) + stamp[at + 1:]
+    return draw(st.sampled_from(["", "", "", " "])) + stamp + draw(st.sampled_from(["", "", "", " "]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(stamps=st.lists(_stamps() | st.text(max_size=26), max_size=12))
+@example(stamps=["1900-02-29T12:00:00Z", "2000-02-29T12:00:00Z", "2100-02-29T00:00:00", "2400-02-29T00:00:00z",
+                 "2010-01-03T10:00:00x", "2010-01-03T10:00:00 ", "0001-01-07T00:00:00+23:59"])
+def test_the_array_stamp_parse_equals_parse_timestamp(stamps):
+    expected = [None if (gmt := parse_timestamp(s)) is None else gmt.toordinal() for s in stamps]
+    assert [day or None for day in io._gmt_days(stamps).tolist()] == expected
+
+
+def test_fixed_form_stamps_skip_parse_timestamp():
+    stamps = ["2010-01-03T10:00:00Z", "2000-02-29T23:59:59-23:59", "2010-01-03T00:30:00+01:00",
+              "0001-01-01T00:30:00+01:00", "9999-12-31T23:00:00-05:00", "1600-02-29T00:00:00z"]
+    with mock.patch.object(io, "parse_timestamp", side_effect=AssertionError("fell back")):
+        days = io._gmt_days(stamps)
+    day = dt.date.toordinal
+    assert days.tolist() == [day(dt.date(2010, 1, 3)), day(dt.date(2000, 3, 1)), day(dt.date(2010, 1, 2)),
+                             0, 0, day(dt.date(1600, 2, 29))]
 
 
 class TestBinnedIO:

@@ -198,6 +198,37 @@ class TestStoplist:
         uncased = "".join(c for c in every if c.lower() == c == c.upper())
         assert re.search(f"[{re.escape(cased)}]", uncased, re.IGNORECASE) is None
 
+    def test_the_safe_text_premises_hold_for_every_code_point(self):
+        # Scorer strips a text free of _LOWERS_APART and of the stoplist's
+        # _wider characters on its lowered form, which takes that lowering
+        # to keep every character's place and class and to depend on the
+        # character alone.
+        def code_points(text):
+            return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32)
+
+        every = [chr(code) for code in range(sys.maxunicode + 1)]
+        assert [c for c in every if len(c.lower()) != 1] == ["\u0130"]
+        rest = [c for c in every if c != "\u0130"]
+        alone = "".join(c.lower() for c in rest)
+        for pattern, mark in [(r"[^\W_]", "1"), (r"[^\W\d_]", "a")]:
+            def marks(text):
+                return code_points(re.sub(pattern, mark, text)) == ord(mark)
+            assert (marks("".join(rest)) == marks(alone)).all()
+        # lowering a lowered character changes nothing, and re.IGNORECASE
+        # equates each character with its lowercase
+        assert alone.lower() == alone
+        assert all(re.fullmatch(re.escape(c), c.lower(), re.IGNORECASE) for c in rest if c.lower() != c)
+        # beside letters, spaces or case-ignorable punctuation, only the
+        # capital sigma lowers to another character than it does alone
+        changed = set()
+        for before, after in [("A", " "), (" ", "A"), ("A", "A"), ("A.", " "), (" ", ".A")]:
+            lowered = "".join(before + c + after for c in rest).lower()
+            expected = "".join(before.lower() + c + after.lower() for c in alone)
+            width = len(before) + 1 + len(after)
+            differ = np.flatnonzero(code_points(lowered) != code_points(expected)) // width
+            changed |= {rest[i] for i in differ.tolist()}
+        assert changed == {"\u03a3"}
+
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), seed=st.integers(0, 2**32))
     def test_bundled_phrases_match_the_regex_reference(self, default_stoplist, reference_stoplist,
@@ -308,9 +339,10 @@ def shared_lexicons(words, values, n):
 
 
 class TestScoreTexts:
-    # "σος" and "σοσ" tell a final sigma from a medial one, and "i" is what
-    # a lowered dotted capital I tokenizes to.
-    WORDS = TestScoreRecords.WORDS + ["σος", "σοσ", "i"]
+    # "σος" and "σοσ" tell a final sigma from a medial one, "i" is what a
+    # lowered dotted capital I tokenizes to, and the rest are words of
+    # greetings in the stoplists below.
+    WORDS = TestScoreRecords.WORDS + ["σος", "σοσ", "i", "merry", "x", "th", "july", "year", "годом", "πολλά"]
     LEXICON = st.builds(
         Lexicon,
         language=st.sampled_from(["de", "en", "es", "pt"]),
@@ -323,17 +355,28 @@ class TestScoreTexts:
     # that re.IGNORECASE folds to "isad". So texts equal under str.lower
     # can score apart.
     STOPLIST = GreetingStoplist(["feliz navidad", "sad joy", "joy", "i sad"])
+    BUNDLED = GreetingStoplist.default()
+    # Greek and Cyrillic phrases put a phrase character's wider folds among
+    # the characters that send a text to GreetingStoplist._remove, so one
+    # chunk holds texts stripped both ways; "ſol mesa" matches "sol mesa"
+    # only under re.IGNORECASE, and "merry" stands inside "merry x1".
+    MIXED = GreetingStoplist(["χρόνια πολλά", "σοσ joy", "с новым годом", "4th of july", "merry x1", "merry",
+                              "joy", "ſol mesa"])
     # Arbitrary text beside the words, and pieces that a chunk-wide tokenizer
     # could get wrong at a seam: newlines, carriage returns, a final capital
     # sigma, a dotted capital I, digits, underscores and stoplist phrases,
     # some spelled with a long s or a dotless i, which str.lower keeps
-    # apart from s and i.
+    # apart from s and i; capital sigmas word-final and mid-word, digits
+    # that touch letters, and bundled phrases in cased() spellings.
     PIECE = st.one_of(
         st.sampled_from(WORDS + ["Feliz Navidad", "JOY", "!"]),
         st.text(max_size=6),
         st.sampled_from(["\n", "\r", "\r\n", "ΣΟΣ", "ΟΣ", "Σ", "İ", "İSAD", "9", "joy9sad", "_",
                          "sad_joy", "feliz\nnavidad", "SAD JOY", "sad joy feliz navidad",
-                         "ſad joy", "ı ſad", "JOY ſol"]),
+                         "ſad joy", "ı ſad", "JOY ſol", "ΑΣΑ", "ΣΟΣ JOY", "σοσ_joy", "4th", "4TH OF JULY",
+                         "x1merry", "merry x1", "joy4th of july", "ΧΡΌΝΙΑ ΠΟΛΛΆ", "С НОВЫМ ГОДОМ",
+                         "ΣΟΣ.merry christmas", "İjoy", "Sol Mesa"]),
+        st.builds(cased, st.randoms(), st.sampled_from(BUNDLED.phrases)),
     )
     TEXT = st.lists(st.tuples(PIECE, st.sampled_from(["", " ", "\n"])), max_size=6).map(
         lambda pieces: "".join(piece + sep for piece, sep in pieces))
@@ -357,12 +400,22 @@ class TestScoreTexts:
                       st.lists(st.tuples(*[st.one_of(TestScoreRecords.VALUE, st.floats(1.0, 9.0))] * 3),
                                min_size=1, max_size=3),
                       st.integers(2, 4))),
-        stoplist=st.sampled_from([None, STOPLIST]),
+        stoplist=st.sampled_from([None, STOPLIST, BUNDLED, MIXED]),
         texts=st.one_of(st.lists(TEXT, max_size=20), REPEATED),
         chunk=st.integers(1, 7),
     )
     @example(lexicons=[Lexicon("en", {"sad": (2.5, 5.0, 7.25)})], stoplist=STOPLIST,
              texts=["İSAD", "İSAD".lower(), "İSAD"], chunk=3)
+    @example(lexicons=[Lexicon("en", {"joy": (2.5, 5.0, 7.25), "merry": (9.0, 9.0, 9.0), "year": (1.0, 1.0, 1.0),
+                                      "σος": (1.0, 2.0, 3.0), "σοσ": (3.0, 2.0, 1.0)})],
+             stoplist=BUNDLED, chunk=4,
+             texts=["Merry Christmas joy", "merry CHRİSTMAS joy", "MERRY_CHRISTMAS\njoy", "merry chriſtmas",
+                    "ΣΟΣ.merry christmas", "happy merry christmas new year joy", "4th of july merry"])
+    @example(lexicons=[Lexicon("el", {"σος": (1.0, 2.0, 3.0), "joy": (5.0, 5.0, 5.0), "x": (9.0, 1.0, 5.0),
+                                      "sol": (2.0, 2.0, 2.0)})],
+             stoplist=MIXED, chunk=5,
+             texts=["ΣΟΣ JOY x", "σοσ joy", "4TH of July x", "merry x1 joy", "С НОВЫМ ГОДОМ joy x", "İjoy",
+                    "Sol Mesa x"])
     def test_equals_score_text_across_chunk_seams(self, lexicons, stoplist, texts, chunk):
         with mock.patch.object(sentiment, "_CHUNK", chunk):
             cols = score_texts(texts, lexicons, stoplist)
