@@ -86,58 +86,48 @@ _WIDER_FOLD = (
 # The characters of _WIDER_FOLD that re.IGNORECASE equates with an ASCII
 # letter, mapped to its lowercase.
 _ASCII_FOLD = str.maketrans("\u0130\u0131\u017f", "iis")
-# The one character that str.lower turns into two (dotted capital I) and the
-# one whose lowercase depends on its neighbours (capital sigma).
-_LOWERS_APART = "\u0130\u03a3"
+# re.IGNORECASE equates the combining mark U+0345, which is no part of a run,
+# with the letters iota, so a phrase's iota is kept from matching it.
+# tests/test_sentiment.py scans every code point to show it the only such mark.
+_NOT_MARK = {ord(c): "(?!\u0345)" + c for c in "\u0399\u03b9\u1fbe"}
 
 
 def _trie_pattern(node: dict) -> str:
-    """A regex for the phrases of a trie in a text without ``_``, where a
-    run is a maximal ``\\w+``: each key a whole run, keys joined by
-    separators, and a node's children tried before the phrase that ends
-    there, so the longest phrase matches."""
+    """A regex for the phrases of a trie, matched with ``re.IGNORECASE``
+    between ``(?<![^\\W_])`` and ``(?![^\\W_])``: each key a whole run,
+    keys joined by separators ``[\\W_]+``, and a node's children tried
+    before the phrase that ends there, so the longest phrase matches."""
     branches = []
     for key, child in node.items():
         if key is _END:
             continue
-        branch = re.escape(key) + r"\b"
+        branch = re.escape(key).translate(_NOT_MARK)
         if len(child) > (_END in child):
-            branch += r"(?:\W+" + _trie_pattern(child) + (")?" if _END in child else ")")
+            branch += r"(?:[\W_]+" + _trie_pattern(child) + (")?" if _END in child else ")")
         branches.append(branch)
     return "(?:" + "|".join(branches) + ")"
 
 
 class _CaseFold(dict):
-    """``str.translate`` table folding case the way ``re.IGNORECASE`` does.
+    """``str.translate`` table folding phrase characters the way
+    ``re.IGNORECASE`` does.
 
-    Characters that ``re.IGNORECASE`` treats as equal to a phrase character
-    map to one representative of that character's class, so two folded
-    strings are equal exactly when the regex would match one with the other.
-    ``str.lower`` differs: it keeps the long s and the dotless i apart from
-    s and i, and lowers dotted capital I to two characters. Other characters
-    map to themselves. Each distinct character is resolved once, then cached.
+    Characters of ``alphabet`` that ``re.IGNORECASE`` treats as equal map to
+    one representative of their class, so two folded phrase tokens are equal
+    exactly when the regex would match one with the other, and no two keys
+    of one trie node match the same run. ``str.lower`` differs: it keeps the
+    long s and the dotless i apart from s and i.
     """
 
     def __init__(self, alphabet):
         super().__init__()
-        self._classes: list[tuple[re.Pattern, str]] = []
+        classes: list[tuple[re.Pattern, str]] = []
         for char in sorted(alphabet):
-            rep = self._class_of(char)
+            rep = next((rep for pattern, rep in classes if pattern.fullmatch(char)), None)
             if rep is None:
-                self._classes.append((re.compile(re.escape(char), re.IGNORECASE), char))
+                classes.append((re.compile(re.escape(char), re.IGNORECASE), char))
                 rep = char
             self[ord(char)] = rep
-
-    def _class_of(self, char: str) -> str | None:
-        for pattern, rep in self._classes:
-            if pattern.fullmatch(char):
-                return rep
-        return None
-
-    def __missing__(self, code: int) -> str:
-        char = chr(code)
-        rep = self[code] = self._class_of(char) or char
-        return rep
 
 
 class GreetingStoplist:
@@ -148,10 +138,13 @@ class GreetingStoplist:
     cannot sit inside a longer word. Tokens compare with ``re.IGNORECASE``
     case folding. Scanning left to right, the phrase with the most tokens
     starting at a token is removed; removal repeats until no phrase remains,
-    so stripping is idempotent.
+    so stripping is idempotent. One regex of the phrases' trie, compiled on
+    first use, does the matching for ``strip`` and for ``Scorer``.
     """
 
     def __init__(self, phrases: list[str]):
+        if not phrases:
+            raise DataError("stoplist has no phrase")
         cleaned = []
         seen = set()
         for phrase in phrases:
@@ -165,12 +158,12 @@ class GreetingStoplist:
         cleaned.sort(key=lambda ts: (-len(ts), -sum(map(len, ts))))
         self.phrases = [" ".join(ts) for ts in cleaned]
         alphabet = "".join(sorted({c for ts in cleaned for t in ts for c in t}))
-        self._fold = _CaseFold(alphabet)
+        fold = _CaseFold(alphabet)
         self._trie: dict = {}
         for ts in cleaned:
             node = self._trie
             for token in ts:
-                node = node.setdefault(token.translate(self._fold), {})
+                node = node.setdefault(token.translate(fold), {})
             node[_END] = True
         # cheap prefilter: texts without the first ``tokenize`` token of any
         # phrase skip matching ("4th of july" is keyed on "th"). A token of
@@ -182,25 +175,11 @@ class GreetingStoplist:
         # the characters of _WIDER_FOLD that match a phrase character
         phrase_char = re.compile(f"[{alphabet}]", re.IGNORECASE)
         self._wider = "".join(filter(phrase_char.fullmatch, _WIDER_FOLD))
-        # A text with none of these lowers a character at a time to a text
-        # of the same runs and tokens, and each of its runs folds to a
-        # phrase token exactly when the run lowered equals the token spelled
-        # as the prefilter spells it; tests/test_sentiment.py scans every
-        # code point for the premises. Such a text is stripped on its
-        # lowered form by ``_lowered_phrase``.
-        self._unsafe = "".join(dict.fromkeys(self._wider + _LOWERS_APART))
 
     @cached_property
-    def _lowered_phrase(self) -> re.Pattern:
-        """One case-sensitive regex of the phrases, tokens spelled as the
-        prefilter spells them, for texts without ``_``; compiled on first use."""
-        trie: dict = {}
-        for phrase in self.phrases:
-            node = trie
-            for token in phrase.split(" "):
-                node = node.setdefault(token.translate(_ASCII_FOLD), {})
-            node[_END] = True
-        return re.compile(r"\b" + _trie_pattern(trie))
+    def _phrase(self) -> re.Pattern:
+        """The phrases as one regex; compiled on first use."""
+        return re.compile(r"(?<![^\W_])" + _trie_pattern(self._trie) + r"(?![^\W_])", re.IGNORECASE)
 
     @classmethod
     def default(cls) -> "GreetingStoplist":
@@ -220,62 +199,15 @@ class GreetingStoplist:
         prefilter's ``tokenize`` tokens cannot rule a match out."""
         return not text.isascii() and any(char in text for char in self._wider)
 
-    def _stripped_tokens(self, text: str, lowered: str) -> list[str] | None:
-        """``tokenize(strip(text))`` past the prefilter, given ``text.lower()``
-        (newlines may be spaces in it); None when nothing matches. A text
-        that lowers safely is stripped on ``lowered``, any other by ``_remove``."""
-        if text.isascii() or not any(char in text for char in self._unsafe):
-            # "_" separates runs as a space does, and is part of no token
-            lowered, n = self._lowered_phrase.subn(" ", lowered.replace("_", " "))
-            if not n:
-                return None
-            while n:
-                lowered, n = self._lowered_phrase.subn(" ", lowered)
-            return _TOKEN.findall(lowered)
-        stripped = self._remove(text)
-        return None if stripped is text else tokenize(stripped)
-
-    def _match_end(self, folded: list[str], alive: list[int], j: int) -> int:
-        """End (exclusive, in ``alive``) of the longest phrase starting at alive[j]; 0 if none."""
-        node, end = self._trie, 0
-        for k in range(j, len(alive)):
-            node = node.get(folded[alive[k]])
-            if node is None:
-                break
-            if _END in node:
-                end = k + 1
-        return end
-
     def _remove(self, text: str) -> str:
         """``strip`` past the prefilter; returns ``text`` itself when nothing matches."""
-        runs = list(_RUN.finditer(text))
-        folded = [run.group().translate(self._fold) for run in runs]
-        alive = list(range(len(runs)))
-        removed: list[tuple[int, int]] = []  # (first, last) run of every match
-        while True:
-            kept, n_before, j = [], len(removed), 0
-            while j < len(alive):
-                end = self._match_end(folded, alive, j)
-                if end:
-                    removed.append((alive[j], alive[end - 1]))
-                    j = end
-                else:
-                    kept.append(alive[j])
-                    j += 1
-            if len(removed) == n_before:
-                break
-            alive = kept
-        if not removed:
+        stripped, n = self._phrase.subn(" ", text)
+        if not n:
             return text
-        # A later pass's match spans the earlier matches between its tokens;
-        # each outermost match becomes one space.
-        pieces, pos, reach = [], 0, -1
-        for first, last in sorted(removed, key=lambda m: (m[0], -m[1])):
-            if first > reach:
-                pieces += (text[pos:runs[first].start()], " ")
-                pos, reach = runs[last].end(), last
-        pieces.append(text[pos:])
-        return " ".join("".join(pieces).split())
+        while n:
+            # a removal can bring a phrase's tokens together
+            stripped, n = self._phrase.subn(" ", stripped)
+        return " ".join(stripped.split())
 
 
 @dataclass(frozen=True, slots=True)
@@ -365,10 +297,9 @@ class Scorer:
     cumulative count of separators gives each token's text. Texts with a
     token that starts a stoplist phrase, and in a chunk that holds one,
     texts with a character the prefilter cannot rule out (see
-    ``GreetingStoplist._folds_wider``), are stripped one by one, most of
-    them on their part of the lowered chunk (see
-    ``GreetingStoplist._stripped_tokens``); the tokens of those the
-    stoplist changes are replaced by the stripped text's, appended after
+    ``GreetingStoplist._folds_wider``), are stripped one by one as
+    ``strip`` strips them; the tokens of those the stoplist changes are
+    replaced by the stripped text's ``tokenize`` tokens, appended after
     the rest. Each id expands to its lexicon entries, and one
     ``np.bincount`` over (text, lexicon) gives the match counts and one per
     dimension the sums. ``np.bincount`` adds its weights in input order,
@@ -439,10 +370,10 @@ class Scorer:
             if wider:
                 candidates = np.union1d(candidates, [i for i, text in enumerate(texts)
                                                      if stoplist._folds_wider(text)])
-            lowered_texts = lowered.split(_SEPARATOR) if len(candidates) else []
             for i in candidates.tolist():
-                toks = stoplist._stripped_tokens(texts[i], lowered_texts[i])
-                if toks is not None:
+                stripped = stoplist._remove(texts[i])
+                if stripped is not texts[i]:
+                    toks = tokenize(stripped)
                     changed.append(i)
                     n_tokens.append(len(toks))
                     tokens += toks

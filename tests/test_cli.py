@@ -227,12 +227,14 @@ class TestExitCodes:
         records, lexicon, stoplist = tmp_path / "r.tsv", tmp_path / "lex.csv", tmp_path / "stop.txt"
         records.write_text("2010-01-03T08:00:00Z\tUS\tsun\n")
         lexicon.write_text(LEXICON_CSV)
-        stoplist.write_text("merry christmas\n2013!\n")
-        assert run("score", "--records", str(records), "--lexicons", str(lexicon),
-                   "--stoplist", str(stoplist), "--out", str(tmp_path / "out")) == 2
-        err = capsys.readouterr().err
-        assert f"{stoplist}: stoplist phrase '2013!' has no letter" in err and "Traceback" not in err
-        assert not (tmp_path / "out").exists()
+        for content, message in [("merry christmas\n2013!\n", "stoplist phrase '2013!' has no letter"),
+                                 ("", "stoplist has no phrase"), (" \n\n", "stoplist has no phrase")]:
+            stoplist.write_text(content)
+            assert run("score", "--records", str(records), "--lexicons", str(lexicon),
+                       "--stoplist", str(stoplist), "--out", str(tmp_path / "out")) == 2
+            err = capsys.readouterr().err
+            assert f"{stoplist}: {message}" in err and "Traceback" not in err
+            assert not (tmp_path / "out").exists()
 
 
 class TestConfig:

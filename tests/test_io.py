@@ -311,6 +311,7 @@ def test_record_chunks_hold_few_distinct_malformed_stamps(tmp_path):
         assert len(chunks) == 1 and chunks[0][4] == n
         return peak
 
+    peak(2_000)  # first-call allocations (caches, lazily built helpers) stay out of the bound
     assert peak(20_000) < 2 * peak(2_000)
 
 

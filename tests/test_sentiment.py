@@ -37,12 +37,16 @@ UTC = dt.timezone.utc
 
 class RegexStoplist:
     """Reference stoplist: one case-insensitive alternation of the phrases,
-    longest first, substituted until no phrase remains. It has no
-    prefilter: every text goes through the regex."""
+    longest first, each phrase character matching a letter or digit only,
+    substituted until no phrase remains. It has no prefilter: every text
+    goes through the regex."""
 
     def __init__(self, stoplist: GreetingStoplist):
+        def spelled(token):
+            return "".join(r"(?=[^\W_])" + re.escape(c) for c in token)
+
         cleaned = [phrase.split(" ") for phrase in stoplist.phrases]
-        alternation = "|".join(r"[\W_]+".join(map(re.escape, ts)) for ts in cleaned)
+        alternation = "|".join(r"[\W_]+".join(map(spelled, ts)) for ts in cleaned)
         self._pattern = re.compile(
             r"(?<![^\W_])(?:" + alternation + r")(?![^\W_])",
             re.IGNORECASE | re.UNICODE,
@@ -107,6 +111,9 @@ class TestStoplist:
     def test_longest_phrase_wins(self, default_stoplist):
         # "merry christmas" is a phrase, the trailing word is not part of one
         assert default_stoplist.strip("merry christmas day") == "day"
+        # "ſun" and "sun" share one trie key, so the longer phrase wins
+        # whichever spelling the regex meets first
+        assert GreetingStoplist(["ſun x y", "ſun", "sun day"]).strip("sun day z") == "z"
 
     def test_removal_can_expose_a_new_phrase(self, default_stoplist):
         # pass 1 removes "merry christmas", bringing "happy ... new year"
@@ -117,6 +124,12 @@ class TestStoplist:
         assert default_stoplist.strip("unhappy christmas") == "unhappy"
         text = "christmassy party"
         assert default_stoplist.strip(text) is text
+        # re.IGNORECASE equates the combining mark U+0345 with iota, but a
+        # mark is no letter: it splits "χρόνια" in two
+        greek = GreetingStoplist(["χρόνια πολλά"])
+        text = "χρόν\u0345α πολλά"
+        assert greek.strip(text) is text
+        assert RegexStoplist(greek).strip(text) == text
 
     def test_punctuation_separates_phrase_tokens(self, default_stoplist):
         assert default_stoplist.strip("merry, christmas!!") == "!!"
@@ -128,6 +141,8 @@ class TestStoplist:
         for phrase in ["...", "2013 !"]:
             with pytest.raises(DataError, match=re.escape(repr(phrase))):
                 GreetingStoplist(["merry christmas", phrase])
+        with pytest.raises(DataError, match="stoplist has no phrase"):
+            GreetingStoplist([])
 
     def test_a_phrase_whose_first_word_holds_a_digit_always_applies(self, english_lexicon):
         # tokenize("4th") is ["th"], so the prefilter keys "4th of july" on "th"
@@ -150,10 +165,12 @@ class TestStoplist:
             ),
             max_size=8,
         ),
-        seps=st.lists(st.sampled_from([" ", ", ", "  ", " - "]), min_size=8, max_size=8),
+        seps=st.lists(st.sampled_from([" ", ", ", "  ", " - ", "_", "\n"]), min_size=8, max_size=8),
+        seed=st.integers(0, 2**32),
     )
-    def test_stripping_is_idempotent(self, default_stoplist, words, seps):
-        text = "".join(w + s for w, s in zip(words, seps))
+    def test_stripping_is_idempotent(self, default_stoplist, words, seps, seed):
+        rng = random.Random(seed)
+        text = "".join(cased(rng, w) + s for w, s in zip(words, seps))
         once = default_stoplist.strip(text)
         assert default_stoplist.strip(once) == once
 
@@ -197,12 +214,20 @@ class TestStoplist:
             c: d.lower() for c in sentiment._WIDER_FOLD for d in folds[c] if d.isascii()}
         uncased = "".join(c for c in every if c.lower() == c == c.upper())
         assert re.search(f"[{re.escape(cased)}]", uncased, re.IGNORECASE) is None
+        # U+0345 is the one character outside [^\W_] that re.IGNORECASE
+        # equates with one inside, and _NOT_MARK guards all of those
+        def alnum(c):
+            return re.fullmatch(r"[^\W_]", c) is not None
+
+        marks = {c for c in cased if not alnum(c) and any(map(alnum, folds[c]))}
+        assert marks == {"\u0345"}
+        assert {chr(k) for k in sentiment._NOT_MARK} == set(filter(alnum, folds["\u0345"]))
 
     def test_the_safe_text_premises_hold_for_every_code_point(self):
-        # Scorer strips a text free of _LOWERS_APART and of the stoplist's
-        # _wider characters on its lowered form, which takes that lowering
-        # to keep every character's place and class and to depend on the
-        # character alone.
+        # The prefilter reads a text free of the stoplist's _wider
+        # characters through its tokenize tokens, which takes lowering to
+        # keep every character's place and class: only the dotted capital I
+        # lowers to more than one character.
         def code_points(text):
             return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32)
 
@@ -214,20 +239,6 @@ class TestStoplist:
             def marks(text):
                 return code_points(re.sub(pattern, mark, text)) == ord(mark)
             assert (marks("".join(rest)) == marks(alone)).all()
-        # lowering a lowered character changes nothing, and re.IGNORECASE
-        # equates each character with its lowercase
-        assert alone.lower() == alone
-        assert all(re.fullmatch(re.escape(c), c.lower(), re.IGNORECASE) for c in rest if c.lower() != c)
-        # beside letters, spaces or case-ignorable punctuation, only the
-        # capital sigma lowers to another character than it does alone
-        changed = set()
-        for before, after in [("A", " "), (" ", "A"), ("A", "A"), ("A.", " "), (" ", ".A")]:
-            lowered = "".join(before + c + after for c in rest).lower()
-            expected = "".join(before.lower() + c + after.lower() for c in alone)
-            width = len(before) + 1 + len(after)
-            differ = np.flatnonzero(code_points(lowered) != code_points(expected)) // width
-            changed |= {rest[i] for i in differ.tolist()}
-        assert changed == {"\u03a3"}
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), seed=st.integers(0, 2**32))
@@ -327,7 +338,9 @@ class TestScoreRecords:
     def test_equals_score_text_on_every_record(self, lexicons, stoplist, texts):
         ts = dt.datetime(2010, 1, 3, tzinfo=UTC)
         records = [(ts, "US", text) for text in texts]
-        expected = [ScoredRecord(ts, "US", score_text(text, lexicons, stoplist)) for text in texts]
+        expected = [ScoredRecord(ts, "US", score_text(
+            text if stoplist is None else RegexStoplist(stoplist).strip(text), lexicons))
+            for text in texts]
         assert score_records(records, lexicons, stoplist) == expected
 
 
@@ -356,10 +369,10 @@ class TestScoreTexts:
     # can score apart.
     STOPLIST = GreetingStoplist(["feliz navidad", "sad joy", "joy", "i sad"])
     BUNDLED = GreetingStoplist.default()
-    # Greek and Cyrillic phrases put a phrase character's wider folds among
-    # the characters that send a text to GreetingStoplist._remove, so one
-    # chunk holds texts stripped both ways; "ſol mesa" matches "sol mesa"
-    # only under re.IGNORECASE, and "merry" stands inside "merry x1".
+    # Greek and Cyrillic phrases put a phrase character's wider folds
+    # (GreetingStoplist._wider) among the characters that let a text past
+    # the prefilter whatever its tokens; "ſol mesa" matches "sol mesa" only
+    # under re.IGNORECASE, and "merry" stands inside "merry x1".
     MIXED = GreetingStoplist(["χρόνια πολλά", "σοσ joy", "с новым годом", "4th of july", "merry x1", "merry",
                               "joy", "ſol mesa"])
     # Arbitrary text beside the words, and pieces that a chunk-wide tokenizer
@@ -375,7 +388,7 @@ class TestScoreTexts:
                          "sad_joy", "feliz\nnavidad", "SAD JOY", "sad joy feliz navidad",
                          "ſad joy", "ı ſad", "JOY ſol", "ΑΣΑ", "ΣΟΣ JOY", "σοσ_joy", "4th", "4TH OF JULY",
                          "x1merry", "merry x1", "joy4th of july", "ΧΡΌΝΙΑ ΠΟΛΛΆ", "С НОВЫМ ГОДОМ",
-                         "ΣΟΣ.merry christmas", "İjoy", "Sol Mesa"]),
+                         "ΣΟΣ.merry christmas", "İjoy", "Sol Mesa", "ΧΡΌΝ\u0345Α ΠΟΛΛΆ"]),
         st.builds(cased, st.randoms(), st.sampled_from(BUNDLED.phrases)),
     )
     TEXT = st.lists(st.tuples(PIECE, st.sampled_from(["", " ", "\n"])), max_size=6).map(
@@ -423,7 +436,8 @@ class TestScoreTexts:
         assert cols.vad.shape == (len(texts), 3)
         assert cols.winners.shape == (len(texts), len(lexicons))
         for text, n, vad, won in zip(texts, cols.n_matched, cols.vad, cols.winners):
-            expected = score_text(text, lexicons, stoplist)
+            expected = score_text(text if stoplist is None else RegexStoplist(stoplist).strip(text),
+                                  lexicons)
             if expected is None:
                 assert n == 0 and not won.any() and np.isnan(vad).all()
                 continue
