@@ -6,162 +6,3 @@ interest peaks on, scores short texts against affective lexicons, decomposes
 weekly sentiment distributions into eigenmoods, and provides the regression
 and distance-correlation statistics used to relate mood to search interest.
 """
-
-from .errors import (
-    DataError,
-    DegenerateSeriesError,
-    MoodcyclesError,
-    NumericalError,
-)
-from .timeseries import (
-    AnchorCalendar,
-    AnchorKind,
-    AveragedYear,
-    CenteredYear,
-    MonthlyBirthSeries,
-    WeeklySeries,
-    average_years,
-    build_centered_years,
-    centered_week_spans,
-    normalize_births,
-    normalize_yearly_max,
-    zscore,
-)
-from .countries import (
-    Classification,
-    CountryProfile,
-    HolidayResponse,
-    build_profiles,
-    classify,
-    cohort_agreement,
-    compare_search_terms,
-    export_choropleth,
-    holiday_response,
-)
-from .sentiment import (
-    BinnedWeek,
-    DayTotals,
-    GreetingStoplist,
-    Lexicon,
-    ScoreColumns,
-    ScoredRecord,
-    Scorer,
-    TextScore,
-    WeekBins,
-    WeeklyMood,
-    aggregate,
-    bin_edges,
-    bin_index,
-    bin_weeks,
-    score_records,
-    score_text,
-    score_texts,
-    tokenize,
-    weekly_scores,
-)
-from .eigenmood import (
-    BinnedMoodMatrix,
-    Component,
-    DenoiseResult,
-    EigenDecomposition,
-    Eigenmood,
-    WeekProjection,
-    decompose,
-    denoise,
-    heatmap,
-    linguistic_response,
-    matrix_from_binned,
-    mean_projection,
-    membership_matrix,
-    project,
-    project_weeks,
-    retained_components,
-    select_eigenmood,
-    similarity,
-)
-from .stats import (
-    OLSResult,
-    distance_correlation,
-    distance_covariance,
-    distance_statistics,
-    ols,
-    pearson,
-    permutation_test,
-)
-from .synth import SynthSpec, generate_synthetic
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "AnchorCalendar",
-    "AnchorKind",
-    "AveragedYear",
-    "BinnedMoodMatrix",
-    "BinnedWeek",
-    "CenteredYear",
-    "Classification",
-    "Component",
-    "CountryProfile",
-    "DataError",
-    "DayTotals",
-    "DegenerateSeriesError",
-    "DenoiseResult",
-    "EigenDecomposition",
-    "Eigenmood",
-    "GreetingStoplist",
-    "HolidayResponse",
-    "Lexicon",
-    "MonthlyBirthSeries",
-    "MoodcyclesError",
-    "NumericalError",
-    "OLSResult",
-    "ScoreColumns",
-    "ScoredRecord",
-    "Scorer",
-    "SynthSpec",
-    "TextScore",
-    "WeekBins",
-    "WeekProjection",
-    "WeeklyMood",
-    "WeeklySeries",
-    "aggregate",
-    "average_years",
-    "bin_edges",
-    "bin_index",
-    "bin_weeks",
-    "build_centered_years",
-    "build_profiles",
-    "centered_week_spans",
-    "classify",
-    "cohort_agreement",
-    "compare_search_terms",
-    "decompose",
-    "denoise",
-    "distance_correlation",
-    "distance_covariance",
-    "distance_statistics",
-    "export_choropleth",
-    "generate_synthetic",
-    "heatmap",
-    "holiday_response",
-    "linguistic_response",
-    "matrix_from_binned",
-    "mean_projection",
-    "membership_matrix",
-    "normalize_births",
-    "normalize_yearly_max",
-    "ols",
-    "pearson",
-    "permutation_test",
-    "project",
-    "project_weeks",
-    "retained_components",
-    "score_records",
-    "score_text",
-    "score_texts",
-    "select_eigenmood",
-    "similarity",
-    "tokenize",
-    "weekly_scores",
-    "zscore",
-]

@@ -1,29 +1,22 @@
-"""Country-level holiday response and cultural classification.
+"""Country-level holiday classification and cultural comparison.
 
-For each country, weekly interest series are re-centered on four recurring
-anchors (Christmas, Eid al-Fitr, both solstices). After yearly-max
-normalization, across-year averaging, and z-scoring, the z value at the
-anchor's own week measures how sharply interest peaks on the holiday. A
-country whose Christmas (or Eid) z exceeds a threshold is classified as
-responding to that holiday; the classification is then compared with the
-country's self-reported religious identification, and with hemisphere
-grouping as the seasonal alternative.
+A country's holiday response is the z value, at the anchor's own week, of
+its weekly interest series re-centered on each of four recurring anchors
+(Christmas, Eid al-Fitr, both solstices), normalized to each year's maximum,
+averaged across years and z-scored, as the ``center`` stage computes it.
+``build_profiles`` takes one row of those z values per country. A country whose
+Christmas (or Eid) z exceeds a threshold is classified as responding to that
+holiday; the classification is then compared with the country's
+self-reported religious identification, and with hemisphere grouping as the
+seasonal alternative.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DataError, NumericalError
-from .timeseries import (
-    AnchorCalendar,
-    AnchorKind,
-    WeeklySeries,
-    average_years,
-    build_centered_years,
-    normalize_yearly_max,
-    zscore,
-)
+from .errors import DataError
+from .timeseries import AnchorKind, WeeklySeries
 from .stats import pearson
 
 # Countries whose principal churches celebrate Christmas in January; with the
@@ -39,8 +32,6 @@ RESPONSE_ANCHORS = (
     AnchorKind.JUNE_SOLSTICE,
     AnchorKind.DECEMBER_SOLSTICE,
 )
-
-_MIN_YEARS = 4  # centered years a calendar needs for a holiday response
 
 
 @dataclass(frozen=True)
@@ -78,46 +69,6 @@ class CountryProfile:
     hemisphere: str
     response: HolidayResponse
     classification: Classification
-
-
-def holiday_response(
-    series: WeeklySeries,
-    calendars: dict[AnchorKind, AnchorCalendar],
-) -> HolidayResponse:
-    """Anchor-week z for each of the four response calendars.
-
-    Per calendar: center the series on the anchor, rescale each year to its
-    maximum, average across years, z-score the averaged year, and read the
-    z value at the anchor's week. Degenerate series (zero variance, no
-    positive values) are reported per anchor.
-    """
-    z: dict[AnchorKind, float] = {}
-    failures: list[str] = []
-    for kind in RESPONSE_ANCHORS:
-        cal = calendars.get(kind)
-        if cal is None:
-            failures.append(f"{kind.value}: no calendar provided")
-            continue
-        if cal.kind is not kind:
-            raise DataError(f"calendar for {kind.value} has kind {cal.kind.value}")
-        try:
-            years = build_centered_years(series, cal)
-            if len(years) < _MIN_YEARS:
-                raise DataError(
-                    f"only {len(years)} usable centered years (need {_MIN_YEARS})"
-                )
-            avg = average_years(normalize_yearly_max(years))
-            z[kind] = float(zscore(avg.weeks)[cal.anchor_week_index - 1])
-        except (DataError, NumericalError) as exc:
-            failures.append(f"{kind.value}: {exc}")
-    if failures:
-        raise NumericalError("holiday response failed: " + "; ".join(failures))
-    return HolidayResponse(
-        z_christmas=z[AnchorKind.CHRISTMAS],
-        z_eid=z[AnchorKind.EID_AL_FITR],
-        z_june=z[AnchorKind.JUNE_SOLSTICE],
-        z_dec=z[AnchorKind.DECEMBER_SOLSTICE],
-    )
 
 
 def classify(response: HolidayResponse, threshold: float = 1.0) -> Classification:
@@ -236,50 +187,3 @@ def compare_search_terms(a: WeeklySeries, b: WeeklySeries, min_overlap: int = 8)
     if total <= 0.0:
         raise DataError("reference series sums to zero over the overlap")
     return float(xs.sum()) / total, pearson(xs, ys)
-
-
-_BUCKETS = 5
-
-
-def export_choropleth(
-    profiles: list[CountryProfile],
-    all_codes: list[str] | None = None,
-) -> list[tuple[str, str, str, str]]:
-    """Rows (code, anchor, z, bucket) for a classification map.
-
-    Christian-classified countries get red buckets scaled by z_christmas,
-    Muslim-classified get green buckets scaled by z_eid, Other is white, and
-    countries listed in ``all_codes`` but absent from ``profiles`` are
-    dark-grey. Bucket intensity is linear in z up to the group maximum.
-    """
-    max_z = {"Christian": 0.0, "Muslim": 0.0}
-    for p in profiles:
-        if p.classification.label == "Christian":
-            max_z["Christian"] = max(max_z["Christian"], p.response.z_christmas)
-        elif p.classification.label == "Muslim":
-            max_z["Muslim"] = max(max_z["Muslim"], p.response.z_eid)
-
-    def bucket(z: float, top: float) -> int:
-        if top <= 0.0:
-            return _BUCKETS
-        k = int(-(-_BUCKETS * z // top))  # ceil for positive z
-        return min(max(k, 1), _BUCKETS)
-
-    rows = []
-    seen = set()
-    for p in profiles:
-        seen.add(p.code)
-        label = p.classification.label
-        if label == "Christian":
-            z = p.response.z_christmas
-            rows.append((p.code, "christmas", repr(z), f"red-{bucket(z, max_z['Christian'])}"))
-        elif label == "Muslim":
-            z = p.response.z_eid
-            rows.append((p.code, "eid-al-fitr", repr(z), f"green-{bucket(z, max_z['Muslim'])}"))
-        else:
-            rows.append((p.code, "none", "", "white"))
-    for code in all_codes or []:
-        if code not in seen:
-            rows.append((code, "none", "", "dark-grey"))
-    rows.sort(key=lambda r: r[0])
-    return rows

@@ -12,14 +12,13 @@ are compared in that two-dimensional space by dot product.
 
 from __future__ import annotations
 
-import datetime as dt
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, DegenerateSeriesError, NumericalError
 from .io import first_bad_row
-from .sentiment import DIMENSIONS, BinnedWeek, N_BINS
+from .sentiment import DIMENSIONS, N_BINS
 
 
 @dataclass(frozen=True)
@@ -45,29 +44,8 @@ class BinnedMoodMatrix:
             raise DataError(bad[1])
 
     @property
-    def n_weeks(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
     def n_bins(self) -> int:
         return self.matrix.shape[1]
-
-    def row_of(self, week_start) -> int:
-        try:
-            return self.week_starts.index(week_start)
-        except ValueError:
-            raise DataError(f"week {week_start} is not in the matrix") from None
-
-
-def matrix_from_binned(binned: list[BinnedWeek], dimension: str) -> BinnedMoodMatrix:
-    rows = sorted((b for b in binned if b.dimension == dimension), key=lambda b: b.week_start)
-    if not rows:
-        raise DataError(f"no binned weeks for dimension {dimension!r}")
-    return BinnedMoodMatrix(
-        dimension=dimension,
-        week_starts=tuple(b.week_start for b in rows),
-        matrix=np.vstack([b.probs for b in rows]),
-    )
 
 
 @dataclass(frozen=True)
@@ -91,10 +69,6 @@ class EigenDecomposition:
     def coord(self, row: int, component: int) -> float:
         """Projection of week ``row`` on component (1-based): u·s."""
         return float(self.U[row, component - 1] * self.S[component - 1])
-
-    def coords(self, component: int) -> np.ndarray:
-        """All weeks' projections on one component."""
-        return self.U[:, component - 1] * self.S[component - 1]
 
     def reconstruct(self, components) -> np.ndarray:
         """Weeks-by-bins sum of the given components (1-based): U_k S_k V_kᵀ."""
@@ -152,31 +126,6 @@ def retained_components(
         if acc >= target:
             return tuple(range(2, i + 3))
     return tuple(range(2, len(tail) + 2))
-
-
-@dataclass(frozen=True)
-class DenoiseResult:
-    matrix: np.ndarray
-    kept: tuple[int, ...]     # 1-based component indices
-    degenerate: bool
-
-
-def denoise(
-    dec: EigenDecomposition,
-    var_threshold: float = 0.95,
-) -> DenoiseResult:
-    """Reconstruction from the retained components only.
-
-    The first component (the base distribution) is always excluded; of the
-    rest, the minimal prefix explaining ``var_threshold`` of the remaining
-    variance is kept. A rank-1 input leaves nothing and yields the zero
-    matrix, flagged degenerate.
-    """
-    kept = retained_components(dec, var_threshold)
-    if not kept:
-        zero = np.zeros((dec.U.shape[0], dec.V.shape[0]))
-        return DenoiseResult(matrix=zero, kept=(), degenerate=True)
-    return DenoiseResult(matrix=dec.reconstruct(kept), kept=kept, degenerate=False)
 
 
 @dataclass(frozen=True)

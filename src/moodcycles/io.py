@@ -210,22 +210,35 @@ def calendar_for(kind: AnchorKind | str, years, eid_path: str | Path | None = No
 # ----------------------------------------------------------------------- births
 
 def read_births(path: str | Path) -> dict[str, list[tuple[int, int, float]]]:
-    """Read `country,year,month,count` rows grouped by country."""
+    """Read `country,year,month,count` rows grouped by country; months are
+    1..12, counts non-negative, and no (country, year, month) repeats."""
     out: dict[str, list[tuple[int, int, float]]] = {}
+    first_seen: dict[tuple[str, int, int], str] = {}
     for where, row in _rows(path, ["country", "year", "month", "count"]):
+        country = row[0].strip()
         year, month = _parse_int(row[1], where), _parse_int(row[2], where)
-        out.setdefault(row[0].strip(), []).append((year, month, _parse_float(row[3], where)))
+        count = _parse_float(row[3], where)
+        if not 1 <= month <= 12:
+            raise DataError(f"{where}: month {month} outside 1-12")
+        if count < 0:
+            raise DataError(f"{where}: negative birth count {count!r}")
+        key = (country, year, month)
+        if key in first_seen:
+            raise DataError(f"{where}: duplicate entry for {country} {year}-{month:02d}"
+                            f" (first on line {first_seen[key]})")
+        first_seen[key] = where.rpartition(":")[2]
+        out.setdefault(country, []).append((year, month, count))
     if not out:
         raise DataError(f"{path}: no data rows")
     return out
 
 
-def write_birth_series(path: str | Path, per_country: dict[str, "object"]) -> int:
+def write_birth_series(path: str | Path, per_country: dict[str, list[tuple[int, int, float]]]) -> int:
     """Write shifted normalized rates as `country,year,month,rate` rows."""
     return write_table(path, ["country", "year", "month", "rate"],
                        [[country, year, month, float(rate)]
                         for country in sorted(per_country)
-                        for year, month, rate in per_country[country].normalized])
+                        for year, month, rate in per_country[country]])
 
 
 # --------------------------------------------------------------- centered years
@@ -271,6 +284,8 @@ def read_zscore_table(path: str | Path | None = None) -> list[dict]:
             "z_june": _parse_float(row[6], where),
             "z_dec": _parse_float(row[7], where),
         })
+    if not rows:
+        raise DataError(f"{src}: no data rows")
     return rows
 
 

@@ -84,8 +84,8 @@ def write_manifest(out_dir: str | Path, manifest: RunManifest) -> Path:
     existing: dict = {}
     if path.exists():
         try:
-            existing = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+            existing = json.loads(read_text(path))
+        except json.JSONDecodeError as exc:
             raise DataError(f"unreadable manifest {path}: {exc}") from exc
         if not isinstance(existing, dict):
             raise DataError(f"manifest {path} is not a JSON object")

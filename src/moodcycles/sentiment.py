@@ -87,9 +87,11 @@ _WIDER_FOLD = (
 # letter, mapped to its lowercase.
 _ASCII_FOLD = str.maketrans("\u0130\u0131\u017f", "iis")
 # re.IGNORECASE equates the combining mark U+0345, which is no part of a run,
-# with the letters iota, so a phrase's iota is kept from matching it.
-# tests/test_sentiment.py scans every code point to show it the only such mark.
-_NOT_MARK = {ord(c): "(?!\u0345)" + c for c in "\u0399\u03b9\u1fbe"}
+# with the letters iota, so a phrase's iota is kept from matching it. The
+# guard itself is case-sensitive: under re.IGNORECASE it would refuse every
+# iota. tests/test_sentiment.py scans every code point to show U+0345 the
+# only such mark.
+_NOT_MARK = {ord(c): "(?!(?-i:\u0345))" + c for c in "\u0399\u03b9\u1fbe"}
 
 
 def _trie_pattern(node: dict) -> str:

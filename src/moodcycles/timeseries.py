@@ -16,15 +16,12 @@ classification pipeline.
 from __future__ import annotations
 
 import datetime as dt
-import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import DataError, DegenerateSeriesError
-
-log = logging.getLogger(__name__)
 
 WEEK = dt.timedelta(days=7)
 
@@ -86,16 +83,6 @@ class WeeklySeries:
     def week_start(self, index: int) -> dt.date:
         return self.start_date + index * WEEK
 
-    def index_of(self, day: dt.date) -> int | None:
-        """Grid index of the week whose 7-day span contains ``day``."""
-        offset = (day - self.start_date).days
-        if offset < 0 or offset >= 7 * len(self):
-            return None
-        return offset // 7
-
-    def week_starts(self) -> list[dt.date]:
-        return [self.week_start(i) for i in range(len(self))]
-
 
 @dataclass(frozen=True)
 class AnchorCalendar:
@@ -148,14 +135,6 @@ class CenteredYear:
     def __post_init__(self) -> None:
         object.__setattr__(self, "weeks", _readonly(self.weeks))
 
-    def week_start(self, index: int) -> dt.date:
-        """Start date of 1-based centered week ``index``."""
-        return self.week1_start + (index - 1) * WEEK
-
-    @property
-    def last_week_start(self) -> dt.date:
-        return self.week_start(len(self.weeks))
-
 
 @dataclass(frozen=True)
 class AveragedYear:
@@ -174,7 +153,7 @@ def centered_week_spans(
     start_date: dt.date,
     n_weeks: int,
     cal: AnchorCalendar,
-    warnings: list[str] | None = None,
+    warnings: list[str],
 ) -> list[tuple[dt.date, int, int, tuple[dt.date, ...]]]:
     """Resolve which grid weeks each usable anchor claims.
 
@@ -183,23 +162,23 @@ def centered_week_spans(
     weeks lie inside the grid. Weeks falling in the gap between two adjacent
     years are assigned to neither and recorded as dropped on the later year.
     If two years ever contested the same weeks the earlier year would keep
-    them, leaving the later year incomplete and therefore omitted.
+    them, leaving the later year incomplete and therefore omitted. Each
+    omission appends a note to ``warnings``.
     """
     length = cal.year_length_weeks
     back = cal.anchor_week_index - 1
     fwd = length - cal.anchor_week_index
-    notes = warnings if warnings is not None else []
 
     claimed: list[tuple[dt.date, int, int]] = []
     for anchor in cal.anchor_dates:
         offset = (anchor - start_date).days
         if offset < 0 or offset >= 7 * n_weeks:
-            notes.append(f"{cal.kind.value}: anchor {anchor} outside the series, year omitted")
+            warnings.append(f"{cal.kind.value}: anchor {anchor} outside the series, year omitted")
             continue
         g = offset // 7
         first, last = g - back, g + fwd
         if first < 0 or last >= n_weeks:
-            notes.append(f"{cal.kind.value}: centered year around {anchor} incomplete, omitted")
+            warnings.append(f"{cal.kind.value}: centered year around {anchor} incomplete, omitted")
             continue
         claimed.append((anchor, first, last))
 
@@ -207,7 +186,7 @@ def centered_week_spans(
     prev_last: int | None = None
     for anchor, first, last in claimed:
         if prev_last is not None and first <= prev_last:
-            notes.append(
+            warnings.append(
                 f"{cal.kind.value}: year around {anchor} contests weeks kept by the"
                 " previous year, omitted"
             )
@@ -219,24 +198,21 @@ def centered_week_spans(
             )
         spans.append((anchor, first, last, dropped))
         prev_last = last
-
-    if warnings is None:
-        for note in notes:
-            log.warning("%s", note)
     return spans
 
 
 def build_centered_years(
     series: WeeklySeries,
     cal: AnchorCalendar,
-    warnings: list[str] | None = None,
+    warnings: list[str],
 ) -> list[CenteredYear]:
     """Slice ``series`` into fixed-length years centered on ``cal``'s anchors.
 
     Every source week lands in at most one centered year; each returned year
     has exactly ``cal.year_length_weeks`` values with the anchor's week at
     ``cal.anchor_week_index`` (1-based). Anchors outside the series, or years
-    that would run off either end, are omitted (a warning is recorded).
+    that would run off either end, are omitted (a note is appended to
+    ``warnings``).
     """
     spans = centered_week_spans(series.start_date, len(series), cal, warnings)
     years = []
@@ -310,45 +286,24 @@ _MONTH_DAYS = {
 }
 
 
-@dataclass(frozen=True)
-class MonthlyBirthSeries:
-    """Monthly birth counts normalized to per-day rates and shifted back.
-
-    ``normalized`` holds ``(year, month, rate)`` triples after the conception
-    shift relabeling; rates are scaled so each original year's maximum is 1.
-    """
-
-    entries: tuple[tuple[int, int, float], ...]
-    normalized: tuple[tuple[int, int, float], ...]
-    shift_months: int = 9
-
-
 def normalize_births(
     entries: list[tuple[int, int, float]],
     shift_months: int = 9,
-) -> MonthlyBirthSeries:
-    """Convert monthly counts to yearly-max-normalized per-day rates.
+) -> list[tuple[int, int, float]]:
+    """Monthly counts as yearly-max-normalized per-day rates, shifted back.
 
+    ``entries`` are ``(year, month, count)`` with months in 1..12, counts
+    non-negative and no (year, month) twice, as ``io.read_births`` checks.
     Each count is divided by its month's day count (February: 28.25), each
     original year is rescaled so its peak per-day rate is 1, then month m of
     year y is relabeled to m - shift, wrapping into the previous year.
-    Entries that would relabel before the first original data year are
-    dropped.
+    Returns ``(year, month, rate)`` triples in date order; entries that
+    would relabel before the first original data year are dropped.
     """
     if not (0 <= shift_months < 12):
         raise DataError("shift_months must be in [0, 12)")
     if not entries:
         raise DataError("no birth entries")
-    seen = set()
-    for year, month, count in entries:
-        if month not in _MONTH_DAYS:
-            raise DataError(f"bad month {month!r} in birth entries")
-        if count < 0:
-            raise DataError(f"negative birth count for {year}-{month:02d}")
-        if (year, month) in seen:
-            raise DataError(f"duplicate birth entry for {year}-{month:02d}")
-        seen.add((year, month))
-
     rates = {(y, m): c / _MONTH_DAYS[m] for y, m, c in entries}
     peak_by_year: dict[int, float] = {}
     for (y, _), rate in rates.items():
@@ -369,8 +324,4 @@ def normalize_births(
             continue
         shifted.append((y2, m2, rate))
     shifted.sort()
-    return MonthlyBirthSeries(
-        entries=tuple((y, m, float(c)) for y, m, c in sorted(entries)),
-        normalized=tuple(shifted),
-        shift_months=shift_months,
-    )
+    return shifted

@@ -3,7 +3,8 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from moodcycles import GreetingStoplist, Lexicon, WeeklySeries
+from moodcycles.sentiment import GreetingStoplist, Lexicon
+from moodcycles.timeseries import WeeklySeries
 
 
 @pytest.fixture(scope="session")

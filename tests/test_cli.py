@@ -109,6 +109,27 @@ class TestExitCodes:
         assert message in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_a_manifest_that_is_not_utf8_is_a_data_error(self, tmp_path, capsys):
+        write_series(tmp_path / "a.csv", "2010-01-03", range(1, 11))
+        out = tmp_path / "out"
+        out.mkdir()
+        manifest = out / "manifest.json"
+        manifest.write_bytes(b'{\n"births": "\xff"}\n')
+        assert run("compare-terms", "--a", str(tmp_path / "a.csv"), "--b", str(tmp_path / "a.csv"),
+                   "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"{manifest}:2: not UTF-8" in err and "Traceback" not in err
+
+    def test_a_bad_births_row_names_its_line(self, tmp_path, capsys):
+        # the reader's checks are listed in tests/test_io.py
+        births = tmp_path / "births.csv"
+        births.write_text("country,year,month,count\nUS,2010,1,5\nUS,2010,13,5\n")
+        out = tmp_path / "out"
+        assert run("births", "--births", str(births), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"{births}:3: month 13 outside 1-12" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("stage", ["eigenmood", "similarity"])
     @pytest.mark.parametrize("options, message", [
         (["--dims", "bogus", "--holiday-weeks", "2010-01-03"], "unknown dimension 'bogus'"),
@@ -322,6 +343,15 @@ class TestClassifyAndReport:
         assert f"{table}:{len(lines) + 1}: duplicate country code 'AE'" in err
         assert f"first on line {ae + 1}" in err
         assert not (out / "agreement.csv").exists()
+
+    @pytest.mark.parametrize("stage", ["classify", "report"])
+    def test_a_header_only_z_table_is_a_data_error(self, tmp_path, capsys, stage):
+        table = tmp_path / "z.csv"
+        table.write_text("code,name,identification,hemisphere,z_christmas,z_eid,z_june,z_dec\n")
+        out = tmp_path / "out"
+        assert run(stage, "--zscores", str(table), "--out", str(out)) == 2
+        assert f"{table}: no data rows" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_report_matches_the_expected_table(self, tmp_path, capsys):
         out = tmp_path / "report"

@@ -5,21 +5,16 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from moodcycles import (
-    AnchorCalendar,
-    AnchorKind,
-    DataError,
+from moodcycles.countries import (
     HolidayResponse,
-    NumericalError,
-    WeeklySeries,
+    build_profiles,
     classify,
     cohort_agreement,
     compare_search_terms,
-    export_choropleth,
-    holiday_response,
 )
-from moodcycles.countries import build_profiles
+from moodcycles.errors import DataError
 from moodcycles.io import read_zscore_table
+from moodcycles.timeseries import WeeklySeries
 
 
 def response(christmas=0.0, eid=0.0, june=0.0, dec=0.0) -> HolidayResponse:
@@ -45,54 +40,6 @@ class TestClassify:
 
     def test_solstice_scores_never_classify(self):
         assert classify(response(june=9.0, dec=9.0)).label == "Other"
-
-
-class TestHolidayResponse:
-    def calendars(self):
-        years = range(2004, 2014)
-        return {
-            AnchorKind.CHRISTMAS: AnchorCalendar.solar(AnchorKind.CHRISTMAS, years),
-            AnchorKind.EID_AL_FITR: AnchorCalendar(
-                AnchorKind.EID_AL_FITR,
-                tuple(
-                    dt.date.fromisoformat(d)
-                    for d in (
-                        "2004-11-14", "2005-11-03", "2006-10-23", "2007-10-13",
-                        "2008-10-01", "2009-09-20", "2010-09-10", "2011-08-30",
-                        "2012-08-19", "2013-08-08",
-                    )
-                ),
-            ),
-            AnchorKind.JUNE_SOLSTICE: AnchorCalendar.solar(AnchorKind.JUNE_SOLSTICE, years),
-            AnchorKind.DECEMBER_SOLSTICE: AnchorCalendar.solar(AnchorKind.DECEMBER_SOLSTICE, years),
-        }
-
-    def test_christmas_spikes_produce_high_christmas_z(self):
-        start = dt.date(2004, 1, 4)
-        values = np.full(560, 10.0)
-        for i in range(560):
-            day = start + dt.timedelta(weeks=i)
-            if (day.month, 18 <= day.day <= 25) == (12, True):
-                values[i] = 100.0
-        series = WeeklySeries(start, values)
-        resp = holiday_response(series, self.calendars())
-        assert resp.z_christmas > 3.0
-        assert resp.z_christmas > resp.z_eid
-        assert classify(resp).label == "Christian"
-
-    def test_all_anchor_failures_are_reported_together(self):
-        series = WeeklySeries(dt.date(2004, 1, 4), np.full(560, 10.0))
-        with pytest.raises(NumericalError) as err:
-            holiday_response(series, self.calendars())
-        # constant series: every anchor fails with zero variance
-        for name in ("christmas", "eid-al-fitr", "june-solstice", "december-solstice"):
-            assert name in str(err.value)
-
-    def test_too_few_years_fails(self):
-        series = WeeklySeries(dt.date(2004, 1, 4), np.arange(200, dtype=float) % 7 + 1)
-        with pytest.raises(NumericalError) as err:
-            holiday_response(series, self.calendars())
-        assert "need 4" in str(err.value)
 
 
 class TestCohortAgreement:
@@ -156,31 +103,3 @@ class TestCompareSearchTerms:
         b = self.series("2004-01-04", [0] * 8)
         with pytest.raises(DataError):
             compare_search_terms(a, b)
-
-
-class TestChoropleth:
-    def profiles(self):
-        rows = [
-            {"code": "AA", "name": "A", "identification": "Christian", "hemisphere": "North",
-             "z_christmas": 4.0, "z_eid": 0.0, "z_june": 0.0, "z_dec": 0.0},
-            {"code": "BB", "name": "B", "identification": "Christian", "hemisphere": "North",
-             "z_christmas": 1.2, "z_eid": 0.0, "z_june": 0.0, "z_dec": 0.0},
-            {"code": "CC", "name": "C", "identification": "Muslim", "hemisphere": "North",
-             "z_christmas": 0.0, "z_eid": 2.0, "z_june": 0.0, "z_dec": 0.0},
-            {"code": "DD", "name": "D", "identification": "Other", "hemisphere": "South",
-             "z_christmas": 0.5, "z_eid": 0.5, "z_june": 0.0, "z_dec": 0.0},
-        ]
-        return build_profiles(rows)
-
-    def test_buckets_colors_and_missing(self):
-        rows = export_choropleth(self.profiles(), all_codes=["AA", "BB", "CC", "DD", "EE"])
-        by_code = {r[0]: r for r in rows}
-        assert by_code["AA"][3] == "red-5"       # at the Christian max
-        assert by_code["BB"][3] == "red-2"       # ceil(5*1.2/4.0) = 2
-        assert by_code["CC"][3] == "green-5"     # at the Muslim max
-        assert by_code["DD"][3] == "white"
-        assert by_code["EE"][3] == "dark-grey"
-
-    def test_rows_sorted_by_code(self):
-        rows = export_choropleth(self.profiles(), all_codes=["ZZ"])
-        assert [r[0] for r in rows] == sorted(r[0] for r in rows)

@@ -5,20 +5,15 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from moodcycles import (
+from moodcycles.eigenmood import (
+    MEMBERSHIP_NAMES,
     BinnedMoodMatrix,
     Component,
-    DataError,
-    DegenerateSeriesError,
     Eigenmood,
-    NumericalError,
     WeekProjection,
-    bin_weeks,
     decompose,
-    denoise,
     heatmap,
     linguistic_response,
-    matrix_from_binned,
     mean_projection,
     membership_matrix,
     project,
@@ -27,7 +22,8 @@ from moodcycles import (
     select_eigenmood,
     similarity,
 )
-from moodcycles.eigenmood import MEMBERSHIP_NAMES
+from moodcycles.errors import DataError, DegenerateSeriesError, NumericalError
+from moodcycles.sentiment import bin_weeks
 
 
 def random_matrix(rng, n_weeks=12, n_bins=8):
@@ -76,7 +72,8 @@ class TestDecompose:
         M = random_matrix(np.random.default_rng(4))
         dec = decompose(M)
         for k in (1, 2, 3):
-            np.testing.assert_allclose(dec.coords(k), M @ dec.V[:, k - 1], atol=1e-10)
+            coords = [dec.coord(row, k) for row in range(M.shape[0])]
+            np.testing.assert_allclose(coords, M @ dec.V[:, k - 1], atol=1e-10)
         assert dec.coord(5, 2) == pytest.approx(dec.U[5, 1] * dec.S[1], abs=1e-15)
 
     def test_relative_variance_sums_to_one(self):
@@ -97,7 +94,9 @@ class TestDecompose:
             dt.date(2010, 1, 3) + dt.timedelta(weeks=w): [[v, 5.0, 5.0] for v in (1.0 + w, 5.0, 9.0 - w)]
             for w in range(4)
         })
-        matrix = matrix_from_binned(weeks, "valence")
+        valence = [b for b in weeks if b.dimension == "valence"]
+        matrix = BinnedMoodMatrix("valence", tuple(b.week_start for b in valence),
+                                  np.vstack([b.probs for b in valence]))
         dec = decompose(matrix)
         assert dec.U.shape == (4, 4)
 
@@ -126,10 +125,9 @@ class TestRetainedAndDenoise:
         vals, vecs = np.linalg.eigh(M @ M.T)
         w = vecs[:, -1]
         rank1 = np.outer(w, w @ M)
-        result = denoise(dec, var_threshold=1.0)
-        np.testing.assert_allclose(result.matrix, M - rank1, atol=1e-8)
-        assert result.kept == tuple(range(2, dec.rank + 1))
-        assert not result.degenerate
+        kept = retained_components(dec, var_threshold=1.0)
+        np.testing.assert_allclose(dec.reconstruct(kept), M - rank1, atol=1e-8)
+        assert kept == tuple(range(2, dec.rank + 1))
 
     def test_truncation_beats_random_projections(self):
         rng = np.random.default_rng(12)
@@ -144,10 +142,7 @@ class TestRetainedAndDenoise:
 
     def test_rank_one_input_is_degenerate(self):
         dec = decompose(np.outer([1.0, 2.0, 3.0], [1.0, 1.0, 2.0]))
-        result = denoise(dec)
-        assert result.degenerate
-        assert result.kept == ()
-        np.testing.assert_array_equal(result.matrix, np.zeros((3, 3)))
+        assert retained_components(dec) == ()
 
     def test_threshold_bounds(self):
         dec = decompose(random_matrix(np.random.default_rng(13)))

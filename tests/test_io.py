@@ -13,7 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from moodcycles import AnchorKind, DataError, WeeklySeries, io
+from moodcycles import io
+from moodcycles.errors import DataError
 from moodcycles.io import (
     atomic_write,
     calendar_for,
@@ -35,6 +36,7 @@ from moodcycles.io import (
     write_table,
     write_weekly_series,
 )
+from moodcycles.timeseries import AnchorKind, WeeklySeries
 
 UTC = dt.timezone.utc
 
@@ -478,6 +480,21 @@ class TestFlatTables:
         with pytest.raises(DataError) as err:
             read_zscore_table(path)
         assert "z.csv:2" in str(err.value) and repr(cell) in str(err.value)
+
+
+class TestBirths:
+    @pytest.mark.parametrize("row, message", [
+        ("US,2010,13,1", "month 13 outside 1-12"),
+        ("US,2010,0,1", "month 0 outside 1-12"),
+        ("US,2010,2,-1", "negative birth count -1.0"),
+        ("US,2010,1,2", "duplicate entry for US 2010-01 (first on line 2)"),
+    ])
+    def test_bad_rows_point_at_their_line(self, tmp_path, row, message):
+        path = tmp_path / "b.csv"
+        path.write_text(f"country,year,month,count\nUS,2010,1,1\nGB,2010,1,1\n{row}\n")
+        with pytest.raises(DataError) as err:
+            read_births(path)
+        assert str(err.value) == f"{path}:4: {message}"
 
 
 class TestExpectedAgreement:

@@ -13,8 +13,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from moodcycles import (
-    DataError,
+from moodcycles import sentiment
+from moodcycles.errors import DataError
+from moodcycles.sentiment import (
+    DIMENSIONS,
+    LOW_CONFIDENCE_WEEK,
     GreetingStoplist,
     Lexicon,
     ScoredRecord,
@@ -26,11 +29,10 @@ from moodcycles import (
     bin_weeks,
     score_records,
     score_text,
+    score_texts,
     tokenize,
     weekly_scores,
 )
-from moodcycles import sentiment
-from moodcycles.sentiment import DIMENSIONS, LOW_CONFIDENCE_WEEK, score_texts
 
 UTC = dt.timezone.utc
 
@@ -130,6 +132,16 @@ class TestStoplist:
         text = "χρόν\u0345α πολλά"
         assert greek.strip(text) is text
         assert RegexStoplist(greek).strip(text) == text
+
+    def test_iota_phrases_strip_in_any_case(self):
+        # the guard against U+0345 is itself case-sensitive, so an iota of
+        # the text, in either case, still matches the phrase's iota
+        greek = GreetingStoplist(["χρόνια πολλά"])
+        for text in ["χρόνια πολλά x", "ΧΡΌΝΙΑ ΠΟΛΛΆ x", "Χρόνια Πολλά x", "χρόνΙα πΟλλά x"]:
+            assert greek.strip(text) == "x"
+            assert RegexStoplist(greek).strip(text) == "x"
+        text = "χρόν\u0345α πολλά x"
+        assert greek.strip(text) is text
 
     def test_punctuation_separates_phrase_tokens(self, default_stoplist):
         assert default_stoplist.strip("merry, christmas!!") == "!!"
@@ -429,6 +441,10 @@ class TestScoreTexts:
              stoplist=MIXED, chunk=5,
              texts=["ΣΟΣ JOY x", "σοσ joy", "4TH of July x", "merry x1 joy", "С НОВЫМ ГОДОМ joy x", "İjoy",
                     "Sol Mesa x"])
+    @example(lexicons=[Lexicon("el", {"πολλά": (1.0, 2.0, 3.0), "joy": (5.0, 5.0, 5.0)})],
+             stoplist=MIXED, chunk=2,
+             texts=["ΧΡΌΝΙΑ ΠΟΛΛΆ joy", "χρόνια πολλά joy", "Χρόνια Πολλά", "χρόν\u0345α πολλά joy",
+                    "ΧΡΌΝ\u0345Α ΠΟΛΛΆ"])
     def test_equals_score_text_across_chunk_seams(self, lexicons, stoplist, texts, chunk):
         with mock.patch.object(sentiment, "_CHUNK", chunk):
             cols = score_texts(texts, lexicons, stoplist)

@@ -9,15 +9,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sstats
 
-from moodcycles import (
-    DataError,
-    DegenerateSeriesError,
+from moodcycles import stats
+from moodcycles.errors import DataError, DegenerateSeriesError
+from moodcycles.stats import (
     distance_correlation,
     distance_covariance,
     ols,
     pearson,
     permutation_test,
-    stats,
 )
 
 

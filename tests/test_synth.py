@@ -6,10 +6,10 @@ import json
 import numpy as np
 import pytest
 
-from moodcycles import DataError, generate_synthetic
+from moodcycles.errors import DataError
 from moodcycles.io import read_records, read_weekly_series
 from moodcycles.sentiment import tokenize
-from moodcycles.synth import SynthSpec, mixture, vocabulary
+from moodcycles.synth import SynthSpec, generate_synthetic, mixture, vocabulary
 
 
 SMALL = SynthSpec(n_years=1, weeks_per_year=8, holiday_weeks=(2, 5), records_per_week=50)

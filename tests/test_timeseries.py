@@ -9,11 +9,11 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from moodcycles import (
+from moodcycles.errors import DataError, DegenerateSeriesError
+from moodcycles.timeseries import (
     AnchorCalendar,
     AnchorKind,
-    DataError,
-    DegenerateSeriesError,
+    CenteredYear,
     WeeklySeries,
     average_years,
     build_centered_years,
@@ -24,6 +24,7 @@ from moodcycles import (
 )
 
 GRID_START = dt.date(2004, 1, 4)
+WEEK = dt.timedelta(weeks=1)
 
 
 def series(n_weeks: int, value: float = 10.0) -> WeeklySeries:
@@ -36,14 +37,6 @@ class TestWeeklySeries:
         assert len(s) == 3
         assert s.week_start(0) == GRID_START
         assert s.week_start(2) == dt.date(2004, 1, 18)
-
-    def test_index_of_interior_day(self):
-        s = series(3)
-        # Wednesday of the second week
-        assert s.index_of(dt.date(2004, 1, 14)) == 1
-        assert s.index_of(dt.date(2004, 1, 4)) == 0
-        assert s.index_of(dt.date(2004, 1, 3)) is None
-        assert s.index_of(dt.date(2004, 1, 25)) is None
 
     def test_rejects_negative_and_nonfinite(self):
         with pytest.raises(DataError):
@@ -89,7 +82,7 @@ class TestCenteredWeekSpans:
         # Christmas 2004 (a Saturday) falls in the week starting 2004-12-19,
         # grid week 50; the centered year spans weeks 25..76.
         cal = AnchorCalendar.solar(AnchorKind.CHRISTMAS, [2004])
-        spans = centered_week_spans(GRID_START, 560, cal)
+        spans = centered_week_spans(GRID_START, 560, cal, [])
         assert spans == [
             (dt.date(2004, 12, 25), 25, 76, ()),
         ]
@@ -99,7 +92,7 @@ class TestCenteredWeekSpans:
         # Christmas 2005 sits 53 grid weeks after Christmas 2004, so one
         # week (starting 2005-06-26) belongs to neither centered year.
         cal = AnchorCalendar.solar(AnchorKind.CHRISTMAS, [2004, 2005])
-        spans = centered_week_spans(GRID_START, 560, cal)
+        spans = centered_week_spans(GRID_START, 560, cal, [])
         assert len(spans) == 2
         assert spans[0][3] == ()
         assert spans[1][3] == (dt.date(2005, 6, 26),)
@@ -109,7 +102,7 @@ class TestCenteredWeekSpans:
     def test_back_to_back_years_have_no_gap(self):
         # Christmas 2006 is 52 grid weeks after Christmas 2005.
         cal = AnchorCalendar.solar(AnchorKind.CHRISTMAS, [2005, 2006])
-        spans = centered_week_spans(GRID_START, 560, cal)
+        spans = centered_week_spans(GRID_START, 560, cal, [])
         assert spans[1][3] == ()
         assert spans[1][1] == spans[0][2] + 1
 
@@ -148,27 +141,25 @@ class TestBuildCenteredYears:
         values[50] = 99.0
         s = WeeklySeries(GRID_START, values)
         cal = AnchorCalendar.solar(AnchorKind.CHRISTMAS, [2004])
-        (year,) = build_centered_years(s, cal)
+        (year,) = build_centered_years(s, cal, [])
         assert len(year.weeks) == 52
         assert year.weeks[cal.anchor_week_index - 1] == 99.0
         assert year.week1_start == dt.date(2004, 6, 27)
-        assert year.week_start(26) == dt.date(2004, 12, 19)
-        assert year.last_week_start == dt.date(2005, 6, 19)
+        assert year.week1_start + 25 * WEEK == dt.date(2004, 12, 19)
+        assert year.week1_start + 51 * WEEK == dt.date(2005, 6, 19)
 
     def test_eid_year_is_50_weeks_with_anchor_at_25(self):
         values = np.full(560, 10.0)
         s = WeeklySeries(GRID_START, values)
         cal = AnchorCalendar(AnchorKind.EID_AL_FITR, (dt.date(2004, 11, 14),))
-        (year,) = build_centered_years(s, cal)
+        (year,) = build_centered_years(s, cal, [])
         assert len(year.weeks) == 50
         # Eid 2004-11-14 is itself a Sunday, so its week starts that day
-        assert year.week_start(25) == dt.date(2004, 11, 14)
+        assert year.week1_start + 24 * WEEK == dt.date(2004, 11, 14)
 
 
 class TestNormalizeAndAverage:
     def year(self, weeks, anchor="2004-12-25"):
-        from moodcycles import CenteredYear
-
         return CenteredYear(
             anchor_date=dt.date.fromisoformat(anchor),
             week1_start=dt.date(2004, 6, 27),
@@ -225,7 +216,7 @@ class TestNormalizeBirths:
         # Jan count 310 -> rate 10/day; Feb count 282.5 -> rate 10/day
         entries = [(2010, 1, 310.0), (2010, 2, 282.5), (2010, 12, 620.0)]
         result = normalize_births(entries, shift_months=0)
-        rates = {(y, m): r for y, m, r in result.normalized}
+        rates = {(y, m): r for y, m, r in result}
         assert rates[(2010, 12)] == 1.0           # peak 20/day
         assert rates[(2010, 1)] == 0.5
         assert rates[(2010, 2)] == 0.5
@@ -233,7 +224,7 @@ class TestNormalizeBirths:
     def test_shift_wraps_into_previous_year_and_drops_head(self):
         entries = [(2010, 1, 100.0), (2010, 2, 90.0), (2010, 12, 120.0), (2011, 6, 120.0)]
         result = normalize_births(entries, shift_months=9)
-        labels = [(y, m) for y, m, _ in result.normalized]
+        labels = [(y, m) for y, m, _ in result]
         # Jan/Feb 2010 shift to Apr/May 2009, before the data, so dropped;
         # Dec 2010 -> Mar 2010; Jun 2011 -> Sep 2010.
         assert labels == [(2010, 3), (2010, 9)]
@@ -241,18 +232,13 @@ class TestNormalizeBirths:
     def test_year_peaks_are_per_original_year(self):
         entries = [(2010, 10, 310.0), (2010, 11, 150.0), (2011, 10, 620.0), (2011, 11, 300.0)]
         result = normalize_births(entries, shift_months=0)
-        rates = {(y, m): r for y, m, r in result.normalized}
+        rates = {(y, m): r for y, m, r in result}
         assert rates[(2010, 10)] == 1.0
         assert rates[(2011, 10)] == 1.0
         assert rates[(2010, 11)] == pytest.approx(0.5, abs=1e-12)
 
     def test_rejects_bad_input(self):
-        with pytest.raises(DataError):
-            normalize_births([(2010, 13, 1.0)])
-        with pytest.raises(DataError):
-            normalize_births([(2010, 1, -1.0)])
-        with pytest.raises(DataError):
-            normalize_births([(2010, 1, 1.0), (2010, 1, 2.0)])
+        # months, counts and repeats are checked by io.read_births (tests/test_io.py)
         with pytest.raises(DataError):
             normalize_births([])
         with pytest.raises(DataError):
