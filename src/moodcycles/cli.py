@@ -117,12 +117,12 @@ def _stoplist(args, manifest: RunManifest) -> sentiment.GreetingStoplist | None:
 
 
 def _fold_scored(args, manifest: RunManifest, fold) -> dict[str, int]:
-    """Read and score the records a chunk at a time, passing each chunk's
-    scored records (only those of ``--country``, when it is given) to
-    ``fold(country codes, GMT day ordinals, (n, 3) scores)`` in input
+    """Read and score the records a block of lines at a time, passing each
+    block's scored records (only those of ``--country``, when it is given)
+    to ``fold(country codes, GMT day ordinals, (n, 3) scores)`` in input
     order; returns each country's code, in first-seen order. Each distinct
-    line of a chunk is scored and coded once, and its columns are gathered
-    back to the chunk's records."""
+    line of a block is scored and coded once, and its columns are gathered
+    back to the block's records."""
     manifest.add_input(args.records)
     manifest.add_input(args.lexicons)
     scorer = sentiment.Scorer(sentiment.load_lexicons(args.lexicons), _stoplist(args, manifest))
@@ -264,6 +264,9 @@ def cmd_score(args, manifest: RunManifest) -> None:
                 rows.append((country, week.week_start, dim, week.mean[i], week.n_scored))
         if n_gaps:
             manifest.warnings.append(f"{country}: {n_gaps} gap weeks with no scored records")
+    if not rows:
+        raise DataError(f"no scored records for country {args.country!r}" if args.country
+                        else "the records hold no scored record for any country")
     _warn_low_confidence(manifest, n_low)
     io.write_weekly_mood(args.out / "weekly_mood.csv", rows)
     manifest.counts["countries"] = len(wanted)
@@ -324,6 +327,8 @@ def _holiday_rows(days: list[dt.date], matrices: dict[str, em.BinnedMoodMatrix])
 
 def _select(args, manifest: RunManifest):
     dims, days = _parse_dims(args.dims), _parse_dates(args.holiday_weeks)
+    if len(days) < 2:
+        raise UsageError(f"--holiday-weeks needs at least 2 dates, got {args.holiday_weeks!r}")
     manifest.add_input(args.binned)
     data = io.read_binned(args.binned)
     matrices = {}
@@ -452,8 +457,9 @@ def _joined(y_path: str, x_paths: list[str]) -> tuple[np.ndarray, np.ndarray, li
 
 def cmd_regress(args, manifest: RunManifest) -> None:
     x_paths = [p.strip() for p in args.x.split(",") if p.strip()]
-    if not x_paths:
-        raise UsageError(f"--x names no file: {args.x!r}")
+    names = [Path(p).stem for p in x_paths]  # each names its regressor's fields
+    if not names or len(set(names)) < len(names):
+        raise UsageError(f"--x must name at least one file, no two with one stem: {args.x!r}")
     manifest.add_input(args.y)
     for p in x_paths:
         manifest.add_input(p)
@@ -466,8 +472,7 @@ def cmd_regress(args, manifest: RunManifest) -> None:
             ["f_pvalue", result.f_pvalue],
             ["intercept", result.intercept]]
     bonf = result.bonferroni(len(x_paths))
-    for i, path in enumerate(x_paths):
-        name = Path(path).stem
+    for i, name in enumerate(names):
         rows.append([f"coef_{name}", float(result.coef[i])])
         rows.append([f"t_{name}", float(result.t_stats[i])])
         rows.append([f"t_pvalue_{name}", float(result.t_pvalues[i])])

@@ -408,56 +408,29 @@ _MALFORMED, _BLANK = -1, -2  # a line's row when it is not a record
 
 
 def read_record_chunks(path: str | Path, size: int):
-    """``read_records``'s records, ``size`` at a time, as columns of each
-    chunk's distinct lines.
+    """``read_records``'s records, a block of ``size`` raw lines at a time
+    (the last shorter; none for an empty file), as columns of each block's
+    distinct lines.
 
-    Yields (days, countries, texts, row, n_malformed) per chunk: the GMT day
-    ordinals (int64), countries and texts of the chunk's distinct good
+    Yields (days, countries, texts, row, n_malformed) per block: the GMT day
+    ordinals (int64), countries and texts of the block's distinct good
     lines, first seen first; ``row`` (intp), the index in those columns of
-    each of the chunk's records, in input order; and the number of
-    malformed lines skipped since the previous chunk. A chunk holds
-    ``size`` records, and whatever is left in the last chunk, which is
-    always yielded, empty or not. Lines are read in blocks of as many as
-    the chunk still lacks, so only one chunk's lines are held. Each
-    distinct raw line of a chunk (line end included) is parsed once, with
-    the other new lines of its block (see ``_records``): a dict
+    each of the block's records, in input order; and the number of the
+    block's malformed lines. Each distinct raw line (line end included) is
+    parsed once, with the others (see ``_records``): the block's own dict
     maps it to its row, or to -1 when it is malformed and -2 when it is
-    empty, so a repeated malformed line counts each time. The dict is
-    cleared with each chunk, and before a block whose new lines would take
-    it past ``size`` lines, so distinct malformed lines cannot grow it.
+    empty, so a repeated malformed line counts each time.
     """
-    days: list[int] = []
-    countries: list[str] = []
-    texts: list[str] = []
-    rows: list[np.ndarray] = []
-    n_rows = malformed = 0
-    row_of: dict[str, int] = {}
     with _open_records(path) as handle:
-        while block := list(islice(handle, size - n_rows)):
-            new = [line for line in dict.fromkeys(block) if line not in row_of]  # first seen first
-            if len(row_of) + len(new) > size:
-                row_of.clear()
-                new = list(dict.fromkeys(block))
-            row_of.update((line, _MALFORMED if line.rstrip("\n").rstrip("\r") else _BLANK)
-                          for line in new)
-            at, new_days, new_countries, new_texts = _records(new)
-            row_of.update(zip([new[i] for i in at], range(len(texts), len(texts) + len(at))))
-            days += new_days.tolist()
-            countries += new_countries
-            texts += new_texts
+        while block := list(islice(handle, size)):
+            distinct = list(dict.fromkeys(block))  # first seen first
+            row_of = {line: _MALFORMED if line.rstrip("\n").rstrip("\r") else _BLANK
+                      for line in distinct}
+            at, days, countries, texts = _records(distinct)
+            row_of.update(zip([distinct[i] for i in at], range(len(at))))
             row = np.fromiter(map(row_of.__getitem__, block), np.intp, len(block))
-            malformed += int(np.count_nonzero(row == _MALFORMED))
-            row = row[row >= 0]
-            if len(row):
-                rows.append(row)
-                n_rows += len(row)
-            if n_rows == size:
-                row_of.clear()
-                del block, new  # hold no raw line while the chunk is used
-                yield np.array(days, np.int64), countries, texts, np.concatenate(rows), malformed
-                days, countries, texts, rows, n_rows, malformed = [], [], [], [], 0, 0
-    yield (np.array(days, np.int64), countries, texts,
-           np.concatenate(rows) if rows else np.empty(0, np.intp), malformed)
+            del block, distinct, row_of  # hold no raw line while the block is used
+            yield days, countries, texts, row[row >= 0], int(np.count_nonzero(row == _MALFORMED))
 
 
 def parse_timestamp(text: str) -> dt.datetime | None:

@@ -271,7 +271,7 @@ def score_text(text: str, lexicons: list[Lexicon], stoplist: GreetingStoplist | 
     return TextScore(v / k, a / k, d / k, "+".join(b[0] for b in best), best_count, tie=True)
 
 
-_CHUNK = 8192  # texts per scoring chunk; records per chunk of the score and bin stages
+_CHUNK = 8192  # texts per scoring chunk; lines per block the score and bin stages read
 _SEPARATOR = "\n"  # joins a chunk's texts; never part of a token
 _PIECE = re.compile(f"{_TOKEN.pattern}|{_SEPARATOR}", re.UNICODE)  # a token or the separator
 
@@ -287,15 +287,14 @@ class ScoreColumns(NamedTuple):
 class Scorer:
     """``score_text``'s rule over a chunk of texts at a time, as arrays, bit for bit.
 
-    A text's scores depend on the text alone, so ``score`` maps the chunk's
-    texts to their distinct values with one dict, scores each distinct text
-    once and gathers the rows back to one per text: a repeated text (a
-    retweet, a stock greeting) costs one dict lookup. One table, built once,
-    gives an id to each lexicon word, each first token of a stoplist phrase
-    and the text separator ``"\n"``, and maps each word id to its entries in
-    every lexicon that matches it. The distinct texts are joined with the
-    separator (a separator inside a text becomes a space), lowered and split
-    with one regex pass into tokens and separators; tokens map to ids, and a
+    ``score`` scores each text it is handed, repeats included: the score
+    and bin stages hand it the texts of a block's distinct lines (see
+    ``io.read_record_chunks``). One table, built once, gives an id to each
+    lexicon word, each first token of a stoplist phrase and the text
+    separator ``"\n"``, and maps each word id to its entries in every
+    lexicon that matches it. The texts are joined with the separator (a
+    separator inside a text becomes a space), lowered and split with one
+    regex pass into tokens and separators; tokens map to ids, and a
     cumulative count of separators gives each token's text. Texts with a
     token that starts a stoplist phrase, and in a chunk that holds one,
     texts with a character the prefilter cannot rule out (see
@@ -337,18 +336,9 @@ class Scorer:
 
     def score(self, texts: Sequence[str]) -> ScoreColumns:
         """The scores of ``texts``, all at once: pass a chunk, not a corpus."""
-        m = len(texts)
-        if m and not self._n_lex:
-            raise DataError("need at least one lexicon")
-        distinct = list(dict.fromkeys(texts))  # first seen first
-        row_of = dict(zip(distinct, range(len(distinct))))
-        row = np.fromiter(map(row_of.__getitem__, texts), np.intp, m)
-        n_matched, vad, won = self._score_distinct(distinct)
-        return ScoreColumns(n_matched[row], vad[row], won[row])
-
-    def _score_distinct(self, texts: list[str]) -> ScoreColumns:
-        """``score`` of distinct texts, one row per text."""
         m, n_lex, stoplist = len(texts), self._n_lex, self._stoplist
+        if m and not n_lex:
+            raise DataError("need at least one lexicon")
         parts, joined = texts, _SEPARATOR.join(texts)
         if joined.count(_SEPARATOR) != max(m - 1, 0):
             # a space splits tokens as the separator does, and neither is
@@ -361,6 +351,7 @@ class Scorer:
         wider = stoplist is not None and stoplist._folds_wider(joined)  # one check per chunk
         del joined, parts
         pieces = _PIECE.findall(lowered)
+        del lowered
         ids = self._ids(pieces)
         del pieces
         separator = ids == self._separator

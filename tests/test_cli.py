@@ -80,13 +80,15 @@ class TestExitCodes:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("case", ["terms-apart", "regress-collinear", "center-zero-year",
-                                      "bin-unscored", "bin-unknown-only"])
+                                      "bin-unscored", "bin-unknown-only", "score-unscored",
+                                      "score-unknown-only", "score-absent-country"])
     def test_a_failed_stage_creates_no_out(self, tmp_path, capsys, case):
         # --out appears with a stage's first artifact, after every check
         write_series(tmp_path / "a.csv", "2010-01-03", [1.0, 2.0])
         write_series(tmp_path / "b.csv", "2011-01-02", [1.0, 2.0])
         write_series(tmp_path / "zero.csv", "2010-01-03", [0.0] * 156)
-        write_keyed(tmp_path / "k.csv", [("a", 1.0), ("b", 2.0), ("c", 4.0), ("d", 3.0)])
+        for name in ("k.csv", "k2.csv"):
+            write_keyed(tmp_path / name, [("a", 1.0), ("b", 2.0), ("c", 4.0), ("d", 3.0)])
         (tmp_path / "lex.csv").write_text(LEXICON_CSV)
         (tmp_path / "zzz.tsv").write_text("2010-01-03T08:00:00Z\tUS\tzzz\n"
                                           "2010-01-04T08:00:00Z\tGB\tzzz\n")
@@ -97,12 +99,18 @@ class TestExitCodes:
         argv, code, message = {
             "terms-apart": (["compare-terms", "--a", f("a.csv"), "--b", f("b.csv")], 2,
                             "overlap 0 weeks"),
-            "regress-collinear": (["regress", "--y", f("k.csv"), "--x", f"{f('k.csv')},{f('k.csv')}"],
+            "regress-collinear": (["regress", "--y", f("k.csv"), "--x", f"{f('k.csv')},{f('k2.csv')}"],
                                   3, "rank-deficient"),
             "center-zero-year": (["center", "--series", f("zero.csv"), "--anchor", "christmas",
                                   "--years", "2010-2011"], 3, "no positive value"),
             "bin-unscored": (["bin", *records, f("zzz.tsv")], 2, "no scored record"),
             "bin-unknown-only": (["bin", *records, f("unknown.tsv")], 2, "no scored record"),
+            "score-unscored": (["score", *records, f("zzz.tsv")], 2,
+                               "the records hold no scored record for any country"),
+            "score-unknown-only": (["score", *records, f("unknown.tsv")], 2,
+                                   "the records hold no scored record for any country"),
+            "score-absent-country": (["score", *records, f("zzz.tsv"), "--country", "XX"], 2,
+                                     "no scored records for country 'XX'"),
         }[case]
         assert run(*argv, "--out", str(tmp_path / "out")) == code
         err = capsys.readouterr().err
@@ -135,7 +143,9 @@ class TestExitCodes:
         (["--dims", "bogus", "--holiday-weeks", "2010-01-03"], "unknown dimension 'bogus'"),
         ([], "missing required option(s): --holiday-weeks"),
         (["--holiday-weeks", "2010-01-03, 2010-01-03"], "repeated date"),
-    ], ids=["bad-dims", "no-holiday-weeks", "repeated-week"])
+        (["--holiday-weeks", "2011-01-30"], "--holiday-weeks needs at least 2 dates"),
+        (["--holiday-weeks", ","], "--holiday-weeks needs at least 2 dates"),
+    ], ids=["bad-dims", "no-holiday-weeks", "repeated-week", "one-holiday-date", "empty-date-list"])
     def test_binned_stage_usage_errors_precede_the_read(self, tmp_path, capsys, stage, options,
                                                         message):
         out = tmp_path / "out"
@@ -208,6 +218,19 @@ class TestExitCodes:
         assert run("regress", "--y", str(y), "--x", x, "--out", str(tmp_path / "out")) == 1
         err = capsys.readouterr().err
         assert "--x" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_regress_refuses_two_x_files_with_one_stem(self, tmp_path, capsys):
+        # each regressor's fields are named by its file's stem; the y file
+        # does not exist, so a check made after reading would exit 2
+        x = [tmp_path / d / "x.csv" for d in ("p", "q")]
+        for i, path in enumerate(x):
+            path.parent.mkdir()
+            write_keyed(path, [("a", 1.0), ("b", 2.0 + i), ("c", 4.0), ("d", 3.0)])
+        assert run("regress", "--y", str(tmp_path / "absent.csv"), "--x", f"{x[0]},{x[1]}",
+                   "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert "no two with one stem" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv", [["score", "--lexicons", "lex.csv"],
@@ -530,16 +553,19 @@ class TestColumnarStages:
                            "records_unscored": sum(r.score is None for r in scored)}
 
             with mock.patch.object(sentiment, "_CHUNK", chunk):
-                assert run("score", *argv, "--out", str(tmp / "cli")) == 0
+                code = run("score", *argv, "--out", str(tmp / "cli"))
             wanted = [country] if country else sorted({r.country for r in scored} - {"unknown"})
             rows = [(c, week.week_start, dim, week.mean[i], week.n_scored)
                     for c in wanted for week in sentiment.aggregate(scored, c)[0]
                     for i, dim in enumerate(sentiment.DIMENSIONS)]
-            io.write_weekly_mood(tmp / "weekly_mood.csv", rows)
-            assert ((tmp / "cli" / "weekly_mood.csv").read_bytes()
-                    == (tmp / "weekly_mood.csv").read_bytes())
-            assert manifest_entry(tmp / "cli", "score")["counts"] == {
-                **read_counts, "countries": len(wanted), "weekly_rows": len(rows)}
+            # as in bin, no scored record to write is a data error
+            assert code == (0 if rows else 2)
+            if code == 0:
+                io.write_weekly_mood(tmp / "weekly_mood.csv", rows)
+                assert ((tmp / "cli" / "weekly_mood.csv").read_bytes()
+                        == (tmp / "weekly_mood.csv").read_bytes())
+                assert manifest_entry(tmp / "cli", "score")["counts"] == {
+                    **read_counts, "countries": len(wanted), "weekly_rows": len(rows)}
 
             with mock.patch.object(sentiment, "_CHUNK", chunk):
                 code = run("bin", *argv, "--out", str(tmp / "cli"))
@@ -743,30 +769,26 @@ class TestBinnedErrors:
                 for j, dim in enumerate(dims)]
 
     @pytest.mark.parametrize("stage", ["eigenmood", "similarity"])
-    @pytest.mark.parametrize("case", ["one-week", "negative", "unsummed", "weeks-disagree",
-                                      "one-holiday-year"])
+    @pytest.mark.parametrize("case", ["one-week", "negative", "unsummed", "weeks-disagree"])
     def test_message_names_the_file(self, tmp_path, stage, case):
         rows, holidays = self.rows(), "2010-12-26,2011-12-25"
         if case == "one-week":
-            rows, holidays = self.rows(weeks=BINNED_WEEKS[:1]), BINNED_WEEKS[0]
+            rows, holidays = self.rows(weeks=BINNED_WEEKS[:1]), ",".join(BINNED_WEEKS[:2])
         elif case == "negative":
             rows[4] = (*rows[4][:2], ["0.5", "-0.25", "0.75"])
         elif case == "unsummed":
             rows[4] = (*rows[4][:2], ["0.5", "0.25", "0.5"])
         elif case == "weeks-disagree":
             rows = [row for row in rows if not (row[1] == "arousal" and row[0] == BINNED_WEEKS[-1])]
-        else:
-            holidays = "2010-12-26"
         path = tmp_path / "binned.tsv"
         path.write_text(binned_tsv(rows))
         code, err = run_quietly([stage, "--binned", str(path), "--holiday-weeks", holidays,
                                  "--out", str(tmp_path / "out")])
         expected = {
-            "one-week": f"{path}: need a 2-D matrix with at least 2 rows",
+            "one-week": f"{path}: holiday week {BINNED_WEEKS[1]} is not present in the binned data",
             "negative": f"{path}:6: bin probabilities must be finite and non-negative",
             "unsummed": f"{path}:6: every week's bin probabilities must sum to 1",
             "weeks-disagree": f"{path}: binned dimensions valence and arousal disagree on their week lists",
-            "one-holiday-year": f"{path}: need holiday rows from at least 2 years",
         }[case]
         assert (code, err) == (2, f"data error: {expected}\n")
 

@@ -5,6 +5,7 @@ import os
 import stat
 import tempfile
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -247,9 +248,15 @@ def test_record_chunks_equal_read_records(content, size):
         path.write_bytes(content)
         records, malformed = read_records(path)
         chunks = list(read_record_chunks(path, size))
-    assert [len(row) for _, _, _, row, _ in chunks[:-1]] == [size] * (len(chunks) - 1)
-    assert len(chunks[-1][3]) < size
-    assert np.concatenate([days[row] for days, _, _, row, _ in chunks]).tolist() == [
+        with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
+            lines = [line.rstrip("\n").rstrip("\r") for line in fh]
+    # each block covers size lines, records, malformed and empty lines alike;
+    # the last is shorter, and an empty file has none
+    blocks = [[io._record(line) for line in lines[i:i + size] if line]
+              for i in range(0, len(lines), size)]
+    assert [(len(row), bad) for _, _, _, row, bad in chunks] == [
+        (sum(r is not None for r in block), sum(r is None for r in block)) for block in blocks]
+    assert [day for days, _, _, row, _ in chunks for day in days[row].tolist()] == [
         stamp.toordinal() for stamp, _, _ in records]
     assert [countries[r] for _, countries, _, row, _ in chunks for r in row] == [c for _, c, _ in records]
     assert [texts[r] for _, _, texts, row, _ in chunks for r in row] == [t for _, _, t in records]
@@ -280,37 +287,20 @@ def test_record_chunks_parse_each_distinct_line_once(tmp_path):
     assert [texts[r] for r in row] == [t for _, _, t in read_records(path)[0]]
 
 
-def test_record_chunks_parse_a_line_once_across_the_blocks_of_a_chunk(tmp_path):
-    # a chunk of 4 records takes three blocks here: 4 lines (two
-    # malformed), 2 lines (one malformed), 1 line; "good" is parsed once
-    path = tmp_path / "records.tsv"
-    path.write_text("".join(f"{line}\n" for line in [
-        "2010-01-03T08:00:00Z\tUS\tgood", "bad", "2010-01-03T08:00:00Z\tUS\tgood", "bad",
-        "2010-01-03T08:00:00Z\tUS\tgood", "worse", "2010-01-03T08:00:00Z\tUS\tgood",
-        "2010-01-03T08:00:00Z\tUS\tnext chunk"]))
-    with mock.patch.object(io, "_records", wraps=io._records) as parse:
-        chunks = list(read_record_chunks(path, 4))
-    assert [call.args[0] for call in parse.call_args_list] == [
-        ["2010-01-03T08:00:00Z\tUS\tgood\n", "bad\n"], ["worse\n"], [],
-        ["2010-01-03T08:00:00Z\tUS\tnext chunk\n"]]
-    assert [(texts, row.tolist(), bad) for _, _, texts, row, bad in chunks] == [
-        (["good"], [0, 0, 0, 0], 3), (["next chunk"], [0], 0)]
-
-
 def test_record_chunks_hold_few_distinct_malformed_stamps(tmp_path):
-    # Twitter's created_at format fails to parse; every stamp is distinct,
-    # and no chunk fills, so only the line memo's own bound keeps it small
+    # Twitter's created_at format fails to parse and every stamp is
+    # distinct, so the line memo gets no hit; it holds one block's lines
     def peak(n):
         path = tmp_path / f"{n}.tsv"
         path.write_text("".join(f"Wed Oct 10 20:{i // 60 % 60:02d}:{i % 60:02d} +0000 {2000 + i // 3600}"
                                 "\tUS\tjoy\n" for i in range(n)))
         tracemalloc.start()
         try:
-            chunks = list(read_record_chunks(path, 10))
+            blocks = Counter((len(row), bad) for _, _, _, row, bad in read_record_chunks(path, 10))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(chunks) == 1 and chunks[0][4] == n
+        assert blocks == {(0, 10): n // 10}
         return peak
 
     peak(2_000)  # first-call allocations (caches, lazily built helpers) stay out of the bound
