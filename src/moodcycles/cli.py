@@ -576,7 +576,6 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     commands: dict[str, _Parser] = {}
     finite = _ranged(float, "a finite number", math.isfinite)
     count = _ranged(int, "at least 0", lambda n: n >= 0)
-    pairs = _ranged(int, "at least 2", lambda n: n >= 2)  # two bins, or two points for an r
 
     def add(name: str, func, help_text: str, need=()) -> _Parser:
         """Declare a subcommand; ``main`` checks --out and the ``need`` options before it runs."""
@@ -603,7 +602,8 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
             need=("a", "b"))
     p.add_argument("--a", help="numerator weekly series CSV")
     p.add_argument("--b", help="reference weekly series CSV")
-    p.add_argument("--min-overlap", type=pairs, default=8, help="minimum overlapping weeks")
+    p.add_argument("--min-overlap", type=_ranged(int, "at least 2", lambda n: n >= 2),  # an r needs 2
+                   default=8, help="minimum overlapping weeks")
 
     p = add("births", cmd_births, "normalize monthly births and shift to conception months",
             need=("births",))
@@ -622,8 +622,9 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
         p.add_argument("--no-stoplist", action="store_true", help="skip greeting removal")
         p.add_argument("--country", help="restrict to one country code")
         if name == "bin":
-            p.add_argument("--bins", type=pairs, default=sentiment.N_BINS,
-                           help="number of score bins (default 25)")
+            # 3 int64 counts per bin in each (country, week) cell: 24 KB at most
+            p.add_argument("--bins", type=_ranged(int, "in [2, 1000]", lambda n: 2 <= n <= 1000),
+                           default=sentiment.N_BINS, help="number of score bins (default 25)")
 
     for name, func, help_text in (
         ("eigenmood", cmd_eigenmood, "decompose binned weeks and select a holiday eigenmood"),

@@ -179,13 +179,13 @@ def select_eigenmood(
 
     Candidates are every dimension's components 2..cutoff (the 95% set). A
     candidate's score is |mean projection of the holiday weeks| minus the
-    spread (population std) of those projections, a lower bound on the
-    magnitude to expect in any one year. ``alt_score`` switches to
-    |mean - std|, an alternative reading kept for comparison. Ties rank by
-    dimension order then lower component index.
+    spread (population std) of those projections across the holiday weeks
+    (at least 2), so it is high when they all project strongly and alike.
+    ``alt_score`` switches to |mean - std|, an alternative reading kept for
+    comparison. Ties rank by dimension order then lower component index.
     """
     if len(holiday_rows) < 2:
-        raise DataError("need holiday rows from at least 2 years")
+        raise DataError("need at least 2 holiday weeks")
     candidates = []
     for dim in DIMENSIONS:
         dec = decs.get(dim)

@@ -19,7 +19,7 @@ import os
 from contextlib import contextmanager
 from importlib.resources import files as _package_files
 from io import StringIO
-from itertools import compress, islice
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -339,25 +339,19 @@ def _open_records(path: str | Path):
         raise DataError(f"{path}: {exc}") from exc
 
 
-def _fields(line: str) -> list[str] | None:
-    """A records line's three tab-separated fields, line end removed; None
-    when it has bytes that are not UTF-8 or a wrong field count."""
+def _record(line: str) -> tuple[dt.datetime, str, str] | None:
+    """A non-empty records line, line end removed, as (GMT datetime, country,
+    text): the one rule both readers apply to a line. None when the line is
+    malformed: it has bytes that are not UTF-8 or a wrong field count, its
+    stamp is unparseable (see ``parse_timestamp``), or the stamp's GMT day's
+    Sunday week would start before 0001-01-01."""
     if not line.isascii():
         try:
             line.encode("utf-8")  # fails on the escapes of undecodable bytes
         except UnicodeEncodeError:
             return None
     parts = line.split("\t")
-    return parts if len(parts) == 3 else None
-
-
-def _record(line: str) -> tuple[dt.datetime, str, str] | None:
-    """A non-empty records line, line end removed, as (GMT datetime, country,
-    text); None when the line is malformed: ``_fields`` rejects it, its
-    stamp is unparseable, or the stamp's GMT day's Sunday week would start
-    before 0001-01-01."""
-    parts = _fields(line)
-    if parts is None:
+    if len(parts) != 3:
         return None
     gmt = parse_timestamp(parts[0])
     if gmt is None or gmt < _FIRST_SUNDAY:
@@ -365,23 +359,26 @@ def _record(line: str) -> tuple[dt.datetime, str, str] | None:
     return gmt, parts[1].strip(), parts[2]
 
 
+_MALFORMED, _BLANK = -1, -2  # a line's row when it is not a record
+
+
 def _records(lines: list[str]) -> tuple[list[int], np.ndarray, list[str], list[str]]:
-    """The records among raw ``lines`` by ``_record``'s rules, as columns:
-    the index in ``lines`` of each good line, its GMT day ordinal (int64),
-    country and text. The stamps are parsed all at once by ``_gmt_days``."""
-    at, stamps, countries, texts = [], [], [], []
-    for i, line in enumerate(lines):
-        parts = _fields(line.rstrip("\n").rstrip("\r"))
-        if parts is not None:
-            at.append(i)
-            stamps.append(parts[0])
-            countries.append(parts[1])
-            texts.append(parts[2])
-    days = _gmt_days(stamps)
-    good = days >= _FIRST_SUNDAY.toordinal()
-    keep = good.tolist()
-    return (list(compress(at, keep)), days[good], [c.strip() for c in compress(countries, keep)],
-            list(compress(texts, keep)))
+    """Raw ``lines`` (line ends kept) through ``_record``: each line's row
+    among the records, or ``_MALFORMED`` or ``_BLANK``, and the records as
+    columns: GMT day ordinal (int64), country and text."""
+    rows, days, countries, texts = [], [], [], []
+    for line in lines:
+        line = line.rstrip("\n").rstrip("\r")
+        if not line:
+            rows.append(_BLANK)
+        elif (record := _record(line)) is None:
+            rows.append(_MALFORMED)
+        else:
+            rows.append(len(texts))
+            days.append(record[0].toordinal())
+            countries.append(record[1])
+            texts.append(record[2])
+    return rows, np.array(days, np.int64), countries, texts
 
 
 def read_records(path: str | Path) -> tuple[list[tuple[dt.datetime, str, str]], int]:
@@ -404,9 +401,6 @@ def read_records(path: str | Path) -> tuple[list[tuple[dt.datetime, str, str]], 
     return records, malformed
 
 
-_MALFORMED, _BLANK = -1, -2  # a line's row when it is not a record
-
-
 def read_record_chunks(path: str | Path, size: int):
     """``read_records``'s records, a block of ``size`` raw lines at a time
     (the last shorter; none for an empty file), as columns of each block's
@@ -416,20 +410,16 @@ def read_record_chunks(path: str | Path, size: int):
     ordinals (int64), countries and texts of the block's distinct good
     lines, first seen first; ``row`` (intp), the index in those columns of
     each of the block's records, in input order; and the number of the
-    block's malformed lines. Each distinct raw line (line end included) is
-    parsed once, with the others (see ``_records``): the block's own dict
-    maps it to its row, or to -1 when it is malformed and -2 when it is
-    empty, so a repeated malformed line counts each time.
+    block's malformed lines. Each distinct raw line (line end included)
+    goes through ``_record`` once (see ``_records``), and the block's own
+    dict maps it to its row, so a repeated malformed line counts each time.
     """
     with _open_records(path) as handle:
         while block := list(islice(handle, size)):
             distinct = list(dict.fromkeys(block))  # first seen first
-            row_of = {line: _MALFORMED if line.rstrip("\n").rstrip("\r") else _BLANK
-                      for line in distinct}
-            at, days, countries, texts = _records(distinct)
-            row_of.update(zip([distinct[i] for i in at], range(len(at))))
-            row = np.fromiter(map(row_of.__getitem__, block), np.intp, len(block))
-            del block, distinct, row_of  # hold no raw line while the block is used
+            rows, days, countries, texts = _records(distinct)
+            row = np.fromiter(map(dict(zip(distinct, rows)).__getitem__, block), np.intp, len(block))
+            del block, distinct  # hold no raw line while the block is used
             yield days, countries, texts, row[row >= 0], int(np.count_nonzero(row == _MALFORMED))
 
 
@@ -452,71 +442,6 @@ def parse_timestamp(text: str) -> dt.datetime | None:
         return stamp.astimezone(dt.timezone.utc)
     except OverflowError:
         return None
-
-
-def _gmt_days(stamps: list[str]) -> np.ndarray:
-    """``parse_timestamp(stamp).toordinal()`` of each stamp (int64), 0 where
-    that is None. Stamps of the fixed form go through ``_fixed_gmt_days``
-    together, any other through ``parse_timestamp``."""
-    n = len(stamps)
-    out = np.zeros(n, np.int64)
-    size = np.fromiter(map(len, stamps), np.intp, n)
-    fixed = np.flatnonzero((size == 19) | (size == 20) | (size == 25))
-    parsed = np.zeros(n, bool)
-    if len(fixed):
-        ok, days = _fixed_gmt_days([stamps[i] for i in fixed.tolist()], size[fixed])
-        out[fixed[ok]] = days[ok]
-        parsed[fixed[ok]] = True
-    for i in np.flatnonzero(~parsed).tolist():
-        stamp = parse_timestamp(stamps[i])
-        out[i] = 0 if stamp is None else stamp.toordinal()
-    return out
-
-
-# The stamp form that _fixed_gmt_days parses, a 0 standing for each ASCII
-# digit: the first 19 characters, alone or followed by "Z", "z" or an offset
-# whose sign is "+" or "-". Its digits pair up into the century, the year
-# in it, month, day, hour, minute, second and the offset's hours and minutes.
-_FIXED_STAMP = "0000-00-00T00:00:00+00:00"
-_DAYS_IN_MONTH = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
-
-
-def _fixed_gmt_days(stamps: list[str], size: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Whether each stamp, ``size`` characters long, has exactly the form
-    ``YYYY-MM-DDTHH:MM:SS`` followed by ``±HH:MM``, ``Z``, ``z`` or nothing
-    with every field in range, and where it does, the GMT day ordinal as
-    ``parse_timestamp(stamp).toordinal()`` gives it, or 0 where that is None
-    (the offset moves the time across GMT midnight and out of years 1-9999)."""
-    c = np.array(stamps, "U25").view(np.uint32).reshape(-1, 25)  # code points
-    form = np.array([ord(ch) for ch in _FIXED_STAMP])
-    digit_at = form == ord("0")
-    d = c[:, digit_at] - ord("0")  # unsigned: a character below "0" wraps past 9
-    is_digit = d <= 9
-    other = c[:, ~digit_at]  # "--T::" and the offset's sign and ":"
-    sign = other[:, 5]
-    ok = is_digit[:, :14].all(axis=1) & (other[:, :5] == form[~digit_at][:5]).all(axis=1) & (
-        (size == 19)
-        | ((size == 20) & ((sign == ord("Z")) | (sign == ord("z"))))
-        | ((size == 25) & ((sign == ord("+")) | (sign == ord("-"))) & (other[:, 6] == ord(":"))
-           & is_digit[:, 14:].all(axis=1)))
-    pairs = (d[:, ::2] * 10 + d[:, 1::2]).astype(np.int64)
-    century, year, month, day, hour, minute, second, off_hour, off_minute = pairs.T
-    year += century * 100
-    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
-    month_at = np.minimum(np.maximum(month, 1), 12) - 1
-    days_in_month = np.array(_DAYS_IN_MONTH)
-    ok &= ((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
-           & (day <= days_in_month[month_at] + (leap & (month == 2)))
-           & (hour <= 23) & (minute <= 59) & (second <= 59)
-           & ((size != 25) | ((off_hour <= 23) & (off_minute <= 59))))
-    offset = np.where(size == 25, np.where(sign == ord("-"), -60, 60) * (off_hour * 60 + off_minute), 0)
-    # the local day's proleptic Gregorian ordinal, as date.toordinal gives it
-    before = year - 1
-    local = (before * 365 + before // 4 - before // 100 + before // 400
-             + (days_in_month.cumsum() - days_in_month)[month_at] + (leap & (month > 2)) + day)
-    gmt = local + (hour * 3600 + minute * 60 + second - offset) // 86400
-    gmt[(gmt < 1) | (gmt > dt.date.max.toordinal())] = 0
-    return ok, gmt
 
 
 # --------------------------------------------------------- weekly mood / binned

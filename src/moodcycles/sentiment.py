@@ -141,7 +141,9 @@ class GreetingStoplist:
     case folding. Scanning left to right, the phrase with the most tokens
     starting at a token is removed; removal repeats until no phrase remains,
     so stripping is idempotent. One regex of the phrases' trie, compiled on
-    first use, does the matching for ``strip`` and for ``Scorer``.
+    first use, does the matching for ``strip`` and for ``Scorer``. ``strip``
+    runs it on every text; ``Scorer``, which has each text's tokens already,
+    first skips the texts that cannot hold a phrase.
     """
 
     def __init__(self, phrases: list[str]):
@@ -167,8 +169,8 @@ class GreetingStoplist:
             for token in ts:
                 node = node.setdefault(token.translate(fold), {})
             node[_END] = True
-        # cheap prefilter: texts without the first ``tokenize`` token of any
-        # phrase skip matching ("4th of july" is keyed on "th"). A token of
+        # Scorer's prefilter: texts without the first ``tokenize`` token of
+        # any phrase skip matching ("4th of july" is keyed on "th"). A token of
         # a text that holds no character of ``_wider`` lowers to an ASCII
         # letter wherever re.IGNORECASE would equate it with one, so the
         # keys are spelled that way too ("ſun" is keyed on "sun").
@@ -190,19 +192,8 @@ class GreetingStoplist:
         return cls(read_stoplist_lines())
 
     def strip(self, text: str) -> str:
-        """Text with every stoplist phrase removed (whitespace collapsed if any)."""
-        if self._first_tokens.isdisjoint(tokenize(text)) and not self._folds_wider(text):
-            return text
-        return self._remove(text)
-
-    def _folds_wider(self, text: str) -> bool:
-        """Whether ``text`` holds a character that re.IGNORECASE equates
-        with a phrase character but str.lower maps elsewhere, so that the
-        prefilter's ``tokenize`` tokens cannot rule a match out."""
-        return not text.isascii() and any(char in text for char in self._wider)
-
-    def _remove(self, text: str) -> str:
-        """``strip`` past the prefilter; returns ``text`` itself when nothing matches."""
+        """Text with every stoplist phrase removed (whitespace collapsed if
+        any); ``text`` itself when none is there."""
         stripped, n = self._phrase.subn(" ", text)
         if not n:
             return text
@@ -210,6 +201,12 @@ class GreetingStoplist:
             # a removal can bring a phrase's tokens together
             stripped, n = self._phrase.subn(" ", stripped)
         return " ".join(stripped.split())
+
+    def _folds_wider(self, text: str) -> bool:
+        """Whether ``text`` holds a character that re.IGNORECASE equates
+        with a phrase character but str.lower maps elsewhere, so that the
+        prefilter's ``tokenize`` tokens cannot rule a match out."""
+        return not text.isascii() and any(char in text for char in self._wider)
 
 
 @dataclass(frozen=True, slots=True)
@@ -364,7 +361,7 @@ class Scorer:
                 candidates = np.union1d(candidates, [i for i, text in enumerate(texts)
                                                      if stoplist._folds_wider(text)])
             for i in candidates.tolist():
-                stripped = stoplist._remove(texts[i])
+                stripped = stoplist.strip(texts[i])
                 if stripped is not texts[i]:
                     toks = tokenize(stripped)
                     changed.append(i)

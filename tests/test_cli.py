@@ -164,6 +164,7 @@ class TestExitCodes:
         ("bin", "bins", "0"),
         ("bin", "bins", "-3"),
         ("bin", "bins", "1"),
+        ("bin", "bins", "1001"),
         ("compare-terms", "min-overlap", "1"),
         ("compare-terms", "min-overlap", "0"),
         ("compare-terms", "min-overlap", "-3"),

@@ -206,7 +206,7 @@ class TestSelect:
 
     def test_needs_two_holiday_years(self):
         dec = self.make_dec(np.random.default_rng(24))
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="need at least 2 holiday weeks"):
             select_eigenmood({"valence": dec}, [0], "h")
 
     def test_needs_two_candidates(self):
