@@ -251,33 +251,32 @@ def _warn_low_confidence(manifest: RunManifest, n_low: int) -> None:
 def cmd_score(args, manifest: RunManifest) -> None:
     totals = sentiment.DayTotals()
     codes = _fold_scored(args, manifest, totals.add)
-    per_code = totals.weekly(len(codes))
     wanted = [args.country] if args.country else sorted(set(codes) - {"unknown"})
-    rows = []
-    n_low = 0
-    for country in wanted:
-        weeks, n_gaps = per_code[codes[country]] if country in codes else ([], 0)
-        for week in weeks:
-            if week.low_confidence:
-                n_low += 1
-            for i, dim in enumerate(sentiment.DIMENSIONS):
-                rows.append((country, week.week_start, dim, week.mean[i], week.n_scored))
+    weekly = [(country, *totals.weekly(codes.get(country, -1))) for country in wanted]
+    n_weeks = n_low = 0
+    for country, starts, n_scored, _ in weekly:
+        n_weeks += len(starts)
+        n_low += int(np.count_nonzero(n_scored < sentiment.LOW_CONFIDENCE_WEEK))
+        n_gaps = int(starts[-1] - starts[0]) // 7 + 1 - len(starts) if len(starts) else 0
         if n_gaps:
             manifest.warnings.append(f"{country}: {n_gaps} gap weeks with no scored records")
-    if not rows:
+    if not n_weeks:
         raise DataError(f"no scored records for country {args.country!r}" if args.country
                         else "the records hold no scored record for any country")
     _warn_low_confidence(manifest, n_low)
-    io.write_weekly_mood(args.out / "weekly_mood.csv", rows)
+    n_rows = io.write_weekly_mood(args.out / "weekly_mood.csv", (
+        (country, dt.date.fromordinal(start), dim, value, n)
+        for country, starts, n_scored, mean in weekly
+        for start, n, values in zip(starts.tolist(), n_scored.tolist(), mean.tolist())
+        for dim, value in zip(sentiment.DIMENSIONS, values)))
     manifest.counts["countries"] = len(wanted)
-    manifest.counts["weekly_rows"] = len(rows)
-    print(f"wrote weekly means for {len(wanted)} countries ({len(rows)} rows)")
+    manifest.counts["weekly_rows"] = n_rows
+    print(f"wrote weekly means for {len(wanted)} countries ({n_rows} rows)")
 
 
 def cmd_bin(args, manifest: RunManifest) -> None:
     bins = sentiment.WeekBins(args.bins)
-    codes = _fold_scored(args, manifest,
-                         lambda code, days, vad: bins.add(code, sentiment.week_of(days), vad))
+    codes = _fold_scored(args, manifest, bins.add)
     country = args.country
     if not country:
         scored = bins.groups()
@@ -592,11 +591,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--years", default="2004-2013", help="solar anchor year range, e.g. 2004-2013")
     p.add_argument("--eid-dates", help="anchor date CSV overriding the bundled Eid table")
 
-    p = add("classify", cmd_classify, "classify countries from holiday z-scores")
-    p.add_argument("--zscores", help="z-score table CSV (default: bundled table)")
-    p.add_argument("--threshold", type=finite, default=1.0, help="z threshold (default 1.0)")
-    p.add_argument("--orthodox-as-other", action="store_true",
-                   help="group January-Christmas countries as Other")
+    add("classify", cmd_classify, "classify countries from holiday z-scores")
 
     p = add("compare-terms", cmd_compare_terms, "volume ratio and correlation of two series",
             need=("a", "b"))
@@ -622,7 +617,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
         p.add_argument("--no-stoplist", action="store_true", help="skip greeting removal")
         p.add_argument("--country", help="restrict to one country code")
         if name == "bin":
-            # 3 int64 counts per bin in each (country, week) cell: 24 KB at most
+            # 3 float64 counts per bin in each (country, week) cell: 24 KB at most
             p.add_argument("--bins", type=_ranged(int, "in [2, 1000]", lambda n: 2 <= n <= 1000),
                            default=sentiment.N_BINS, help="number of score bins (default 25)")
 
@@ -654,11 +649,13 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
                    help="permutations for the p-value (default 999; 0 disables)")
     p.add_argument("--seed", type=count, help="RNG seed (required when permutations > 0)")
 
-    p = add("report", cmd_report, "compose classification tables and check them")
-    p.add_argument("--zscores", help="z-score table CSV (default: bundled table)")
-    p.add_argument("--threshold", type=finite, default=1.0, help="z threshold (default 1.0)")
-    p.add_argument("--orthodox-as-other", action="store_true",
-                   help="group January-Christmas countries as Other")
+    add("report", cmd_report, "compose classification tables and check them")
+    for name in ("classify", "report"):
+        p = commands[name]
+        p.add_argument("--zscores", help="z-score table CSV (default: bundled table)")
+        p.add_argument("--threshold", type=finite, default=1.0, help="z threshold (default 1.0)")
+        p.add_argument("--orthodox-as-other", action="store_true",
+                       help="group January-Christmas countries as Other")
 
     p = add("synth", cmd_synth, "generate a deterministic synthetic corpus")
     p.add_argument("--seed", type=count, help="generator seed (default 42)")

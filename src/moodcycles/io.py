@@ -16,6 +16,7 @@ import datetime as dt
 import json
 import math
 import os
+from collections.abc import Iterable
 from contextlib import contextmanager
 from importlib.resources import files as _package_files
 from io import StringIO
@@ -446,11 +447,11 @@ def parse_timestamp(text: str) -> dt.datetime | None:
 
 # --------------------------------------------------------- weekly mood / binned
 
-def write_weekly_mood(path: str | Path, rows: list[tuple[str, dt.date, str, float, int]]) -> int:
-    """`country,week_start,dim,mean,n_scored` rows."""
+def write_weekly_mood(path: str | Path, rows: Iterable[tuple[str, dt.date, str, float, int]]) -> int:
+    """`country,week_start,dim,mean,n_scored` rows, each formatted as it is written."""
     return write_table(path, ["country", "week_start", "dim", "mean", "n_scored"],
-                       [[country, week.isoformat(), dim, float(mean), n]
-                        for country, week, dim, mean, n in rows])
+                       ([country, week.isoformat(), dim, float(mean), n]
+                        for country, week, dim, mean, n in rows))
 
 
 def _prob_columns(n_bins: int) -> list[str]:
@@ -526,15 +527,18 @@ def read_binned(path: str | Path) -> dict[str, tuple[list[dt.date], list[int], n
 
 # ------------------------------------------------------------------- flat tables
 
-def write_table(path: str | Path, header: list[str], rows: list[list], delimiter: str = ",") -> int:
+def write_table(path: str | Path, header: list[str], rows: Iterable[list], delimiter: str = ",") -> int:
     """The one table writer: ``csv``'s default dialect (CRLF line ends) and
-    ``fmt`` for every float cell. Returns the number of data rows."""
+    ``fmt`` for every float cell. ``rows`` may be any iterable, so a
+    generator's rows are written as they are made. Returns the number of
+    data rows."""
+    n = 0
     with atomic_write(path) as handle:
         writer = csv.writer(handle, delimiter=delimiter)
         writer.writerow(header)
-        for row in rows:
+        for n, row in enumerate(rows, 1):
             writer.writerow([fmt(v) if isinstance(v, float) else v for v in row])
-    return len(rows)
+    return n
 
 
 def write_json(path: str | Path, payload) -> None:

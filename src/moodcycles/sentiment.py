@@ -453,14 +453,40 @@ def week_of(days: np.ndarray) -> np.ndarray:
     return days - days % 7
 
 
-_KEY = dt.date.max.toordinal() + 1  # a cell key is group * _KEY + day (or week) ordinal
+_KEY = dt.date.max.toordinal() + 1  # a cell key is group * _KEY + week start ordinal
 
 
-def _merge_keys(keys: np.ndarray, group, ordinals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted union of the cell keys ``keys`` (sorted, unique) and the
-    cells of rows (``group``, ``ordinals``), and the slot in it of each old
-    cell and then of each row."""
-    return np.unique(np.concatenate([keys, group * _KEY + ordinals]), return_inverse=True)
+class _WeekCells:
+    """``width`` float64 sums per (group, Sunday week) cell, folded in a
+    chunk of rows at a time.
+
+    Only weeks with rows have a cell, so memory grows with the number of
+    (group, week) cells, not with rows or with the span of weeks. A chunk's
+    rows go through one ``np.add.at`` onto the carried sums; it adds in
+    index order, so every sum is the one a loop over all the cell's rows in
+    input order gives.
+    """
+
+    def __init__(self, width: int):
+        self.keys = np.empty(0, np.int64)    # group * _KEY + week start ordinal, sorted
+        self.sums = np.empty((0, width))
+
+    def _fold(self, group, days: np.ndarray, at: np.ndarray, weights: np.ndarray) -> None:
+        """Add ``weights[r, j]`` to sum ``at[r, j]`` of the cell of group
+        ``group[r]`` (or one group for all) and GMT day ordinal ``days[r]``."""
+        width = self.sums.shape[1]
+        keys, slot = np.unique(np.concatenate([self.keys, group * _KEY + week_of(days)]),
+                               return_inverse=True)
+        carried = len(self.keys)
+        sums = np.zeros((len(keys), width))
+        sums[slot[:carried]] = self.sums
+        np.add.at(sums.reshape(-1), (slot[carried:, None] * width + at).ravel(), weights.ravel())
+        self.keys, self.sums = keys, sums
+
+    def _cells(self, group: int) -> tuple[np.ndarray, np.ndarray]:
+        """Week start ordinals and sums of ``group``'s cells, weeks in date order."""
+        lo, hi = np.searchsorted(self.keys, [group * _KEY, (group + 1) * _KEY])
+        return self.keys[lo:hi] - group * _KEY, self.sums[lo:hi]
 
 
 @dataclass(frozen=True)
@@ -471,62 +497,33 @@ class WeeklyMood:
     low_confidence: bool = False
 
 
-class DayTotals:
+class DayTotals(_WeekCells):
     """The count and valence/arousal/dominance sums of scored records per
-    (group, GMT day), folded in a chunk of records at a time.
-
-    Only days with records have a cell, so memory grows with the number of
-    (group, day) cells, not with records or with the span of days. Each
-    chunk's sums go through one ``np.bincount`` per dimension whose weights
-    put each cell's carried sum first, then the chunk's scores in input
-    order: ``np.bincount`` adds in that order, so every sum is the one a
-    loop over all the group's records of that day in input order gives.
-    """
+    (group, GMT day): a week cell holds 7 weekdays of 4 sums."""
 
     def __init__(self):
-        self.keys = np.empty(0, np.int64)    # group * _KEY + day ordinal, sorted
-        self.counts = np.empty(0, np.int64)
-        self.sums = np.empty((3, 0))
+        super().__init__(7 * 4)
 
     def add(self, group, days: np.ndarray, vad: np.ndarray) -> None:
         """Fold in scored records: group ``group[r]`` (or one group for all),
         GMT day ordinal ``days[r]``, (n, 3) scores ``vad[r]``, in input order."""
-        keys, slot = _merge_keys(self.keys, group, days)
-        carried = len(self.keys)
-        counts = np.bincount(slot[carried:], minlength=len(keys))
-        counts[slot[:carried]] += self.counts
-        self.sums = np.stack([np.bincount(slot, weights=np.concatenate([self.sums[i], vad[:, i]]),
-                                          minlength=len(keys)) for i in range(3)])
-        self.keys, self.counts = keys, counts
+        self._fold(group, days, (days % 7 * 4)[:, None] + np.arange(4),
+                   np.column_stack([np.ones(len(days)), vad]))
 
-    def weekly(self, n_groups: int) -> list[tuple[list[WeeklyMood], int]]:
-        """(weekly means, number of gap weeks) of each group in ``range(n_groups)``.
+    def weekly(self, group: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Week start ordinals, scored records and (n, 3) means of ``group``'s
+        weeks, in date order.
 
         Each day with a scored record contributes its mean with equal weight
-        to its Sunday week's mean, days added in date order. A gap week lies
-        between the group's first and last week and has no scored record.
+        to its Sunday week's mean, days added in date order; a day without
+        one adds an exact 0.0.
         """
-        out: list[tuple[list[WeeklyMood], int]] = [([], 0) for _ in range(n_groups)]
-        if not len(self.keys):
-            return out
-        group, day = np.divmod(self.keys, _KEY)
-        week = week_of(day)
-        starts_week = np.r_[True, (group[1:] != group[:-1]) | (week[1:] != week[:-1])]
-        first = np.flatnonzero(starts_week)
-        slot = np.cumsum(starts_week) - 1
-        n_days = np.bincount(slot)
-        sums = np.column_stack([np.bincount(slot, weights=m) for m in self.sums / self.counts])
-        n_scored = np.add.reduceat(self.counts, first)
-        for s, (g, start) in enumerate(zip(group[first].tolist(), week[first].tolist())):
-            n = int(n_scored[s])
-            mean = tuple((sums[s] / n_days[s]).tolist())
-            out[g][0].append(WeeklyMood(dt.date.fromordinal(start), mean, n,
-                                        low_confidence=n < LOW_CONFIDENCE_WEEK))
-        for g, (weeks, _) in enumerate(out):
-            if weeks:
-                span = (weeks[-1].week_start - weeks[0].week_start).days // 7 + 1
-                out[g] = (weeks, span - len(weeks))
-        return out
+        weeks, sums = self._cells(group)
+        days = sums.reshape(-1, 7, 4)
+        count, total = days[:, :, :1], days[:, :, 1:]
+        day_mean = np.divide(total, count, out=np.zeros_like(total), where=count > 0)
+        mean = sum(day_mean[:, day] for day in range(7)) / np.count_nonzero(count, axis=1)
+        return weeks, count.sum(axis=(1, 2)).astype(np.int64), mean
 
 
 def aggregate(scored: list[ScoredRecord], country: str) -> tuple[list[WeeklyMood], list[dt.date]]:
@@ -541,14 +538,12 @@ def aggregate(scored: list[ScoredRecord], country: str) -> tuple[list[WeeklyMood
     days, vad = _columns(scored, country)
     totals = DayTotals()
     totals.add(0, days, vad)
-    weeks, _ = totals.weekly(1)[0]
-    present = {week.week_start for week in weeks}
-    gaps = []
-    if weeks:
-        first, last = weeks[0].week_start, weeks[-1].week_start
-        gaps = [start for start in map(dt.date.fromordinal,
-                                       range(first.toordinal(), last.toordinal(), 7))
-                if start not in present]
+    starts, n_scored, mean = (a.tolist() for a in totals.weekly(0))
+    weeks = [WeeklyMood(dt.date.fromordinal(start), tuple(m), n, low_confidence=n < LOW_CONFIDENCE_WEEK)
+             for start, n, m in zip(starts, n_scored, mean)]
+    present = set(starts)
+    gaps = [dt.date.fromordinal(start) for start in range(starts[0], starts[-1], 7)
+            if start not in present] if starts else []
     return weeks, gaps
 
 
@@ -609,28 +604,19 @@ class BinnedWeek:
         return p
 
 
-class WeekBins:
-    """Integer counts of scores per (group, week, dimension, bin), folded in
-    a chunk of records at a time; only weeks with scores have a cell."""
+class WeekBins(_WeekCells):
+    """Integer counts of scores per (group, week, dimension, bin): a week
+    cell holds 3 x ``n_bins`` counts, exact as float64 up to 2**53."""
 
     def __init__(self, n_bins: int = N_BINS):
+        super().__init__(3 * n_bins)
         self.n_bins = n_bins
-        self.keys = np.empty(0, np.int64)    # group * _KEY + week start ordinal, sorted
-        self.counts = np.empty((0, 3, n_bins), np.int64)
 
-    def add(self, group, weeks: np.ndarray, vad: np.ndarray) -> None:
-        """Fold in scores: group ``group[r]`` (or one group for all), week
-        start ordinal ``weeks[r]``, (n, 3) scores ``vad[r]`` in [1, 9]."""
-        idx = bin_index(vad, self.n_bins)
-        keys, slot = _merge_keys(self.keys, group, weeks)
-        carried = len(self.keys)
-        counts = np.zeros((len(keys), 3, self.n_bins), np.int64)
-        counts[slot[:carried]] = self.counts
-        cell = slot[carried:] * self.n_bins
-        for i in range(3):
-            counts[:, i] += np.bincount(cell + idx[:, i],
-                                        minlength=len(keys) * self.n_bins).reshape(-1, self.n_bins)
-        self.keys, self.counts = keys, counts
+    def add(self, group, days: np.ndarray, vad: np.ndarray) -> None:
+        """Fold in scores: group ``group[r]`` (or one group for all), GMT day
+        ordinal ``days[r]``, (n, 3) scores ``vad[r]`` in [1, 9]."""
+        at = bin_index(vad, self.n_bins) + np.arange(3) * self.n_bins
+        self._fold(group, days, at, np.ones(at.shape))
 
     def groups(self) -> set[int]:
         """The groups with at least one score."""
@@ -639,9 +625,10 @@ class WeekBins:
     def binned(self, group: int) -> list[BinnedWeek]:
         """One BinnedWeek per (week, dimension) of ``group``: weeks in date
         order, dimensions in ``DIMENSIONS`` order."""
-        mine = self.keys // _KEY == group
-        return [BinnedWeek(dt.date.fromordinal(week), dim, counts[i])
-                for week, counts in zip((self.keys[mine] % _KEY).tolist(), self.counts[mine])
+        weeks, sums = self._cells(group)
+        counts = sums.astype(np.int64).reshape(-1, 3, self.n_bins)
+        return [BinnedWeek(dt.date.fromordinal(week), dim, cell[i])
+                for week, cell in zip(weeks.tolist(), counts)
                 for i, dim in enumerate(DIMENSIONS)]
 
 

@@ -21,6 +21,7 @@ from .io import atomic_write, fmt, write_json, write_weekly_series
 from .timeseries import WeeklySeries
 
 _WORD_GRID = 25  # one word per score bin
+_MAX_RECORDS_PER_WEEK = 1_000_000  # a week's word arrays then take about 16 MB
 
 
 @dataclass(frozen=True)
@@ -47,6 +48,10 @@ class SynthSpec:
             raise DataError("synthetic grid must start on a Sunday")
         if self.n_years < 1 or self.weeks_per_year < 1 or self.records_per_week < 7:
             raise DataError("synthetic spec is too small to be useful")
+        if self.start.toordinal() + 7 * self.n_weeks - 1 > dt.date.max.toordinal():
+            raise DataError("synthetic grid would run past 9999-12-31")
+        if self.records_per_week > _MAX_RECORDS_PER_WEEK:
+            raise DataError(f"at most {_MAX_RECORDS_PER_WEEK} records per week")
         if any(not 0 <= w < self.weeks_per_year for w in self.holiday_weeks):
             raise DataError("holiday weeks must fall inside the year")
 
@@ -97,7 +102,6 @@ def generate_synthetic(out_dir, spec: SynthSpec | None = None) -> dict:
 
     spec = spec or SynthSpec()
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(spec.seed)
     holiday_rows = set(spec.holiday_rows())
 

@@ -179,6 +179,8 @@ class TestExitCodes:
         ("similarity", "var-threshold", "1.5"),
         ("synth", "n-years", "0"),
         ("synth", "records-per-week", "3"),
+        ("synth", "n-years", "8017"),
+        ("synth", "records-per-week", "1000001"),
         ("center", "years", "2004-99999"),
         ("center", "years", "0-3"),
     ])

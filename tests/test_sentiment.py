@@ -18,10 +18,12 @@ from moodcycles.errors import DataError
 from moodcycles.sentiment import (
     DIMENSIONS,
     LOW_CONFIDENCE_WEEK,
+    DayTotals,
     GreetingStoplist,
     Lexicon,
     ScoredRecord,
     TextScore,
+    WeekBins,
     WeeklyMood,
     aggregate,
     bin_edges,
@@ -631,6 +633,35 @@ class TestGroupingMatchesReference:
             assert block.tolist() == [list(row) for row in expected[week]]
         got = [(b.week_start, b.dimension, b.counts.tolist()) for b in bin_weeks(by_week, n_bins)]
         assert got == reference_bin_weeks(expected, n_bins)
+
+
+class TestWeekCellFold:
+    @settings(max_examples=300, deadline=None)
+    @given(scored=corpora(), data=st.data(), by_stamp=st.booleans(),
+           n_bins=st.sampled_from([1, 5, 25]))
+    def test_chunks_of_many_groups_fold_to_the_reference(self, scored, data, by_stamp, n_bins):
+        # every country's records share the fold, in drawn chunk cuts; sorting
+        # by stamp moves the busy week's rows between chunks and days
+        mine = [r for r in scored if r.score is not None]
+        if by_stamp:
+            mine.sort(key=lambda r: r.timestamp_utc)
+        codes = dict(zip(COUNTRIES, data.draw(
+            st.lists(st.integers(0, 10**6), min_size=3, max_size=3, unique=True))))
+        group = np.array([codes[r.country] for r in mine], np.intp)
+        days = np.array([r.timestamp_utc.toordinal() for r in mine], np.int64)
+        vad = np.array([_vad(r.score) for r in mine]).reshape(-1, 3)
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(mine)), max_size=8)))
+        totals, bins = DayTotals(), WeekBins(n_bins)
+        for lo, hi in zip([0, *cuts], [*cuts, len(mine)]):
+            totals.add(group[lo:hi], days[lo:hi], vad[lo:hi])
+            bins.add(group[lo:hi], days[lo:hi], vad[lo:hi])
+        for country, code in codes.items():
+            starts, n_scored, mean = totals.weekly(code)
+            weeks = [WeeklyMood(dt.date.fromordinal(start), tuple(m), n, n < LOW_CONFIDENCE_WEEK)
+                     for start, n, m in zip(starts.tolist(), n_scored.tolist(), mean.tolist())]
+            assert weeks == reference_aggregate(mine, country)[0]
+            got = [(b.week_start, b.dimension, b.counts.tolist()) for b in bins.binned(code)]
+            assert got == reference_bin_weeks(reference_weekly_scores(mine, country), n_bins)
 
 
 class TestAggregate:

@@ -33,6 +33,16 @@ class TestSpec:
         with pytest.raises(DataError):
             SynthSpec(records_per_week=3)
 
+    def test_the_grid_ends_by_9999_and_a_week_holds_at_most_a_million_records(self):
+        # only the specs are built: generating either grid would take hours
+        last = SynthSpec(n_years=8016)
+        assert last.start + dt.timedelta(weeks=last.n_weeks - 1, days=6) <= dt.date.max
+        with pytest.raises(DataError, match="9999-12-31"):
+            SynthSpec(n_years=8017)
+        SynthSpec(records_per_week=1_000_000)
+        with pytest.raises(DataError, match="records per week"):
+            SynthSpec(records_per_week=1_000_001)
+
     def test_vocabulary_is_tokenizable_and_bin_centered(self):
         rows = vocabulary(SynthSpec())
         assert len(rows) == 25
