@@ -14,7 +14,6 @@ import argparse
 import datetime as dt
 import math
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -109,10 +108,8 @@ def _stoplist(args, manifest: RunManifest) -> sentiment.GreetingStoplist | None:
     if getattr(args, "stoplist", None):
         manifest.add_input(args.stoplist)
         phrases = io.read_stoplist_lines(args.stoplist)
-        try:
+        with io.naming(args.stoplist):
             return sentiment.GreetingStoplist(phrases)
-        except DataError as exc:
-            raise DataError(f"{args.stoplist}: {exc}") from None
     return sentiment.GreetingStoplist.default()
 
 
@@ -299,15 +296,6 @@ def cmd_bin(args, manifest: RunManifest) -> None:
     print(f"binned {len(weeks)} weeks for {country} into {args.bins} bins")
 
 
-@contextmanager
-def _naming(path):
-    """Prefix ``path`` to the message of a package error raised inside."""
-    try:
-        yield
-    except MoodcyclesError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
-
-
 def _holiday_rows(days: list[dt.date], matrices: dict[str, em.BinnedMoodMatrix]):
     """The week list every loaded dimension shares, and the holiday weeks' rows in it."""
     (first, matrix), *others = matrices.items()
@@ -336,7 +324,7 @@ def _select(args, manifest: RunManifest):
             raise DataError(f"{args.binned}: no rows for dimension {dim!r}")
         weeks, _, probs = data[dim]
         matrices[dim] = em.BinnedMoodMatrix(dimension=dim, week_starts=tuple(weeks), matrix=probs)
-    with _naming(args.binned):
+    with io.naming(args.binned):
         weeks, rows = _holiday_rows(days, matrices)
         decs = {dim: em.decompose(m) for dim, m in matrices.items()}
         mood = em.select_eigenmood(decs, rows, holiday=args.holiday,
@@ -384,7 +372,7 @@ def cmd_eigenmood(args, manifest: RunManifest) -> None:
         for c in comps:
             mean_coord = float(np.mean([dec.coord(r, c.index) for r in rows]))
             recon_row += mean_coord * c.eigenbin
-        with _naming(args.binned):
+        with io.naming(args.binned):
             response = em.linguistic_response(recon_row)
         for level, value in response.items():
             ling_rows.append([dim, level, value])
@@ -727,6 +715,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except (DataError, MoodcyclesError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"data error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

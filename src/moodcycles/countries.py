@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import DataError
 from .timeseries import AnchorKind, WeeklySeries
-from .stats import pearson
+from .stats import _finite, pearson
 
 # Countries whose principal churches celebrate Christmas in January; with the
 # orthodox-as-other option they are regrouped as Other before agreement is
@@ -183,7 +183,7 @@ def compare_search_terms(a: WeeklySeries, b: WeeklySeries, min_overlap: int = 8)
         raise DataError(f"series overlap {max(0, hi - lo)} weeks, need {min_overlap}")
     xs = a.values[lo:hi]
     ys = b.values[lo - shift : hi - shift]
-    total = float(ys.sum())
+    total = _finite(float(ys.sum()), "the reference series' sum")
     if total <= 0.0:
         raise DataError("reference series sums to zero over the overlap")
-    return float(xs.sum()) / total, pearson(xs, ys)
+    return _finite(float(xs.sum()) / total, "the volume ratio"), pearson(xs, ys)

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import DataError, DegenerateSeriesError, NumericalError
 from .io import first_bad_row
 from .sentiment import DIMENSIONS, N_BINS
+from .timeseries import _ordered_sum, _readonly
 
 
 @dataclass(frozen=True)
@@ -34,8 +35,7 @@ class BinnedMoodMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        m.flags.writeable = False
+        m = _readonly(self.matrix)
         object.__setattr__(self, "matrix", m)
         if m.ndim != 2 or m.shape[0] != len(self.week_starts):
             raise DataError("matrix shape does not match week list")
@@ -92,11 +92,8 @@ def decompose(M) -> EigenDecomposition:
     total = float(S @ S)
     if total == 0.0:
         raise NumericalError("zero matrix has no variance to decompose")
-    for arr in (U, S, V):
-        arr.flags.writeable = False
-    rel = S * S / total
-    rel.flags.writeable = False
-    return EigenDecomposition(U=U, S=S, V=V, rel_var=rel)
+    return EigenDecomposition(U=_readonly(U), S=_readonly(S), V=_readonly(V),
+                              rel_var=_readonly(S * S / total))
 
 
 def retained_components(
@@ -259,9 +256,8 @@ def mean_projection(projections: list[WeekProjection]) -> WeekProjection:
     """Element-wise mean of yearly coordinates (averaged-year mode)."""
     if not projections:
         raise DataError("no projections to average")
-    xs = [p.coords[0] for p in projections]
-    ys = [p.coords[1] for p in projections]
-    return WeekProjection((sum(xs) / len(xs), sum(ys) / len(ys)))
+    n = len(projections)
+    return WeekProjection(tuple(_ordered_sum(p.coords[i] for p in projections) / n for i in (0, 1)))
 
 
 def similarity(a: WeekProjection, b: WeekProjection) -> float:
@@ -285,8 +281,7 @@ def membership_matrix() -> np.ndarray:
     for j, center in enumerate((8.0, 13.0, 18.0), start=1):
         m[j] = np.clip(1.0 - np.abs(bins - center) / 5.0, 0.0, 1.0)
     m[4] = np.clip((bins - 18.0) / 5.0, 0.0, 1.0)         # high: 0 to 18, flat 23..25
-    m.flags.writeable = False
-    return m
+    return _readonly(m)
 
 
 def linguistic_response(reconstruction_row) -> dict[str, float]:

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, MoodcyclesError
 from .timeseries import AnchorCalendar, AnchorKind, AveragedYear, CenteredYear, WeeklySeries
 
 
@@ -68,6 +68,15 @@ def atomic_write(path: str | Path):
         except OSError:
             pass
         raise
+
+
+@contextmanager
+def naming(path):
+    """Prefix ``path`` to the message of a package error raised inside."""
+    try:
+        yield
+    except MoodcyclesError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def _parse_date(text: str, where: str) -> dt.date:
@@ -160,10 +169,8 @@ def read_weekly_series(path: str | Path) -> WeeklySeries:
         values.append(_parse_float(row[1], where))
     if not values:
         raise DataError(f"{path}: no data rows")
-    try:
+    with naming(path):
         return WeeklySeries(start_date=starts[0], values=np.array(values))
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from exc
 
 
 def write_weekly_series(path: str | Path, series: WeeklySeries) -> int:
@@ -187,10 +194,8 @@ def read_anchor_calendar(path: str | Path, kind: AnchorKind | str) -> AnchorCale
             dates.append(_parse_date(row[1], where))
     if not dates:
         raise DataError(f"{path}: no anchor dates of kind {kind.value!r}")
-    try:
+    with naming(path):
         return AnchorCalendar(kind=kind, anchor_dates=tuple(dates))
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from exc
 
 
 def eid_calendar() -> AnchorCalendar:

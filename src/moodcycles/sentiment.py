@@ -25,6 +25,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DataError
+from .timeseries import _ordered_sum, _readonly
 
 # Lexicon words that name the holidays themselves; matching them would
 # conflate topical volume with mood.
@@ -260,12 +261,9 @@ def score_text(text: str, lexicons: list[Lexicon], stoplist: GreetingStoplist | 
     if len(best) == 1:
         language, count, (v, a, d) = best[0]
         return TextScore(v, a, d, language, count)
-    # an explicit loop, not sum(): Python 3.12's sum() of floats is compensated
-    v = a = d = 0.0
-    for _, _, (mv, ma, md) in best:
-        v, a, d = v + mv, a + ma, d + md
     k = len(best)
-    return TextScore(v / k, a / k, d / k, "+".join(b[0] for b in best), best_count, tie=True)
+    v, a, d = (_ordered_sum(mean[i] for _, _, mean in best) / k for i in range(3))
+    return TextScore(v, a, d, "+".join(b[0] for b in best), best_count, tie=True)
 
 
 _CHUNK = 8192  # texts per scoring chunk; lines per block the score and bin stages read
@@ -292,13 +290,13 @@ class Scorer:
     lexicon that matches it. The texts are joined with the separator (a
     separator inside a text becomes a space), lowered and split with one
     regex pass into tokens and separators; tokens map to ids, and a
-    cumulative count of separators gives each token's text. Texts with a
-    token that starts a stoplist phrase, and in a chunk that holds one,
-    texts with a character the prefilter cannot rule out (see
+    cumulative count of separators gives each token's text (``_tokens``).
+    Texts with a token that starts a stoplist phrase, and in a chunk that
+    holds one, texts with a character the prefilter cannot rule out (see
     ``GreetingStoplist._folds_wider``), are stripped one by one as
     ``strip`` strips them; the tokens of those the stoplist changes are
-    replaced by the stripped text's ``tokenize`` tokens, appended after
-    the rest. Each id expands to its lexicon entries, and one
+    replaced by the stripped texts' tokens, found by the same pass and
+    appended after the rest. Each id expands to its lexicon entries, and one
     ``np.bincount`` over (text, lexicon) gives the match counts and one per
     dimension the sums. ``np.bincount`` adds its weights in input order,
     and a text's tokens stay in text order, so each sum runs in token order
@@ -331,13 +329,10 @@ class Scorer:
     def _ids(self, tokens: list[str]) -> np.ndarray:
         return np.fromiter(map(self._id.get, tokens, repeat(len(self._id))), np.intp, len(tokens))
 
-    def score(self, texts: Sequence[str]) -> ScoreColumns:
-        """The scores of ``texts``, all at once: pass a chunk, not a corpus."""
-        m, n_lex, stoplist = len(texts), self._n_lex, self._stoplist
-        if m and not n_lex:
-            raise DataError("need at least one lexicon")
+    def _tokens(self, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+        """Each token's word id and its text's index in ``texts``, tokens in text order."""
         parts, joined = texts, _SEPARATOR.join(texts)
-        if joined.count(_SEPARATOR) != max(m - 1, 0):
+        if joined.count(_SEPARATOR) != max(len(texts) - 1, 0):
             # a space splits tokens as the separator does, and neither is
             # cased or case-ignorable, so no text lowers or splits otherwise
             parts = [text.replace(_SEPARATOR, " ") for text in texts]
@@ -345,7 +340,6 @@ class Scorer:
         # str.lower of a non-ASCII string first fills a buffer of 12 bytes
         # per character, so such a chunk is lowered a text at a time.
         lowered = joined.lower() if joined.isascii() else _SEPARATOR.join(map(str.lower, parts))
-        wider = stoplist is not None and stoplist._folds_wider(joined)  # one check per chunk
         del joined, parts
         pieces = _PIECE.findall(lowered)
         del lowered
@@ -353,24 +347,30 @@ class Scorer:
         del pieces
         separator = ids == self._separator
         token = ~separator
-        ids, text_of = ids[token], np.cumsum(separator)[token]
+        return ids[token], np.cumsum(separator)[token]
+
+    def score(self, texts: Sequence[str]) -> ScoreColumns:
+        """The scores of ``texts``, all at once: pass a chunk, not a corpus."""
+        m, n_lex, stoplist = len(texts), self._n_lex, self._stoplist
+        if m and not n_lex:
+            raise DataError("need at least one lexicon")
+        ids, text_of = self._tokens(texts)
         if stoplist is not None:
-            changed, n_tokens, tokens = [], [], []
             candidates = np.unique(text_of[self._opens_phrase[ids]])
-            if wider:
+            if stoplist._folds_wider("".join(texts)):  # one check per chunk
                 candidates = np.union1d(candidates, [i for i, text in enumerate(texts)
                                                      if stoplist._folds_wider(text)])
+            changed, stripped = [], []
             for i in candidates.tolist():
-                stripped = stoplist.strip(texts[i])
-                if stripped is not texts[i]:
-                    toks = tokenize(stripped)
+                text = stoplist.strip(texts[i])
+                if text is not texts[i]:
                     changed.append(i)
-                    n_tokens.append(len(toks))
-                    tokens += toks
+                    stripped.append(text)
             if changed:
+                new_ids, new_text_of = self._tokens(stripped)
                 keep = ~np.isin(text_of, changed)
-                ids = np.concatenate([ids[keep], self._ids(tokens)])
-                text_of = np.concatenate([text_of[keep], np.repeat(changed, n_tokens)])
+                ids = np.concatenate([ids[keep], new_ids])
+                text_of = np.concatenate([text_of[keep], np.array(changed)[new_text_of]])
         per_token = self._n_entries[ids]
         starts = np.cumsum(per_token) - per_token
         entry = (np.repeat(self._first_entry[ids] - starts, per_token)
@@ -587,8 +587,7 @@ class BinnedWeek:
     counts: np.ndarray
 
     def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
-        counts.flags.writeable = False
+        counts = _readonly(self.counts, dtype=np.int64)
         object.__setattr__(self, "counts", counts)
         if counts.ndim != 1 or counts.sum() <= 0 or (counts < 0).any():
             raise DataError("binned week needs non-negative counts with a positive total")
@@ -599,9 +598,7 @@ class BinnedWeek:
 
     @cached_property
     def probs(self) -> np.ndarray:
-        p = self.counts / self.counts.sum()
-        p.flags.writeable = False
-        return p
+        return _readonly(self.counts / self.counts.sum())
 
 
 class WeekBins(_WeekCells):

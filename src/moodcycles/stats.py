@@ -9,11 +9,13 @@ matrices.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DegenerateSeriesError
+from .errors import DataError, DegenerateSeriesError, NumericalError
 
 
 def _paired(x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -30,6 +32,22 @@ def _paired(x, y) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
+def _finite(value: float, what: str) -> float:
+    """``value``, or a NumericalError when it overflowed float64 (or is NaN
+    after an overflow), so that no statistic is written from it."""
+    if not math.isfinite(value):
+        raise NumericalError(f"{what} overflows float64: the input values are too large")
+    return value
+
+
+def _normal(value: float, what: str) -> float:
+    """``_finite(value)`` of a positive denominator, or a NumericalError when
+    it underflowed below the least normal float64 and lost its precision."""
+    if value < sys.float_info.min:
+        raise NumericalError(f"{what} underflows float64: the input values are too small")
+    return _finite(value, what)
+
+
 def pearson(x, y) -> float:
     """Pearson correlation, clamped to [-1, 1].
 
@@ -43,7 +61,8 @@ def pearson(x, y) -> float:
     ssy = float(dy @ dy)
     if ssx == 0.0 or ssy == 0.0:
         raise DegenerateSeriesError("constant sample has no correlation")
-    r = float(dx @ dy) / float(np.sqrt(ssx * ssy))
+    sxy = _finite(float(dx @ dy), "the correlation's cross product")
+    r = sxy / float(np.sqrt(_normal(ssx * ssy, "the correlation's product of squares")))
     return min(1.0, max(-1.0, r))
 
 
@@ -126,7 +145,7 @@ def _centered_distances(x: np.ndarray) -> np.ndarray:
 
 
 def _dcov(A: np.ndarray, B: np.ndarray) -> float:
-    v2 = float((A * B).mean())
+    v2 = _finite(float((A * B).mean()), "the distance covariance")
     return float(np.sqrt(max(v2, 0.0)))
 
 
@@ -135,8 +154,8 @@ def _dcor(A: np.ndarray, B: np.ndarray) -> float:
     vy = float((B * B).mean())
     if vx == 0.0 or vy == 0.0:
         raise DegenerateSeriesError("constant sample has no distance correlation")
-    v2 = float((A * B).mean())
-    r2 = max(v2, 0.0) / np.sqrt(vx * vy)
+    v2 = _finite(float((A * B).mean()), "the distance covariance")
+    r2 = max(v2, 0.0) / np.sqrt(_normal(vx * vy, "the product of the distance variances"))
     return float(np.sqrt(min(max(r2, 0.0), 1.0)))
 
 
@@ -178,7 +197,7 @@ def _dcov_kernel(x: np.ndarray, A: np.ndarray | None = None):
 
 def _permutation_p(score, y: np.ndarray, n_permutations: int, seed: int | None) -> float:
     """(1 + #{score(permuted y) >= score(y)}) / (n_permutations + 1)."""
-    observed = score(y)
+    observed = _finite(score(y), "the permutation test's observed score")
     rng = np.random.default_rng(seed)
     hits = 0
     for _ in range(n_permutations):

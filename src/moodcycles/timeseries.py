@@ -49,11 +49,20 @@ _SOLAR_DAY = {
 }
 
 
-def _readonly(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+def _readonly(values, dtype=float) -> np.ndarray:
+    """``values`` as a read-only ``dtype`` array, copied if anything can still write to it."""
+    arr = np.asarray(values, dtype=dtype)
     arr = arr.copy() if arr.base is not None or arr.flags.writeable else arr
     arr.flags.writeable = False
     return arr
+
+
+def _ordered_sum(values) -> float:
+    """``values`` added left to right; ``sum()`` compensates floats from Python 3.12 on."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import datetime as dt
 import json
 import math
 import time
-from importlib.resources import files
+from pathlib import Path
 
 import numpy as np
 
@@ -93,8 +93,11 @@ def test_criterion_02_agreement_grid():
     _report(2, problems, time.perf_counter() - t0, 1.0)
 
 
+FIXTURES = Path(__file__).parent / "fixtures"  # expected tables only the tests read
+
+
 def _fixture_rows(name: str) -> list[dict]:
-    with files("moodcycles").joinpath("fixtures", name).open(encoding="utf-8") as fh:
+    with open(FIXTURES / name, encoding="utf-8", newline="") as fh:
         return list(csv.DictReader(fh))
 
 

@@ -431,6 +431,45 @@ class TestCompareAndDcor:
         assert values["dcor"] == pytest.approx(1.0, abs=1e-12)
         assert values["permutation_p"] == pytest.approx(0.01, abs=1e-15)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    @pytest.mark.parametrize("stage, scale", [("dcor", 1e200), ("compare-terms", 1e80),
+                                              ("dcor", 1e-100), ("compare-terms", 1e-100)])
+    def test_a_statistic_beyond_float64_is_a_numerical_error(self, tmp_path, stage, scale):
+        rng = np.random.default_rng(3)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        for factor, out in [(1.0, tmp_path / "fine"), (scale, tmp_path / "out")]:
+            if stage == "dcor":
+                write_keyed(a, [(f"k{i}", v * factor) for i, v in enumerate(rng.standard_normal(40))])
+                write_keyed(b, [(f"k{i}", v * factor) for i, v in enumerate(rng.standard_normal(40))])
+                argv = ["dcor", "--x", str(a), "--y", str(b), "--permutations", "9", "--seed", "1"]
+            else:
+                write_series(a, "2010-01-03", rng.uniform(0.0, 1.0, 60) * factor)
+                write_series(b, "2010-01-03", rng.uniform(0.5, 1.0, 60) * factor)
+                argv = ["compare-terms", "--a", str(a), "--b", str(b)]
+            code, err = run_quietly([*argv, "--out", str(out)])
+            if factor == 1.0:
+                assert code == 0, err
+                continue
+            assert code == 3
+            assert err.startswith("numerical error: ")
+            assert ("overflows" if scale > 1.0 else "underflows") in err
+            assert "Traceback" not in err
+            assert not out.exists()
+
+    def test_running_out_of_memory_is_a_data_error(self, tmp_path, monkeypatch):
+        message = "Unable to allocate 6.71 GiB for an array with shape (30000, 30000)"
+
+        def no_memory(x):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(stats, "_centered_distances", no_memory)
+        x, out = tmp_path / "x.csv", tmp_path / "out"
+        write_keyed(x, [(f"k{i}", float(i)) for i in range(20)])
+        code, err = run_quietly(["dcor", "--x", str(x), "--y", str(x), "--permutations", "0",
+                                 "--out", str(out)])
+        assert (code, err) == (2, f"data error: out of memory: {message}\n")
+        assert not out.exists()
+
     def test_regress_recovers_a_slope(self, tmp_path):
         rng = np.random.default_rng(0)
         xs = rng.standard_normal(30)

@@ -100,6 +100,15 @@ class TestDecompose:
         dec = decompose(matrix)
         assert dec.U.shape == (4, 4)
 
+    def test_freezes_a_copy_and_leaves_the_callers_array_writeable(self):
+        m = np.full((2, 4), 0.25)
+        matrix = BinnedMoodMatrix("valence", (1, 2), m)
+        assert m.flags.writeable and not matrix.matrix.flags.writeable
+        m[0, 0] = 1.0
+        assert matrix.matrix[0, 0] == 0.25
+        dec = decompose(matrix)
+        assert not any(a.flags.writeable for a in (dec.U, dec.S, dec.V, dec.rel_var))
+
 
 def spectral_matrix(rng, s, n_weeks=9, n_bins=7, U=None):
     """Matrix with chosen singular values and random orthonormal factors."""
@@ -285,6 +294,13 @@ class TestProjection:
         assert mean.coords == (2.0, 1.0)
         with pytest.raises(DataError):
             mean_projection([])
+
+    def test_mean_projection_adds_left_to_right(self):
+        # left to right, 1e16 absorbs the 1.0 and the sum is 0.0; the
+        # compensated sum() of Python 3.12 would give 1.0, and a mean of 1/3
+        coords = [1e16, 1.0, -1e16]
+        mean = mean_projection([WeekProjection((c, -c)) for c in coords])
+        assert mean.coords == (0.0, 0.0)
 
     def test_similarity_is_a_dot_product(self):
         a, b = WeekProjection((1.0, 2.0)), WeekProjection((3.0, -1.0))

@@ -18,6 +18,7 @@ from moodcycles.errors import DataError
 from moodcycles.sentiment import (
     DIMENSIONS,
     LOW_CONFIDENCE_WEEK,
+    BinnedWeek,
     DayTotals,
     GreetingStoplist,
     Lexicon,
@@ -448,7 +449,10 @@ class TestScoreTexts:
              texts=["ΧΡΌΝΙΑ ΠΟΛΛΆ joy", "χρόνια πολλά joy", "Χρόνια Πολλά", "χρόν\u0345α πολλά joy",
                     "ΧΡΌΝ\u0345Α ΠΟΛΛΆ"])
     def test_equals_score_text_across_chunk_seams(self, lexicons, stoplist, texts, chunk):
-        with mock.patch.object(sentiment, "_CHUNK", chunk):
+        # the texts the stoplist changes are tokenized by the chunk's own
+        # pass, never by the per-text tokenize
+        with (mock.patch.object(sentiment, "_CHUNK", chunk),
+              mock.patch.object(sentiment, "tokenize", side_effect=AssertionError("tokenize called"))):
             cols = score_texts(texts, lexicons, stoplist)
         assert cols.n_matched.shape == (len(texts),)
         assert cols.vad.shape == (len(texts), 3)
@@ -745,6 +749,15 @@ class TestBinning:
         assert week.counts.sum() == 2
         assert week.probs[0] == 0.5 and week.probs[24] == 0.5
         assert week.probs.sum() == pytest.approx(1.0, abs=1e-15)
+
+    def test_a_binned_week_freezes_a_copy_of_the_callers_counts(self):
+        counts = np.array([1, 0, 3])
+        week = BinnedWeek(dt.date(2010, 1, 3), "valence", counts)
+        assert counts.flags.writeable
+        assert not week.counts.flags.writeable and not week.probs.flags.writeable
+        counts[0] = 7
+        assert week.counts.tolist() == [1, 0, 3]
+        assert week.probs.tolist() == [0.25, 0.0, 0.75]
 
     def test_empty_week_cannot_be_binned(self):
         with pytest.raises(DataError):

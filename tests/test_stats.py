@@ -1,5 +1,6 @@
 """Correlation, regression, and distance-covariance oracles."""
 
+import datetime as dt
 import math
 import tracemalloc
 
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 from scipy import stats as sstats
 
 from moodcycles import stats
-from moodcycles.errors import DataError, DegenerateSeriesError
+from moodcycles.countries import compare_search_terms
+from moodcycles.errors import DataError, DegenerateSeriesError, NumericalError
 from moodcycles.stats import (
     distance_correlation,
     distance_covariance,
@@ -18,6 +20,7 @@ from moodcycles.stats import (
     pearson,
     permutation_test,
 )
+from moodcycles.timeseries import WeeklySeries
 
 
 class TestPearson:
@@ -307,3 +310,74 @@ class TestPermutationTest:
     def test_permutation_count_floor(self):
         with pytest.raises(DataError):
             permutation_test([1.0, 2.0], [1.0, 2.0], n_permutations=0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+class TestOverflow:
+    """A statistic of inputs scaled by 10**k either equals the unscaled one
+    (to 1e-12 relative, times the scale for dCov) or raises NumericalError.
+    Unguarded, products and sums overflowed into wrong values (dCor 0.0 from
+    k = 78 and NaN from k = 155, Pearson r 0.0 at k = 80), and a denominator
+    that underflowed gave dCor 1.0 or a ZeroDivisionError at k = -100."""
+
+    @staticmethod
+    def same_or_raises(compute, expected, k):
+        try:
+            got = compute()
+        except NumericalError:
+            assert abs(k) > 50  # nothing overflows or underflows nearer 1
+            return
+        assert math.isclose(got, expected, rel_tol=1e-12)
+
+    @settings(max_examples=80, deadline=None)
+    @given(k=st.integers(-307, 307), seed=st.integers(0, 2**32 - 1))
+    @example(k=78, seed=0)
+    @example(k=80, seed=0)
+    @example(k=155, seed=0)
+    @example(k=307, seed=0)
+    @example(k=-80, seed=0)
+    @example(k=-100, seed=0)
+    def test_a_scaled_statistic_is_the_same_or_raises(self, k, seed):
+        rng = np.random.default_rng(seed)
+        x, y = rng.standard_normal(40), rng.standard_normal(40)
+        a, b = rng.uniform(0.0, 1.0, 60), rng.uniform(0.5, 1.0, 60)
+        scale = 10.0 ** k
+        sx, sy = x * scale, y * scale
+        pairs = [
+            (lambda: pearson(sx, sy), pearson(x, y)),
+            (lambda: distance_correlation(sx, sy), distance_correlation(x, y)),
+        ]
+        if k >= 0:  # below 1e-155 dCov and the permutation scores lose precision unguarded
+            start = dt.date(2010, 1, 3)
+            ratio, r = compare_search_terms(WeeklySeries(start, a), WeeklySeries(start, b))
+
+            def scaled():
+                return compare_search_terms(WeeklySeries(start, a * scale), WeeklySeries(start, b * scale))
+
+            pairs += [
+                (lambda: distance_covariance(sx, sy) / scale, distance_covariance(x, y)),
+                (lambda: permutation_test(sx, sy, n_permutations=19, seed=seed)[1],
+                 permutation_test(x, y, n_permutations=19, seed=seed)[1]),
+                (lambda: scaled()[0], ratio),
+                (lambda: scaled()[1], r),
+            ]
+        for compute, expected in pairs:
+            self.same_or_raises(compute, expected, k)
+
+    def test_overflowing_or_underflowing_statistics_raise(self):
+        rng = np.random.default_rng(1)
+        x, y = rng.standard_normal(40), rng.standard_normal(40)
+        for scale in (1e80, 1e-100):
+            with pytest.raises(NumericalError):
+                pearson(x * scale, y * scale)
+        for scale in (1e78, 1e-100):
+            with pytest.raises(NumericalError):
+                distance_correlation(x * scale, y * scale)
+        with pytest.raises(NumericalError):
+            distance_covariance(x * 1e200, y * 1e200)
+        with pytest.raises(NumericalError):
+            permutation_test(x * 1e200, y * 1e200, n_permutations=9, seed=1)
+        start = dt.date(2010, 1, 3)
+        big = WeeklySeries(start, np.full(60, 1e307))
+        with pytest.raises(NumericalError):
+            compare_search_terms(big, big)
