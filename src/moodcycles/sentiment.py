@@ -70,67 +70,20 @@ def load_lexicons(path) -> list[Lexicon]:
 _RUN = re.compile(r"[^\W_]+", re.UNICODE)  # the stoplist's token: a maximal alphanumeric run
 _END = None  # trie key marking that a phrase ends at this node
 
-# Every non-ASCII character that re.IGNORECASE equates with a character
-# str.lower maps elsewhere: the long s (with s), dotted capital I and
-# dotless i (with i), the micro sign, Greek letters and their symbol forms
-# (final sigma, theta symbol, ...), Cyrillic letters and their historic
-# forms, and two ligatures. tests/test_sentiment.py scans every code point
-# to show the list complete under the running Python.
-_WIDER_FOLD = (
-    "\u00b5\u0130\u0131\u017f\u0345\u0390\u0392\u0395\u0398\u0399\u039a\u039c"
-    "\u03a0\u03a1\u03a3\u03a6\u03b0\u03b2\u03b5\u03b8\u03b9\u03ba\u03bc\u03c0"
-    "\u03c1\u03c2\u03c3\u03c6\u03d0\u03d1\u03d5\u03d6\u03f0\u03f1\u03f4\u03f5"
-    "\u0412\u0414\u041e\u0421\u0422\u042a\u0432\u0434\u043e\u0441\u0442\u044a"
-    "\u0462\u0463\u1c80\u1c81\u1c82\u1c83\u1c84\u1c85\u1c86\u1c87\u1c88\u1e60"
-    "\u1e61\u1e9b\u1fbe\u1fd3\u1fe3\ua64a\ua64b\ufb05\ufb06"
-)
-# The characters of _WIDER_FOLD that re.IGNORECASE equates with an ASCII
-# letter, mapped to its lowercase.
-_ASCII_FOLD = str.maketrans("\u0130\u0131\u017f", "iis")
-# re.IGNORECASE equates the combining mark U+0345, which is no part of a run,
-# with the letters iota, so a phrase's iota is kept from matching it. The
-# guard itself is case-sensitive: under re.IGNORECASE it would refuse every
-# iota. tests/test_sentiment.py scans every code point to show U+0345 the
-# only such mark.
-_NOT_MARK = {ord(c): "(?!(?-i:\u0345))" + c for c in "\u0399\u03b9\u1fbe"}
-
-
 def _trie_pattern(node: dict) -> str:
-    """A regex for the phrases of a trie, matched with ``re.IGNORECASE``
-    between ``(?<![^\\W_])`` and ``(?![^\\W_])``: each key a whole run,
-    keys joined by separators ``[\\W_]+``, and a node's children tried
-    before the phrase that ends there, so the longest phrase matches."""
+    """A regex for the phrases of a trie, matched between ``(?<![^\\W_])``
+    and ``(?![^\\W_])``: each key a whole run, keys joined by separators
+    ``[\\W_]+``, and a node's children tried before the phrase that ends
+    there, so the longest phrase matches."""
     branches = []
     for key, child in node.items():
         if key is _END:
             continue
-        branch = re.escape(key).translate(_NOT_MARK)
+        branch = re.escape(key)
         if len(child) > (_END in child):
             branch += r"(?:[\W_]+" + _trie_pattern(child) + (")?" if _END in child else ")")
         branches.append(branch)
     return "(?:" + "|".join(branches) + ")"
-
-
-class _CaseFold(dict):
-    """``str.translate`` table folding phrase characters the way
-    ``re.IGNORECASE`` does.
-
-    Characters of ``alphabet`` that ``re.IGNORECASE`` treats as equal map to
-    one representative of their class, so two folded phrase tokens are equal
-    exactly when the regex would match one with the other, and no two keys
-    of one trie node match the same run. ``str.lower`` differs: it keeps the
-    long s and the dotless i apart from s and i.
-    """
-
-    def __init__(self, alphabet):
-        super().__init__()
-        classes: list[tuple[re.Pattern, str]] = []
-        for char in sorted(alphabet):
-            rep = next((rep for pattern, rep in classes if pattern.fullmatch(char)), None)
-            if rep is None:
-                classes.append((re.compile(re.escape(char), re.IGNORECASE), char))
-                rep = char
-            self[ord(char)] = rep
 
 
 class GreetingStoplist:
@@ -138,13 +91,14 @@ class GreetingStoplist:
 
     Phrases match as token sequences, where a token is a maximal run of
     letters and digits and any other characters separate tokens, so a match
-    cannot sit inside a longer word. Tokens compare with ``re.IGNORECASE``
-    case folding. Scanning left to right, the phrase with the most tokens
-    starting at a token is removed; removal repeats until no phrase remains,
-    so stripping is idempotent. One regex of the phrases' trie, compiled on
-    first use, does the matching for ``strip`` and for ``Scorer``. ``strip``
-    runs it on every text; ``Scorer``, which has each text's tokens already,
-    first skips the texts that cannot hold a phrase.
+    cannot sit inside a longer word. Phrases match the text as ``str.lower``
+    spells it, the way lexicon words match tokens. Scanning left to right,
+    the phrase with the most tokens starting at a token is removed; removal
+    repeats until no phrase remains, so stripping is idempotent. One regex
+    of the phrases' trie, compiled on first use, does the matching for
+    ``strip`` and for ``Scorer``. ``strip`` runs it on every text;
+    ``Scorer``, which has each text's lowered tokens already, first skips
+    the texts that hold no phrase's first token.
     """
 
     def __init__(self, phrases: list[str]):
@@ -162,29 +116,22 @@ class GreetingStoplist:
                 cleaned.append(tokens)
         cleaned.sort(key=lambda ts: (-len(ts), -sum(map(len, ts))))
         self.phrases = [" ".join(ts) for ts in cleaned]
-        alphabet = "".join(sorted({c for ts in cleaned for t in ts for c in t}))
-        fold = _CaseFold(alphabet)
         self._trie: dict = {}
         for ts in cleaned:
             node = self._trie
             for token in ts:
-                node = node.setdefault(token.translate(fold), {})
+                node = node.setdefault(token, {})
             node[_END] = True
         # Scorer's prefilter: texts without the first ``tokenize`` token of
-        # any phrase skip matching ("4th of july" is keyed on "th"). A token of
-        # a text that holds no character of ``_wider`` lowers to an ASCII
-        # letter wherever re.IGNORECASE would equate it with one, so the
-        # keys are spelled that way too ("ſun" is keyed on "sun").
-        self._first_tokens = frozenset(tokenize(phrase)[0].translate(_ASCII_FOLD)
-                                       for phrase in self.phrases)
-        # the characters of _WIDER_FOLD that match a phrase character
-        phrase_char = re.compile(f"[{alphabet}]", re.IGNORECASE)
-        self._wider = "".join(filter(phrase_char.fullmatch, _WIDER_FOLD))
+        # any phrase skip matching ("4th of july" is keyed on "th"). The
+        # regex and the tokenizer read one lowered string, so no text it
+        # skips holds a phrase.
+        self._first_tokens = frozenset(tokenize(phrase)[0] for phrase in self.phrases)
 
     @cached_property
     def _phrase(self) -> re.Pattern:
         """The phrases as one regex; compiled on first use."""
-        return re.compile(r"(?<![^\W_])" + _trie_pattern(self._trie) + r"(?![^\W_])", re.IGNORECASE)
+        return re.compile(r"(?<![^\W_])" + _trie_pattern(self._trie) + r"(?![^\W_])")
 
     @classmethod
     def default(cls) -> "GreetingStoplist":
@@ -193,21 +140,15 @@ class GreetingStoplist:
         return cls(read_stoplist_lines())
 
     def strip(self, text: str) -> str:
-        """Text with every stoplist phrase removed (whitespace collapsed if
-        any); ``text`` itself when none is there."""
-        stripped, n = self._phrase.subn(" ", text)
+        """``text`` itself when it holds no stoplist phrase; otherwise
+        ``text.lower()`` with every phrase removed and whitespace collapsed."""
+        stripped, n = self._phrase.subn(" ", text.lower())
         if not n:
             return text
         while n:
             # a removal can bring a phrase's tokens together
             stripped, n = self._phrase.subn(" ", stripped)
         return " ".join(stripped.split())
-
-    def _folds_wider(self, text: str) -> bool:
-        """Whether ``text`` holds a character that re.IGNORECASE equates
-        with a phrase character but str.lower maps elsewhere, so that the
-        prefilter's ``tokenize`` tokens cannot rule a match out."""
-        return not text.isascii() and any(char in text for char in self._wider)
 
 
 @dataclass(frozen=True, slots=True)
@@ -291,11 +232,10 @@ class Scorer:
     separator inside a text becomes a space), lowered and split with one
     regex pass into tokens and separators; tokens map to ids, and a
     cumulative count of separators gives each token's text (``_tokens``).
-    Texts with a token that starts a stoplist phrase, and in a chunk that
-    holds one, texts with a character the prefilter cannot rule out (see
-    ``GreetingStoplist._folds_wider``), are stripped one by one as
-    ``strip`` strips them; the tokens of those the stoplist changes are
-    replaced by the stripped texts' tokens, found by the same pass and
+    Texts with a token that starts a stoplist phrase are stripped one by
+    one by ``strip``, which matches the phrases on the same lowered text,
+    so no other text holds one; the tokens of those the stoplist changes
+    are replaced by the stripped texts' tokens, found by the same pass and
     appended after the rest. Each id expands to its lexicon entries, and one
     ``np.bincount`` over (text, lexicon) gives the match counts and one per
     dimension the sums. ``np.bincount`` adds its weights in input order,
@@ -356,12 +296,8 @@ class Scorer:
             raise DataError("need at least one lexicon")
         ids, text_of = self._tokens(texts)
         if stoplist is not None:
-            candidates = np.unique(text_of[self._opens_phrase[ids]])
-            if stoplist._folds_wider("".join(texts)):  # one check per chunk
-                candidates = np.union1d(candidates, [i for i, text in enumerate(texts)
-                                                     if stoplist._folds_wider(text)])
             changed, stripped = [], []
-            for i in candidates.tolist():
+            for i in np.unique(text_of[self._opens_phrase[ids]]).tolist():
                 text = stoplist.strip(texts[i])
                 if text is not texts[i]:
                     changed.append(i)

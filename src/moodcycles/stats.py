@@ -55,12 +55,12 @@ def pearson(x, y) -> float:
     with itself yields exactly 1.0.
     """
     x, y = _paired(x, y)
+    if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
+        raise DegenerateSeriesError("constant sample has no correlation")
     dx = x - x.mean()
     dy = y - y.mean()
     ssx = float(dx @ dx)
     ssy = float(dy @ dy)
-    if ssx == 0.0 or ssy == 0.0:
-        raise DegenerateSeriesError("constant sample has no correlation")
     sxy = _finite(float(dx @ dy), "the correlation's cross product")
     r = sxy / float(np.sqrt(_normal(ssx * ssy, "the correlation's product of squares")))
     return min(1.0, max(-1.0, r))
@@ -144,17 +144,30 @@ def _centered_distances(x: np.ndarray) -> np.ndarray:
     return d - d.mean(axis=0, keepdims=True) - d.mean(axis=1, keepdims=True) + d.mean()
 
 
-def _dcov(A: np.ndarray, B: np.ndarray) -> float:
+def _moments(A: np.ndarray, B: np.ndarray) -> tuple[float, float, float] | None:
+    """(dCov^2, dVar^2 of x, dVar^2 of y), the means of A * B, A * A and
+    B * B for x's and y's double-centered distance matrices A and B.
+
+    None when a sample is constant: its matrix is exactly zero. Otherwise a
+    NumericalError when a mean overflowed or a distance variance fell below
+    the least normal float64. With both variances normal, what products
+    below it lose adds about one rounding error of the sum to dCov^2.
+    """
+    if not (A.any() and B.any()):
+        return None
     v2 = _finite(float((A * B).mean()), "the distance covariance")
-    return float(np.sqrt(max(v2, 0.0)))
+    vx, vy = (_normal(float((M * M).mean()), "a distance variance") for M in (A, B))
+    return v2, vx, vy
 
 
-def _dcor(A: np.ndarray, B: np.ndarray) -> float:
-    vx = float((A * A).mean())
-    vy = float((B * B).mean())
-    if vx == 0.0 or vy == 0.0:
+def _dcov(moments: tuple[float, float, float] | None) -> float:
+    return 0.0 if moments is None else float(np.sqrt(max(moments[0], 0.0)))
+
+
+def _dcor(moments: tuple[float, float, float] | None) -> float:
+    if moments is None:
         raise DegenerateSeriesError("constant sample has no distance correlation")
-    v2 = _finite(float((A * B).mean()), "the distance covariance")
+    v2, vx, vy = moments
     r2 = max(v2, 0.0) / np.sqrt(_normal(vx * vy, "the product of the distance variances"))
     return float(np.sqrt(min(max(r2, 0.0), 1.0)))
 
@@ -163,16 +176,17 @@ def distance_covariance(x, y) -> float:
     """Sample distance covariance (biased estimator, scalar samples).
 
     dCov^2 = mean_jk(A_jk * B_jk) with A, B the double-centered absolute
-    distance matrices. Zero iff (in the population) x and y are independent.
+    distance matrices. Zero iff (in the population) x and y are independent;
+    exactly 0.0 when a sample is constant.
     """
     x, y = _paired(x, y)
-    return _dcov(_centered_distances(x), _centered_distances(y))
+    return _dcov(_moments(_centered_distances(x), _centered_distances(y)))
 
 
 def distance_correlation(x, y) -> float:
     """Distance covariance normalized by the geometric mean of the variances."""
     x, y = _paired(x, y)
-    return _dcor(_centered_distances(x), _centered_distances(y))
+    return _dcor(_moments(_centered_distances(x), _centered_distances(y)))
 
 
 def _dcov_kernel(x: np.ndarray, A: np.ndarray | None = None):
@@ -219,17 +233,22 @@ def permutation_test(
     attainable p is 1/(n_permutations + 1). For ``distance_covariance`` the
     permutations are ranked by n^2 * dCov^2, which orders them as dCov does;
     the unpermuted y is scored the same way, so exact ties compare alike.
+    The observed statistic is computed first, so that one beyond float64
+    raises before any permutation runs.
     """
     x, y = _paired(x, y)
     if n_permutations < 1:
         raise DataError("need at least one permutation")
     if statistic is distance_covariance:
-        score = _dcov_kernel(x)
+        A = _centered_distances(x)
+        observed = _dcov(_moments(A, _centered_distances(y)))
+        score = _dcov_kernel(x, A)
     else:
+        observed = float(statistic(x, y))
+
         def score(y_perm: np.ndarray) -> float:
             return float(statistic(x, y_perm))
-    p = _permutation_p(score, y, n_permutations, seed)
-    return float(statistic(x, y)), p
+    return observed, _permutation_p(score, y, n_permutations, seed)
 
 
 def distance_statistics(x, y, n_permutations: int = 0,
@@ -238,8 +257,9 @@ def distance_statistics(x, y, n_permutations: int = 0,
     and ``permutation_test``'s p-value (None with no permutations), from
     x's and y's double-centered distance matrices built once each."""
     x, y = _paired(x, y)
-    A, B = _centered_distances(x), _centered_distances(y)
-    dcov, dcor = _dcov(A, B), _dcor(A, B)
+    A = _centered_distances(x)
+    moments = _moments(A, _centered_distances(y))
+    dcov, dcor = _dcov(moments), _dcor(moments)
     if n_permutations < 1:
         return dcov, dcor, None
     return dcov, dcor, _permutation_p(_dcov_kernel(x, A), y, n_permutations, seed)

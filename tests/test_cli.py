@@ -433,7 +433,8 @@ class TestCompareAndDcor:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
     @pytest.mark.parametrize("stage, scale", [("dcor", 1e200), ("compare-terms", 1e80),
-                                              ("dcor", 1e-100), ("compare-terms", 1e-100)])
+                                              ("dcor", 1e-100), ("compare-terms", 1e-100),
+                                              ("dcor", 1e-200), ("compare-terms", 1e-200)])
     def test_a_statistic_beyond_float64_is_a_numerical_error(self, tmp_path, stage, scale):
         rng = np.random.default_rng(3)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -3,7 +3,6 @@
 import datetime as dt
 import random
 import re
-import string
 import sys
 import tracemalloc
 from unittest import mock
@@ -41,37 +40,29 @@ UTC = dt.timezone.utc
 
 
 class RegexStoplist:
-    """Reference stoplist: one case-insensitive alternation of the phrases,
-    longest first, each phrase character matching a letter or digit only,
-    substituted until no phrase remains. It has no prefilter: every text
+    """Reference stoplist: one alternation of the phrases, longest first,
+    matched on the lowered text and substituted until no phrase remains;
+    the text itself when nothing matched. It has no prefilter: every text
     goes through the regex."""
 
     def __init__(self, stoplist: GreetingStoplist):
-        def spelled(token):
-            return "".join(r"(?=[^\W_])" + re.escape(c) for c in token)
-
         cleaned = [phrase.split(" ") for phrase in stoplist.phrases]
-        alternation = "|".join(r"[\W_]+".join(map(spelled, ts)) for ts in cleaned)
-        self._pattern = re.compile(
-            r"(?<![^\W_])(?:" + alternation + r")(?![^\W_])",
-            re.IGNORECASE | re.UNICODE,
-        )
+        alternation = "|".join(r"[\W_]+".join(map(re.escape, ts)) for ts in cleaned)
+        self._pattern = re.compile(r"(?<![^\W_])(?:" + alternation + r")(?![^\W_])", re.UNICODE)
 
     def strip(self, text: str) -> str:
-        result, changed = text, False
+        result, changed = text.lower(), False
         while True:
             result, n = self._pattern.subn(" ", result)
             if n == 0:
                 break
             changed = True
-        if changed:
-            result = " ".join(result.split())
-        return result
+        return " ".join(result.split()) if changed else text
 
 
-# Characters that re.IGNORECASE equates with s, k and i: long s, Kelvin sign,
-# dotted capital I, dotless small i. Of these str.lower() folds only the
-# Kelvin sign to its letter.
+# Case variants of s, k and i: str.lower() lowers the Kelvin sign to k,
+# keeps the long s and the dotless small i apart from s and i, and lowers
+# the dotted capital I to i and a combining dot, which is no letter.
 _CASE_VARIANTS = {"s": "sSſ", "k": "kK\u212a", "i": "iIİı"}
 
 
@@ -116,8 +107,7 @@ class TestStoplist:
     def test_longest_phrase_wins(self, default_stoplist):
         # "merry christmas" is a phrase, the trailing word is not part of one
         assert default_stoplist.strip("merry christmas day") == "day"
-        # "ſun" and "sun" share one trie key, so the longer phrase wins
-        # whichever spelling the regex meets first
+        # "ſun" and "sun" are two trie keys, and the longer phrase wins
         assert GreetingStoplist(["ſun x y", "ſun", "sun day"]).strip("sun day z") == "z"
 
     def test_removal_can_expose_a_new_phrase(self, default_stoplist):
@@ -129,16 +119,14 @@ class TestStoplist:
         assert default_stoplist.strip("unhappy christmas") == "unhappy"
         text = "christmassy party"
         assert default_stoplist.strip(text) is text
-        # re.IGNORECASE equates the combining mark U+0345 with iota, but a
-        # mark is no letter: it splits "χρόνια" in two
+        # the combining mark U+0345 is no letter: it splits "χρόνια" in two
         greek = GreetingStoplist(["χρόνια πολλά"])
         text = "χρόν\u0345α πολλά"
         assert greek.strip(text) is text
         assert RegexStoplist(greek).strip(text) == text
 
     def test_iota_phrases_strip_in_any_case(self):
-        # the guard against U+0345 is itself case-sensitive, so an iota of
-        # the text, in either case, still matches the phrase's iota
+        # an iota of the text, in either case, lowers to the phrase's iota
         greek = GreetingStoplist(["χρόνια πολλά"])
         for text in ["χρόνια πολλά x", "ΧΡΌΝΙΑ ΠΟΛΛΆ x", "Χρόνια Πολλά x", "χρόνΙα πΟλλά x"]:
             assert greek.strip(text) == "x"
@@ -191,69 +179,40 @@ class TestStoplist:
 
     @pytest.mark.parametrize("text", ["merry CHRİSTMAS x", "merry chriſtmas x", "merry christmaſ x",
                                       "CHRİSTMAS x", "chriſtmas x", "chrıstmas x"])
-    def test_case_folds_like_re_ignorecase(self, default_stoplist, reference_stoplist, text):
-        # str.lower() would leave each of these unmatched; in the last three
-        # no other phrase's first token lets the text past the prefilter
-        assert default_stoplist.strip(text) == "x"
-        assert reference_stoplist.strip(text) == "x"
-        # the Scorer strips them too: every token of the unstripped text scores
+    def test_case_folds_as_str_lower(self, default_stoplist, reference_stoplist, text):
+        # str.lower() keeps ſ and ı apart from s and i, and lowers İ to i and
+        # a combining dot that splits the word, so no phrase matches these
+        assert default_stoplist.strip(text) is text
+        assert reference_stoplist.strip(text) == text
+        assert default_stoplist.strip(text.upper().replace("İ", "I")) == "x"
+        # the Scorer keeps them too: every token of the text scores
         lexicon = Lexicon("en", {token: (5.0, 5.0, 5.0) for token in tokenize(text)},
                           removed_words=frozenset())
         cols = sentiment.Scorer([lexicon], default_stoplist).score([text, "x"])
-        assert cols.n_matched.tolist() == [1, 1]
+        assert cols.n_matched.tolist() == [len(tokenize(text)), 1]
 
-    @pytest.mark.parametrize("phrase, text, stripped", [
-        ("iyi bayramlar", "İyi bayramlar dostum", "dostum"),  # Turkish, opening a sentence
-        ("iyi bayramlar", "ıyi bayramlar dostum", "dostum"),
-        ("ſun day", "Sun day x", "x"),                       # keyed on "sun", not "ſun"
-        ("ıyi bayramlar", "IYI BAYRAMLAR dostum", "dostum"),
-        ("σοσ x", "ΣΟΣ x y", "y"),                           # "ΣΟΣ".lower() ends in a final sigma
+    @pytest.mark.parametrize("phrase, text", [
+        ("iyi bayramlar", "İyi bayramlar dostum"),  # Turkish, opening a sentence
+        ("iyi bayramlar", "ıyi bayramlar dostum"),
+        ("ſun day", "Sun day x"),
+        ("ıyi bayramlar", "IYI BAYRAMLAR dostum"),
+        ("σοσ x", "ΣΟΣ x y"),                        # "ΣΟΣ".lower() ends in a final sigma
     ])
-    def test_a_phrase_that_matches_only_under_re_ignorecase_applies(self, phrase, text, stripped):
-        # str.lower keeps each text's first word apart from the phrase's
+    def test_a_phrase_matches_the_text_as_str_lower_spells_it(self, phrase, text):
+        # str.lower keeps each text's first word apart from the phrase's,
+        # and a text strips as its lowered form does
         stoplist = GreetingStoplist([phrase])
-        assert stoplist.strip(text) == stripped == RegexStoplist(stoplist).strip(text)
+        for spelling in [text, text.lower()]:
+            assert stoplist.strip(spelling) is spelling
+            assert RegexStoplist(stoplist).strip(spelling) == spelling
+        assert stoplist.strip(f"{phrase} z") == "z"
 
-    def test_the_wider_fold_constants_are_complete(self):
-        # every code point whose re.IGNORECASE class holds a character that
-        # str.lower maps elsewhere. The classes are found among the
-        # characters that str.lower or str.upper changes; the last check
-        # shows that no other character is in one of them.
+    def test_lowering_is_idempotent_for_every_code_point(self):
+        # strip hands back lowered text, which the Scorer lowers again to
+        # tokenize, and the prefilter reads the tokens of the string the
+        # phrases match; all of that takes a second str.lower to change nothing
         every = [chr(code) for code in range(sys.maxunicode + 1)]
-        cased = "".join(c for c in every if c.lower() != c or c.upper() != c)
-        folds = {c: re.findall(re.escape(c), cased, re.IGNORECASE) for c in cased}
-        wider = {c for c, same in folds.items() if any(d.lower() != c.lower() for d in same)}
-        assert set(sentiment._WIDER_FOLD) == {c for c in wider if not c.isascii()}
-        assert wider <= set(sentiment._WIDER_FOLD) | set(string.ascii_letters)
-        assert {chr(k): chr(v) for k, v in sentiment._ASCII_FOLD.items()} == {
-            c: d.lower() for c in sentiment._WIDER_FOLD for d in folds[c] if d.isascii()}
-        uncased = "".join(c for c in every if c.lower() == c == c.upper())
-        assert re.search(f"[{re.escape(cased)}]", uncased, re.IGNORECASE) is None
-        # U+0345 is the one character outside [^\W_] that re.IGNORECASE
-        # equates with one inside, and _NOT_MARK guards all of those
-        def alnum(c):
-            return re.fullmatch(r"[^\W_]", c) is not None
-
-        marks = {c for c in cased if not alnum(c) and any(map(alnum, folds[c]))}
-        assert marks == {"\u0345"}
-        assert {chr(k) for k in sentiment._NOT_MARK} == set(filter(alnum, folds["\u0345"]))
-
-    def test_the_safe_text_premises_hold_for_every_code_point(self):
-        # The prefilter reads a text free of the stoplist's _wider
-        # characters through its tokenize tokens, which takes lowering to
-        # keep every character's place and class: only the dotted capital I
-        # lowers to more than one character.
-        def code_points(text):
-            return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32)
-
-        every = [chr(code) for code in range(sys.maxunicode + 1)]
-        assert [c for c in every if len(c.lower()) != 1] == ["\u0130"]
-        rest = [c for c in every if c != "\u0130"]
-        alone = "".join(c.lower() for c in rest)
-        for pattern, mark in [(r"[^\W_]", "1"), (r"[^\W\d_]", "a")]:
-            def marks(text):
-                return code_points(re.sub(pattern, mark, text)) == ord(mark)
-            assert (marks("".join(rest)) == marks(alone)).all()
+        assert [c for c in every if c.lower().lower() != c.lower()] == []
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), seed=st.integers(0, 2**32))
@@ -379,15 +338,14 @@ class TestScoreTexts:
                                 max_size=8),
         removed_words=st.frozensets(st.sampled_from(WORDS), max_size=2),
     )
-    # "i sad" strips "İ SAD" and "İSAD".lower(), but not "İSAD": one run
-    # that re.IGNORECASE folds to "isad". So texts equal under str.lower
-    # can score apart.
+    # "i sad" strips "İSAD" as it strips "İSAD".lower(): "İ" lowers to "i"
+    # and a combining dot, which separates runs.
     STOPLIST = GreetingStoplist(["feliz navidad", "sad joy", "joy", "i sad"])
     BUNDLED = GreetingStoplist.default()
-    # Greek and Cyrillic phrases put a phrase character's wider folds
-    # (GreetingStoplist._wider) among the characters that let a text past
-    # the prefilter whatever its tokens; "ſol mesa" matches "sol mesa" only
-    # under re.IGNORECASE, and "merry" stands inside "merry x1".
+    # Greek and Cyrillic phrases hold letters that re.IGNORECASE would
+    # equate with others that str.lower keeps apart (final and medial
+    # sigma, iota and U+0345); "ſol mesa" does not match "sol mesa", as
+    # str.lower keeps ſ apart from s; and "merry" stands inside "merry x1".
     MIXED = GreetingStoplist(["χρόνια πολλά", "σοσ joy", "с новым годом", "4th of july", "merry x1", "merry",
                               "joy", "ſol mesa"])
     # Arbitrary text beside the words, and pieces that a chunk-wide tokenizer
@@ -409,8 +367,8 @@ class TestScoreTexts:
     TEXT = st.lists(st.tuples(PIECE, st.sampled_from(["", " ", "\n"])), max_size=6).map(
         lambda pieces: "".join(piece + sep for piece, sep in pieces))
     # Pool texts: a stoplist candidate it keeps ("sad"), texts it changes,
-    # an unscored one, words that shared lexicons tie on, and "İSAD", which
-    # scores apart from its lowered form.
+    # an unscored one, words that shared lexicons tie on, and "İSAD", whose
+    # lowered form is one character longer.
     POOLED = st.one_of(TEXT, st.sampled_from(["sad", "JOY", "sad joy sol", "feliz navidad mesa", "",
                                               "zzz", "sol mesa", "İSAD", "ΣΟΣ", "σοσ"]))
     # Texts drawn from a pool of at most four and their lowered forms, so

@@ -343,40 +343,61 @@ class TestOverflow:
         a, b = rng.uniform(0.0, 1.0, 60), rng.uniform(0.5, 1.0, 60)
         scale = 10.0 ** k
         sx, sy = x * scale, y * scale
+        start = dt.date(2010, 1, 3)
+        ratio, r = compare_search_terms(WeeklySeries(start, a), WeeklySeries(start, b))
+
+        def scaled():
+            return compare_search_terms(WeeklySeries(start, a * scale), WeeklySeries(start, b * scale))
+
         pairs = [
             (lambda: pearson(sx, sy), pearson(x, y)),
             (lambda: distance_correlation(sx, sy), distance_correlation(x, y)),
+            (lambda: distance_covariance(sx, sy) / scale, distance_covariance(x, y)),
+            (lambda: permutation_test(sx, sy, n_permutations=19, seed=seed)[1],
+             permutation_test(x, y, n_permutations=19, seed=seed)[1]),
+            (lambda: scaled()[0], ratio),
+            (lambda: scaled()[1], r),
         ]
-        if k >= 0:  # below 1e-155 dCov and the permutation scores lose precision unguarded
-            start = dt.date(2010, 1, 3)
-            ratio, r = compare_search_terms(WeeklySeries(start, a), WeeklySeries(start, b))
-
-            def scaled():
-                return compare_search_terms(WeeklySeries(start, a * scale), WeeklySeries(start, b * scale))
-
-            pairs += [
-                (lambda: distance_covariance(sx, sy) / scale, distance_covariance(x, y)),
-                (lambda: permutation_test(sx, sy, n_permutations=19, seed=seed)[1],
-                 permutation_test(x, y, n_permutations=19, seed=seed)[1]),
-                (lambda: scaled()[0], ratio),
-                (lambda: scaled()[1], r),
-            ]
         for compute, expected in pairs:
             self.same_or_raises(compute, expected, k)
 
     def test_overflowing_or_underflowing_statistics_raise(self):
         rng = np.random.default_rng(1)
         x, y = rng.standard_normal(40), rng.standard_normal(40)
-        for scale in (1e80, 1e-100):
-            with pytest.raises(NumericalError):
+        for scale in (1e80, 1e-100, 1e-200):
+            with pytest.raises(NumericalError, match="overflows" if scale > 1 else "underflows"):
                 pearson(x * scale, y * scale)
-        for scale in (1e78, 1e-100):
-            with pytest.raises(NumericalError):
+        for scale in (1e78, 1e-100, 1e-200):
+            with pytest.raises(NumericalError, match="overflows" if scale > 1 else "underflows"):
                 distance_correlation(x * scale, y * scale)
-        with pytest.raises(NumericalError):
+        with pytest.raises(NumericalError, match="overflows"):
             distance_covariance(x * 1e200, y * 1e200)
-        with pytest.raises(NumericalError):
+        with pytest.raises(NumericalError, match="overflows"):
             permutation_test(x * 1e200, y * 1e200, n_permutations=9, seed=1)
+        # unguarded, dCov of these pairs read 4.4455e-162 at scale 1e-160,
+        # where the scaled value is 4.3630e-162, and 0.0 at 1e-200
+        a, b = rng.uniform(0.0, 1.0, 60), rng.uniform(0.0, 1.0, 60)
+        dcov = distance_covariance(a, b)
+        p = permutation_test(a, b, n_permutations=9, seed=1)[1]
+        raised = []
+        for k in range(-307, 308):
+            scale = 10.0 ** k
+            try:
+                got = distance_covariance(a * scale, b * scale)
+            except NumericalError:
+                raised.append(k)
+                with pytest.raises(NumericalError):
+                    permutation_test(a * scale, b * scale, n_permutations=9, seed=1)
+                continue
+            assert math.isclose(got / scale, dcov, rel_tol=1e-12)
+            assert permutation_test(a * scale, b * scale, n_permutations=9, seed=1)[1] == p
+        # it raises on the two tails of the sweep, 1e-160 and 1e-200 among them
+        low, high = [k for k in raised if k < 0], [k for k in raised if k > 0]
+        assert raised == low + high and -160 in low
+        assert low == list(range(-307, low[-1] + 1)) and high == list(range(high[0], 308))
+        # a constant sample's dCov is 0.0 at any scale
+        for scale in (1.0, 1e-200, 1e200):
+            assert distance_covariance(np.full(60, scale), b * scale) == 0.0
         start = dt.date(2010, 1, 3)
         big = WeeklySeries(start, np.full(60, 1e307))
         with pytest.raises(NumericalError):
