@@ -79,28 +79,28 @@ def naming(path):
         raise type(exc)(f"{path}: {exc}") from exc
 
 
-def _parse_date(text: str, where: str) -> dt.date:
+def _parse_date(text: str) -> dt.date:
     try:
         return dt.date.fromisoformat(text.strip())
-    except ValueError as exc:
-        raise DataError(f"{where}: bad date {text!r}") from exc
+    except ValueError:
+        raise ValueError(f"bad date {text!r}") from None
 
 
-def _parse_float(text: str, where: str) -> float:
+def _parse_float(text: str) -> float:
     try:
         value = float(text)
-    except ValueError as exc:
-        raise DataError(f"{where}: bad number {text!r}") from exc
+    except ValueError:
+        raise ValueError(f"bad number {text!r}") from None
     if not math.isfinite(value):
-        raise DataError(f"{where}: non-finite number {text!r}")
+        raise ValueError(f"non-finite number {text!r}")
     return value
 
 
-def _parse_int(text: str, where: str) -> int:
+def _parse_int(text: str) -> int:
     try:
         return int(text)
-    except ValueError as exc:
-        raise DataError(f"{where}: bad integer {text!r}") from exc
+    except ValueError:
+        raise ValueError(f"bad integer {text!r}") from None
 
 
 def read_text(path: str | Path) -> str:
@@ -116,40 +116,59 @@ def read_text(path: str | Path) -> str:
         raise DataError(f"{path}:{line}: not UTF-8 (byte {data[exc.start]:#04x})") from exc
 
 
-def _rows(path, header, delimiter: str = ","):
-    """Yield ``(where, row)`` for each non-blank data row of a UTF-8 table.
+def _rows(path, columns, delimiter: str = ",", key: tuple[int, str] | None = None):
+    """Yield ``(where, values)`` for each non-blank data row of a UTF-8
+    table, its cells parsed; ``where`` is ``file:line`` for the reader's own
+    row rules.
 
-    ``header`` is the exact header row, and then every data row must have as
-    many fields; or it is a function that checks the header row (``[]`` for
-    an empty file), raising ValueError with the reason, and returns the field
-    count of a data row, or None to leave the count to the caller. ``where``
-    is ``file:line`` for the reader's own messages. An unreadable file, bad
-    UTF-8, CSV syntax, a bad header and a wrong field count are DataErrors.
+    ``columns`` maps each header name, in order, to the parser of its cells;
+    or, for a header that varies, it is a function that checks the header row
+    (``[]`` for an empty file), raising ValueError with the reason, and
+    returns the parsers. A parser takes a cell's text and raises ValueError
+    with the reason. With ``key = (n, what)``, a row's first ``n`` values are
+    its key, and a repeated key is ``duplicate <what> (first on line N)``,
+    ``what`` formatted with the row's values. An unreadable file, bad UTF-8,
+    CSV syntax, a bad header, a wrong field count, a bad cell, a repeated key
+    and a table with no data row are DataErrors.
     """
     reader = csv.reader(StringIO(read_text(path), newline=""), delimiter=delimiter)
+    first_line: dict[tuple, int] = {}
+    n_rows = 0
     try:
-        first = next(reader, [])
-        if callable(header):
+        head = next(reader, [])
+        if callable(columns):
             try:
-                width = header(first)
+                parsers = columns(head)
             except ValueError as exc:
                 raise DataError(f"{path}: {exc}") from None
-        elif first != header:
+        elif head != list(columns):
             raise DataError(
-                f"{path}: expected header {','.join(header)!r}, got "
-                f"{','.join(first) if first else '<empty file>'!r}"
+                f"{path}: expected header {','.join(columns)!r}, got "
+                f"{','.join(head) if head else '<empty file>'!r}"
             )
         else:
-            width = len(header)
+            parsers = list(columns.values())
         for row in reader:
             if not row:
                 continue
-            where = f"{path}:{reader.line_num}"
-            if width is not None and len(row) != width:
-                raise DataError(f"{where}: expected {width} fields, got {len(row)}")
-            yield where, row
+            line = reader.line_num
+            where = f"{path}:{line}"
+            if len(row) != len(parsers):
+                raise DataError(f"{where}: expected {len(parsers)} fields, got {len(row)}")
+            try:
+                values = [parse(cell) for parse, cell in zip(parsers, row)]
+            except ValueError as exc:
+                raise DataError(f"{where}: {exc}") from exc
+            if key is not None:
+                first = first_line.setdefault(tuple(values[:key[0]]), line)
+                if first != line:
+                    raise DataError(f"{where}: duplicate {key[1].format(*values)} (first on line {first})")
+            n_rows += 1
+            yield where, values
     except csv.Error as exc:
         raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
+    if not n_rows:
+        raise DataError(f"{path}: no data rows")
 
 
 # ---------------------------------------------------------------- weekly series
@@ -158,17 +177,12 @@ def read_weekly_series(path: str | Path) -> WeeklySeries:
     """Read `week_start,value` rows; weeks must be consecutive Sundays-apart."""
     starts: list[dt.date] = []
     values: list[float] = []
-    for where, row in _rows(path, ["week_start", "value"]):
-        day = _parse_date(row[0], where)
+    for where, (day, value) in _rows(path, {"week_start": _parse_date, "value": _parse_float}):
         if starts and (day - starts[-1]).days != 7:
-            raise DataError(
-                f"{where}: week {day} does not follow {starts[-1]} "
-                "(series must be strictly consecutive, no gaps)"
-            )
+            raise DataError(f"{where}: week {day} does not follow {starts[-1]} "
+                            "(series must be strictly consecutive, no gaps)")
         starts.append(day)
-        values.append(_parse_float(row[1], where))
-    if not values:
-        raise DataError(f"{path}: no data rows")
+        values.append(value)
     with naming(path):
         return WeeklySeries(start_date=starts[0], values=np.array(values))
 
@@ -185,13 +199,14 @@ def read_anchor_calendar(path: str | Path, kind: AnchorKind | str) -> AnchorCale
     """Read `kind,anchor_date` rows, keeping rows matching ``kind``."""
     kind = AnchorKind(kind)
     dates = []
-    for where, row in _rows(path, ["kind", "anchor_date"]):
+    for where, (name, day) in _rows(path, {"kind": str.strip, "anchor_date": _parse_date},
+                                    key=(2, "anchor date {1} for {0!r}")):
         try:
-            row_kind = AnchorKind(row[0].strip())
+            row_kind = AnchorKind(name)
         except ValueError as exc:
-            raise DataError(f"{where}: unknown calendar kind {row[0]!r}") from exc
+            raise DataError(f"{where}: unknown calendar kind {name!r}") from exc
         if row_kind is kind:
-            dates.append(_parse_date(row[1], where))
+            dates.append(day)
     if not dates:
         raise DataError(f"{path}: no anchor dates of kind {kind.value!r}")
     with naming(path):
@@ -219,23 +234,13 @@ def read_births(path: str | Path) -> dict[str, list[tuple[int, int, float]]]:
     """Read `country,year,month,count` rows grouped by country; months are
     1..12, counts non-negative, and no (country, year, month) repeats."""
     out: dict[str, list[tuple[int, int, float]]] = {}
-    first_seen: dict[tuple[str, int, int], str] = {}
-    for where, row in _rows(path, ["country", "year", "month", "count"]):
-        country = row[0].strip()
-        year, month = _parse_int(row[1], where), _parse_int(row[2], where)
-        count = _parse_float(row[3], where)
+    columns = {"country": str.strip, "year": _parse_int, "month": _parse_int, "count": _parse_float}
+    for where, (country, year, month, count) in _rows(path, columns, key=(3, "entry for {} {}-{:02d}")):
         if not 1 <= month <= 12:
             raise DataError(f"{where}: month {month} outside 1-12")
         if count < 0:
             raise DataError(f"{where}: negative birth count {count!r}")
-        key = (country, year, month)
-        if key in first_seen:
-            raise DataError(f"{where}: duplicate entry for {country} {year}-{month:02d}"
-                            f" (first on line {first_seen[key]})")
-        first_seen[key] = where.rpartition(":")[2]
         out.setdefault(country, []).append((year, month, count))
-    if not out:
-        raise DataError(f"{path}: no data rows")
     return out
 
 
@@ -271,35 +276,19 @@ def read_zscore_table(path: str | Path | None = None) -> list[dict]:
     (a majority on both counts) set to Muslim.
     """
     src = _fixture("holiday_zscores.csv") if path is None else path
-    header = ["code", "name", "identification", "hemisphere",
-              "z_christmas", "z_eid", "z_june", "z_dec"]
-    rows = []
-    first_seen: dict[str, str] = {}
-    for where, row in _rows(src, header):
-        code = row[0].strip()
-        if code in first_seen:
-            raise DataError(f"{where}: duplicate country code {code!r} (first on line {first_seen[code]})")
-        first_seen[code] = where.rpartition(":")[2]
-        rows.append({
-            "code": code,
-            "name": row[1].strip(),
-            "identification": row[2].strip(),
-            "hemisphere": row[3].strip(),
-            "z_christmas": _parse_float(row[4], where),
-            "z_eid": _parse_float(row[5], where),
-            "z_june": _parse_float(row[6], where),
-            "z_dec": _parse_float(row[7], where),
-        })
-    if not rows:
-        raise DataError(f"{src}: no data rows")
-    return rows
+    columns = {"code": str.strip, "name": str.strip, "identification": str.strip,
+               "hemisphere": str.strip, "z_christmas": _parse_float, "z_eid": _parse_float,
+               "z_june": _parse_float, "z_dec": _parse_float}
+    return [dict(zip(columns, values))
+            for _, values in _rows(src, columns, key=(1, "country code {!r}"))]
 
 
 def expected_agreement(path: str | Path | None = None) -> dict[tuple[str, str, str], int]:
     """Published agreement percentages keyed by (group_kind, group, anchor)."""
     src = _fixture("expected_agreement.csv") if path is None else path
-    return {(r[0], r[1], r[2]): _parse_int(r[3], where)
-            for where, r in _rows(src, ["group_kind", "group", "anchor", "pct"])}
+    columns = {"group_kind": str.strip, "group": str.strip, "anchor": str.strip, "pct": _parse_int}
+    return {(kind, group, anchor): pct
+            for _, (kind, group, anchor, pct) in _rows(src, columns, key=(3, "cell {} {} {}"))}
 
 
 # --------------------------------------------------------------------- lexicons
@@ -307,20 +296,15 @@ def expected_agreement(path: str | Path | None = None) -> dict[tuple[str, str, s
 def read_lexicons(path: str | Path) -> dict[str, dict[str, tuple[float, float, float]]]:
     """Read `language,word,valence,arousal,dominance` grouped by language."""
     out: dict[str, dict[str, tuple[float, float, float]]] = {}
-    for where, row in _rows(path, ["language", "word", "valence", "arousal", "dominance"]):
-        lang, word = row[0].strip(), row[1].strip().lower()
+    columns = {"language": str.strip, "word": lambda text: text.strip().lower(),
+               "valence": _parse_float, "arousal": _parse_float, "dominance": _parse_float}
+    for where, (lang, word, *scores) in _rows(path, columns, key=(2, "word {1!r} for {0!r}")):
         if not word:
             raise DataError(f"{where}: empty word")
-        scores = tuple(_parse_float(v, where) for v in row[2:5])
         for s in scores:
             if not 1.0 <= s <= 9.0:
                 raise DataError(f"{where}: score {s} outside [1, 9]")
-        entries = out.setdefault(lang, {})
-        if word in entries:
-            raise DataError(f"{where}: duplicate word {word!r} for {lang!r}")
-        entries[word] = scores
-    if not out:
-        raise DataError(f"{path}: no lexicon entries")
+        out.setdefault(lang, {})[word] = tuple(scores)
     return out
 
 
@@ -473,13 +457,13 @@ def write_binned(path: str | Path, rows: list[tuple[dt.date, str, int, np.ndarra
                        delimiter="\t")
 
 
-def _binned_header(header: list[str]) -> int:
+def _binned_columns(header: list[str]) -> list:
     if header[:3] != ["week_start", "dim", "n"]:
         raise ValueError("expected binned TSV header starting week_start,dim,n")
     n_bins = len(header) - 3
     if n_bins < 2 or header[3:] != _prob_columns(n_bins):
         raise ValueError("malformed probability columns")
-    return len(header)
+    return [_parse_date, str.strip, _parse_int] + [_parse_float] * n_bins
 
 
 ROW_SUM_TOL = 1e-12
@@ -503,30 +487,22 @@ def read_binned(path: str | Path) -> dict[str, tuple[list[dt.date], list[int], n
     A row whose probabilities are not a distribution (see
     ``first_bad_row``) is a DataError naming its line.
     """
-    acc: dict[str, tuple[list[dt.date], list[int], list[list[float]], list[str]]] = {}
-    for where, row in _rows(path, _binned_header, delimiter="\t"):
-        week = _parse_date(row[0], where)
-        dim = row[1].strip()
-        n = _parse_int(row[2], where)
+    acc: dict[str, list[tuple[dt.date, int, list[float], str]]] = {}
+    for where, (week, dim, n, *probs) in _rows(path, _binned_columns, delimiter="\t"):
         if n < 1:
             raise DataError(f"{where}: n must be at least 1, got {n}")
-        probs = [_parse_float(v, where) for v in row[3:]]
-        weeks, counts, mat, wheres = acc.setdefault(dim, ([], [], [], []))
-        if weeks and week <= weeks[-1]:
+        rows = acc.setdefault(dim, [])
+        if rows and week <= rows[-1][0]:
             raise DataError(f"{where}: weeks out of order for dim {dim!r}")
-        weeks.append(week)
-        counts.append(n)
-        mat.append(probs)
-        wheres.append(where)
-    if not acc:
-        raise DataError(f"{path}: no data rows")
+        rows.append((week, n, probs, where))
     out = {}
-    for dim, (weeks, counts, mat, wheres) in acc.items():
+    for dim, rows in acc.items():
+        weeks, counts, mat, wheres = zip(*rows)
         probs = np.array(mat)
         bad = first_bad_row(probs)
         if bad is not None:
             raise DataError(f"{wheres[bad[0]]}: {bad[1]}")
-        out[dim] = (weeks, counts, probs)
+        out[dim] = (list(weeks), list(counts), probs)
     return out
 
 
@@ -553,21 +529,12 @@ def write_json(path: str | Path, payload) -> None:
         handle.write("\n")
 
 
-def _any_two_columns(header: list[str]) -> None:
-    if len(header) < 2:
+def _keyed_columns(header: list[str]) -> list:
+    if len(header) != 2:
         raise ValueError("expected a two-column CSV with a header")
+    return [str.strip, _parse_float]
 
 
 def read_keyed_values(path: str | Path) -> dict[str, float]:
     """Two-column CSV (any header): key -> numeric value, for joins."""
-    out: dict[str, float] = {}
-    for where, row in _rows(path, _any_two_columns):
-        if len(row) < 2:
-            raise DataError(f"{where}: expected 2 fields, got {len(row)}")
-        key = row[0].strip()
-        if key in out:
-            raise DataError(f"{where}: duplicate key {key!r}")
-        out[key] = _parse_float(row[1], where)
-    if not out:
-        raise DataError(f"{path}: no data rows")
-    return out
+    return dict(values for _, values in _rows(path, _keyed_columns, key=(1, "key {!r}")))

@@ -103,7 +103,14 @@ def ols(X, y) -> OLSResult:
     n, k = X.shape
     if n < k + 2:
         raise DataError(f"need at least {k + 2} observations for {k} regressors")
-    A = np.column_stack([np.ones(n), X])
+    # Fit on regressors centered and scaled to unit spread, so that the rank
+    # test does not depend on their units; the slopes and intercept are mapped
+    # back. A constant column stays all zero, and the rank test rejects it.
+    center = X.mean(axis=0)
+    spread = np.abs(X - center).max(axis=0)
+    _finite(float(spread.max()), "a regressor's spread")
+    spread[spread == 0.0] = 1.0
+    A = np.column_stack([np.ones(n), (X - center) / spread])
     beta, _, rank, _ = np.linalg.lstsq(A, y, rcond=None)
     if rank < k + 1:
         raise DegenerateSeriesError("design matrix is rank-deficient")
@@ -127,9 +134,10 @@ def ols(X, y) -> OLSResult:
         se = np.sqrt(np.diag(cov))[1:]
         t_stats = beta[1:] / se
         t_p = 2.0 * stdtr(df_res, -np.abs(t_stats))
+    coef = beta[1:] / spread
     return OLSResult(
-        coef=beta[1:].copy(),
-        intercept=float(beta[0]),
+        coef=coef,
+        intercept=_finite(float(beta[0] - center @ coef), "the intercept"),
         r_squared=r2,
         f_stat=float(f_stat),
         f_pvalue=float(f_p),

@@ -316,6 +316,12 @@ class TestConfig:
         assert run("--config", str(cfg), "classify", "--out", str(tmp_path / "o")) == 1
         assert "nonsense" in capsys.readouterr().err
 
+    def test_a_repeated_key_names_its_first_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# run\nbins=10\nthreshold=2.0\nbins = 12\n")
+        assert run("--config", str(cfg), "classify", "--out", str(tmp_path / "o")) == 2
+        assert f"{cfg}:4: duplicate key 'bins' (first on line 2)" in capsys.readouterr().err
+
     def test_stale_search_key_is_rejected(self, tmp_path, capsys):
         # "search" names no option of any subcommand
         cfg = tmp_path / "run.cfg"

@@ -470,6 +470,14 @@ class TestFlatTables:
             read_keyed_values(path)
         assert "duplicate" in str(err.value)
 
+    @pytest.mark.parametrize("content", ["k,v,extra\na,1.0,2.0\n", "k\na\n", ""])
+    def test_a_keyed_file_has_exactly_two_columns(self, tmp_path, content):
+        path = tmp_path / "t.csv"
+        path.write_text(content)
+        with pytest.raises(DataError) as err:
+            read_keyed_values(path)
+        assert str(err.value) == f"{path}: expected a two-column CSV with a header"
+
     def test_missing_file_is_a_data_error(self, tmp_path):
         with pytest.raises(DataError):
             read_keyed_values(tmp_path / "absent.csv")
@@ -584,15 +592,27 @@ def test_typed_readers_return_or_raise_a_data_error_naming_the_file(name, data):
             assert str(path) in str(exc)
 
 
-@pytest.mark.parametrize("name, body", [
-    ("read_weekly_series", "2004-01-04,-1\n"),                      # the series rejects it
-    ("read_weekly_series", "9999-12-26,1\n9999-12-31,1\n"),        # no week after 9999-12-26
-    ("read_anchor_calendar", "christmas,2004-12-25\nchristmas,2004-12-25\n"),
+@pytest.mark.parametrize("name, body, message", [
+    ("read_weekly_series", "2004-01-04,-1\n", ""),                  # the series rejects it
+    ("read_weekly_series", "9999-12-26,1\n9999-12-31,1\n", ""),    # no week after 9999-12-26
+    *[(name, "\n", ": no data rows") for name in sorted(_TYPED_READERS)],
+    ("read_anchor_calendar", "christmas,2004-12-25\nchristmas, 2004-12-25\n",
+     ":3: duplicate anchor date 2004-12-25 for 'christmas' (first on line 2)"),
+    ("read_births", "US,2010,1,1\nGB,2010,1,1\nUS,2010,01,2\n",
+     ":4: duplicate entry for US 2010-01 (first on line 2)"),
+    ("read_zscore_table", "AE,A,Muslim,North,1,1,1,1\nUS,U,Christian,North,1,1,1,1\n"
+     "AE,B,Muslim,North,2,2,2,2\n", ":4: duplicate country code 'AE' (first on line 2)"),
+    ("expected_agreement", "identification,Christian,christmas,80\n"
+     "identification,Christian,christmas,81\n",
+     ":3: duplicate cell identification Christian christmas (first on line 2)"),
+    ("read_lexicons", "english,Word,5,5,5\nspanish,word,5,5,5\nenglish,word ,6,5,5\n",
+     ":4: duplicate word 'word' for 'english' (first on line 2)"),
+    ("read_keyed_values", "a,1\nb,2\na ,3\n", ":4: duplicate key 'a' (first on line 2)"),
 ])
-def test_whole_table_errors_name_the_file(tmp_path, name, body):
+def test_whole_table_errors_name_the_file(tmp_path, name, body, message):
     reader, header, _ = _TYPED_READERS[name]
     path = tmp_path / "table.csv"
     path.write_text(f"{header}\n{body}")
     with pytest.raises(DataError) as err:
         reader(path)
-    assert str(path) in str(err.value)
+    assert str(err.value).startswith(f"{path}{message}")

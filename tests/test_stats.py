@@ -131,6 +131,23 @@ class TestOLS:
         with pytest.raises(DataError):
             ols(np.arange(2.0), np.arange(2.0))
 
+    @settings(max_examples=80, deadline=None)
+    @given(k=st.integers(-100, 100), seed=st.integers(0, 2**32 - 1))
+    @example(k=14, seed=0)
+    @example(k=-100, seed=0)
+    def test_a_regressor_in_other_units_gives_the_same_fit(self, k, seed):
+        # fitted unscaled, lstsq's rank test read the units: x * 1e14 beside
+        # the intercept was "rank-deficient"
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((60, 2))
+        y = 0.5 * X[:, 0] + rng.standard_normal(60)
+        units = np.array([10.0 ** k, 1.0])
+        fit, scaled = ols(X, y), ols(X * units, y)
+        pairs = [(scaled.r_squared, fit.r_squared), (scaled.f_pvalue, fit.f_pvalue),
+                 *zip(scaled.t_pvalues, fit.t_pvalues), *zip(scaled.coef * units, fit.coef)]
+        for got, want in pairs:
+            assert math.isclose(got, want, rel_tol=1e-9)
+
     @settings(max_examples=200, deadline=None)
     @given(k=st.integers(1, 3), extra=st.integers(1, 60), seed=st.integers(0, 2**32 - 1),
            signal=st.floats(0.0, 5.0))
@@ -374,6 +391,10 @@ class TestOverflow:
             distance_covariance(x * 1e200, y * 1e200)
         with pytest.raises(NumericalError, match="overflows"):
             permutation_test(x * 1e200, y * 1e200, n_permutations=9, seed=1)
+        with pytest.raises(NumericalError, match="spread overflows"):
+            ols(np.abs(x) * 1e307 + 1e308, y)  # the regressor's mean overflows
+        with pytest.raises(NumericalError, match="intercept overflows"):
+            ols(x * 1e-300, y * 1e10)  # a slope near 1e310
         # unguarded, dCov of these pairs read 4.4455e-162 at scale 1e-160,
         # where the scaled value is 4.3630e-162, and 0.0 at 1e-200
         a, b = rng.uniform(0.0, 1.0, 60), rng.uniform(0.0, 1.0, 60)
