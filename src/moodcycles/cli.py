@@ -49,7 +49,7 @@ def _bool(text: str) -> bool:
         return True
     if lowered in {"0", "false", "no", "off"}:
         return False
-    raise UsageError(f"not a boolean: {text!r}")
+    raise argparse.ArgumentTypeError(f"not a boolean: {text!r}")
 
 
 def _ranged(kind, rule: str, ok):
@@ -63,6 +63,14 @@ def _ranged(kind, rule: str, ok):
     return parse
 
 
+def _parse_anchor(text: str) -> AnchorKind:
+    try:
+        return AnchorKind(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"unknown anchor {text!r}; expected one of "
+                                         + ", ".join(k.value for k in AnchorKind)) from None
+
+
 _DIM_ALIASES = {"v": "valence", "a": "arousal", "d": "dominance"}
 
 
@@ -71,11 +79,11 @@ def _parse_years(text: str) -> range:
         first, _, last = text.partition("-")
         y0, y1 = int(first), int(last or first)
     except ValueError:
-        raise UsageError(f"bad year range {text!r}, expected e.g. 2004-2013") from None
+        raise argparse.ArgumentTypeError(f"bad year range {text!r}, expected e.g. 2004-2013") from None
     if y1 < y0:
-        raise UsageError(f"empty year range {text!r}")
+        raise argparse.ArgumentTypeError(f"empty year range {text!r}")
     if y0 < 1 or y1 > 9999:
-        raise UsageError(f"year range {text!r} is outside years 1-9999")
+        raise argparse.ArgumentTypeError(f"year range {text!r} is outside years 1-9999")
     return range(y0, y1 + 1)
 
 
@@ -83,9 +91,11 @@ def _parse_dates(text: str) -> list[dt.date]:
     try:
         days = [dt.date.fromisoformat(part.strip()) for part in text.split(",") if part.strip()]
     except ValueError as exc:
-        raise UsageError(f"bad date list {text!r}: {exc}") from None
+        raise argparse.ArgumentTypeError(f"bad date list {text!r}: {exc}") from None
     if len(set(days)) < len(days):
-        raise UsageError(f"repeated date in {text!r}")
+        raise argparse.ArgumentTypeError(f"repeated date in {text!r}")
+    if len(days) < 2:
+        raise argparse.ArgumentTypeError(f"needs at least 2 dates, got {text!r}")
     return days
 
 
@@ -94,12 +104,20 @@ def _parse_dims(text: str) -> list[str]:
     for part in text.split(","):
         name = _DIM_ALIASES.get(part.strip().lower(), part.strip().lower())
         if name not in sentiment.DIMENSIONS:
-            raise UsageError(f"unknown dimension {part!r}")
+            raise argparse.ArgumentTypeError(f"unknown dimension {part!r}")
         if name not in dims:
             dims.append(name)
     if not dims:
-        raise UsageError("no dimensions given")
+        raise argparse.ArgumentTypeError("no dimensions given")
     return dims
+
+
+def _parse_regressors(text: str) -> list[str]:
+    paths = [p.strip() for p in text.split(",") if p.strip()]
+    if not paths or len({Path(p).stem for p in paths}) < len(paths):  # a stem names its fields
+        raise argparse.ArgumentTypeError(
+            f"must name at least one file, no two with one stem: {text!r}")
+    return paths
 
 
 def _stoplist(args, manifest: RunManifest) -> sentiment.GreetingStoplist | None:
@@ -148,17 +166,11 @@ def _fold_scored(args, manifest: RunManifest, fold) -> dict[str, int]:
 # ------------------------------------------------------------------ subcommands
 
 def cmd_center(args, manifest: RunManifest) -> None:
-    try:
-        kind = AnchorKind(args.anchor)
-    except ValueError:
-        raise UsageError(f"unknown anchor {args.anchor!r}; expected one of "
-                         + ", ".join(k.value for k in AnchorKind)) from None
-    years = _parse_years(args.years)
     manifest.add_input(args.series)
     series = io.read_weekly_series(args.series)
-    if kind is AnchorKind.EID_AL_FITR and args.eid_dates:
+    if args.anchor is AnchorKind.EID_AL_FITR and args.eid_dates:
         manifest.add_input(args.eid_dates)
-    cal = io.calendar_for(kind, years, args.eid_dates)
+    cal = io.calendar_for(args.anchor, args.years, args.eid_dates)
     warnings: list[str] = []
     centered = build_centered_years(series, cal, warnings=warnings)
     if not centered:
@@ -174,7 +186,7 @@ def cmd_center(args, manifest: RunManifest) -> None:
     io.write_table(args.out / "zscores.csv", ["week_index", "z"],
                    [[i, float(v)] for i, v in enumerate(z, start=1)])
     io.write_table(args.out / "anchor_z.csv", ["anchor", "week_index", "z"],
-                   [[kind.value, cal.anchor_week_index, anchor_z]])
+                   [[args.anchor.value, cal.anchor_week_index, anchor_z]])
     print(f"{len(centered)} centered years; anchor-week z = {anchor_z:.3f}")
 
 
@@ -313,19 +325,16 @@ def _holiday_rows(days: list[dt.date], matrices: dict[str, em.BinnedMoodMatrix])
 
 
 def _select(args, manifest: RunManifest):
-    dims, days = _parse_dims(args.dims), _parse_dates(args.holiday_weeks)
-    if len(days) < 2:
-        raise UsageError(f"--holiday-weeks needs at least 2 dates, got {args.holiday_weeks!r}")
     manifest.add_input(args.binned)
     data = io.read_binned(args.binned)
     matrices = {}
-    for dim in dims:
+    for dim in args.dims:
         if dim not in data:
             raise DataError(f"{args.binned}: no rows for dimension {dim!r}")
         weeks, _, probs = data[dim]
         matrices[dim] = em.BinnedMoodMatrix(dimension=dim, week_starts=tuple(weeks), matrix=probs)
     with io.naming(args.binned):
-        weeks, rows = _holiday_rows(days, matrices)
+        weeks, rows = _holiday_rows(args.holiday_weeks, matrices)
         decs = {dim: em.decompose(m) for dim, m in matrices.items()}
         mood = em.select_eigenmood(decs, rows, holiday=args.holiday,
                                    var_threshold=args.var_threshold, alt_score=args.alt_score)
@@ -443,14 +452,10 @@ def _joined(y_path: str, x_paths: list[str]) -> tuple[np.ndarray, np.ndarray, li
 
 
 def cmd_regress(args, manifest: RunManifest) -> None:
-    x_paths = [p.strip() for p in args.x.split(",") if p.strip()]
-    names = [Path(p).stem for p in x_paths]  # each names its regressor's fields
-    if not names or len(set(names)) < len(names):
-        raise UsageError(f"--x must name at least one file, no two with one stem: {args.x!r}")
     manifest.add_input(args.y)
-    for p in x_paths:
+    for p in args.x:
         manifest.add_input(p)
-    X, y, keys = _joined(args.y, x_paths)
+    X, y, keys = _joined(args.y, args.x)
     result = stats.ols(X, y)
     manifest.counts["observations"] = result.n
     rows = [["n", float(result.n)],
@@ -458,8 +463,8 @@ def cmd_regress(args, manifest: RunManifest) -> None:
             ["f_stat", result.f_stat],
             ["f_pvalue", result.f_pvalue],
             ["intercept", result.intercept]]
-    bonf = result.bonferroni(len(x_paths))
-    for i, name in enumerate(names):
+    bonf = result.bonferroni(len(args.x))
+    for i, name in enumerate(Path(p).stem for p in args.x):
         rows.append([f"coef_{name}", float(result.coef[i])])
         rows.append([f"t_{name}", float(result.t_stats[i])])
         rows.append([f"t_pvalue_{name}", float(result.t_pvalues[i])])
@@ -575,8 +580,9 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p = add("center", cmd_center, "re-center a weekly series on a recurring anchor",
             need=("series", "anchor"))
     p.add_argument("--series", help="weekly series CSV (week_start,value)")
-    p.add_argument("--anchor", help="civil | christmas | eid-al-fitr | june-solstice | december-solstice")
-    p.add_argument("--years", default="2004-2013", help="solar anchor year range, e.g. 2004-2013")
+    p.add_argument("--anchor", type=_parse_anchor, help=" | ".join(k.value for k in AnchorKind))
+    p.add_argument("--years", type=_parse_years, default="2004-2013",
+                   help="solar anchor year range, e.g. 2004-2013")
     p.add_argument("--eid-dates", help="anchor date CSV overriding the bundled Eid table")
 
     add("classify", cmd_classify, "classify countries from holiday z-scores")
@@ -615,9 +621,11 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     ):
         p = add(name, func, help_text, need=("binned", "holiday-weeks"))
         p.add_argument("--binned", help="binned TSV from the bin stage")
-        p.add_argument("--holiday-weeks", help="comma-separated week-start dates of the holiday")
+        p.add_argument("--holiday-weeks", type=_parse_dates,
+                       help="comma-separated week-start dates of the holiday (at least 2)")
         p.add_argument("--holiday", default="holiday", help="name for the anchor in outputs")
-        p.add_argument("--dims", default="v,a,d", help="dimensions to decompose (default v,a,d)")
+        p.add_argument("--dims", type=_parse_dims, default="v,a,d",
+                       help="dimensions to decompose (default v,a,d)")
         p.add_argument("--var-threshold", default=0.95,
                        type=_ranged(float, "in (0, 1]", lambda v: 0 < v <= 1),
                        help="share of post-baseline variance to keep (default 0.95)")
@@ -627,7 +635,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p = add("regress", cmd_regress, "ordinary least squares between keyed CSV files",
             need=("y", "x"))
     p.add_argument("--y", help="response CSV (key,value)")
-    p.add_argument("--x", help="regressor CSV, or several comma-separated")
+    p.add_argument("--x", type=_parse_regressors, help="regressor CSV, or several comma-separated")
 
     p = add("dcor", cmd_dcor, "distance covariance/correlation with permutation test",
             need=("x", "y"))
@@ -659,33 +667,30 @@ def _apply_config(parser: _Parser, commands: dict[str, _Parser], argv: list[str]
 
     Config keys are the subcommands' option names (``dest``, e.g.
     ``holiday_weeks``) and become the chosen subcommand's option defaults,
-    so explicit flags always win. A key is coerced as its option is:
-    ``_bool`` for a switch, otherwise the option's ``type`` and its range.
-    Keys the chosen subcommand does not define are ignored (one config file
-    may drive several stages), but every key must be an option of some
-    subcommand and its value must coerce.
+    so explicit flags always win. Each subcommand with the key's option
+    coerces the value as the option does (``_bool`` for a switch), so a bad
+    value is a usage error whichever stage runs, but only the chosen one
+    uses it (one config file may drive several stages). A key that no
+    subcommand has is a usage error. Errors name the key's file and line.
     """
     probe = _Parser(add_help=False)
     probe.add_argument("--config")
     known, rest = probe.parse_known_args(argv)
     if known.config:
-        coerce = {}
-        for command in commands.values():
-            for action in command._actions:
-                if action.dest != "help":
-                    store_true = isinstance(action, argparse._StoreTrueAction)
-                    coerce.setdefault(action.dest, _bool if store_true else action.type or str)
         chosen = commands.get(rest[0]) if rest else None
-        dests = {action.dest for action in chosen._actions} if chosen else set()
-        for key, raw in load_config(known.config).items():
-            if key not in coerce:
-                raise UsageError(f"unknown config key {key!r}")
-            try:
-                value = coerce[key](raw)
-            except (ValueError, argparse.ArgumentTypeError, UsageError) as exc:
-                raise UsageError(f"config key {key!r}: bad value {raw!r}: {exc}") from exc
-            if chosen is not None and key in dests:
-                chosen.set_defaults(**{key: value})
+        for key, (raw, line) in load_config(known.config).items():
+            where = f"{known.config}:{line}"
+            options = [(command, action) for command in commands.values()
+                       for action in command._actions if action.dest == key != "help"]
+            if not options:
+                raise UsageError(f"{where}: unknown config key {key!r}")
+            for command, action in options:
+                try:
+                    value = (_bool if action.nargs == 0 else action.type or str)(raw)
+                except (ValueError, argparse.ArgumentTypeError) as exc:
+                    raise UsageError(f"{where}: config key {key!r}: bad value {raw!r}: {exc}") from exc
+                if command is chosen:
+                    command.set_defaults(**{key: value})
     return parser.parse_args(argv)
 
 

@@ -332,21 +332,21 @@ def _open_records(path: str | Path):
 def _record(line: str) -> tuple[dt.datetime, str, str] | None:
     """A non-empty records line, line end removed, as (GMT datetime, country,
     text): the one rule both readers apply to a line. None when the line is
-    malformed: it has bytes that are not UTF-8 or a wrong field count, its
-    stamp is unparseable (see ``parse_timestamp``), or the stamp's GMT day's
-    Sunday week would start before 0001-01-01."""
+    malformed: it has bytes that are not UTF-8, a wrong field count or a
+    blank country, its stamp is unparseable (see ``parse_timestamp``), or the
+    stamp's GMT day's Sunday week would start before 0001-01-01."""
     if not line.isascii():
         try:
             line.encode("utf-8")  # fails on the escapes of undecodable bytes
         except UnicodeEncodeError:
             return None
     parts = line.split("\t")
-    if len(parts) != 3:
+    if len(parts) != 3 or not (country := parts[1].strip()):
         return None
     gmt = parse_timestamp(parts[0])
     if gmt is None or gmt < _FIRST_SUNDAY:
         return None
-    return gmt, parts[1].strip(), parts[2]
+    return gmt, country, parts[2]
 
 
 _MALFORMED, _BLANK = -1, -2  # a line's row when it is not a record

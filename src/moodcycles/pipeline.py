@@ -20,10 +20,9 @@ from .io import read_text, write_json
 TOOL_VERSION = "0.1.0"
 
 
-def load_config(path: str | Path) -> dict[str, str]:
-    """key=value lines; blank lines and #-comments ignored."""
-    values: dict[str, str] = {}
-    first_line: dict[str, int] = {}
+def load_config(path: str | Path) -> dict[str, tuple[str, int]]:
+    """key=value lines as {key: (value, line number)}; blank lines and #-comments ignored."""
+    values: dict[str, tuple[str, int]] = {}
     for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -34,10 +33,9 @@ def load_config(path: str | Path) -> dict[str, str]:
         key = key.strip().replace("-", "_")
         if not key:
             raise DataError(f"{path}:{lineno}: empty key")
-        first = first_line.setdefault(key, lineno)
-        if first != lineno:
-            raise DataError(f"{path}:{lineno}: duplicate key {key!r} (first on line {first})")
-        values[key] = value.strip()
+        if key in values:
+            raise DataError(f"{path}:{lineno}: duplicate key {key!r} (first on line {values[key][1]})")
+        values[key] = (value.strip(), lineno)
     return values
 
 

@@ -178,35 +178,24 @@ def centered_week_spans(
     back = cal.anchor_week_index - 1
     fwd = length - cal.anchor_week_index
 
-    claimed: list[tuple[dt.date, int, int]] = []
-    for anchor in cal.anchor_dates:
-        offset = (anchor - start_date).days
-        if offset < 0 or offset >= 7 * n_weeks:
-            warnings.append(f"{cal.kind.value}: anchor {anchor} outside the series, year omitted")
-            continue
-        g = offset // 7
-        first, last = g - back, g + fwd
-        if first < 0 or last >= n_weeks:
-            warnings.append(f"{cal.kind.value}: centered year around {anchor} incomplete, omitted")
-            continue
-        claimed.append((anchor, first, last))
-
     spans: list[tuple[dt.date, int, int, tuple[dt.date, ...]]] = []
     prev_last: int | None = None
-    for anchor, first, last in claimed:
-        if prev_last is not None and first <= prev_last:
+    for anchor in cal.anchor_dates:
+        offset = (anchor - start_date).days
+        first, last = offset // 7 - back, offset // 7 + fwd
+        if offset < 0 or offset >= 7 * n_weeks:
+            warnings.append(f"{cal.kind.value}: anchor {anchor} outside the series, year omitted")
+        elif first < 0 or last >= n_weeks:
+            warnings.append(f"{cal.kind.value}: centered year around {anchor} incomplete, omitted")
+        elif prev_last is not None and first <= prev_last:
             warnings.append(
                 f"{cal.kind.value}: year around {anchor} contests weeks kept by the"
                 " previous year, omitted"
             )
-            continue
-        dropped: tuple[dt.date, ...] = ()
-        if prev_last is not None and first > prev_last + 1:
-            dropped = tuple(
-                start_date + k * WEEK for k in range(prev_last + 1, first)
-            )
-        spans.append((anchor, first, last, dropped))
-        prev_last = last
+        else:
+            gap = range(first if prev_last is None else prev_last + 1, first)
+            spans.append((anchor, first, last, tuple(start_date + k * WEEK for k in gap)))
+            prev_last = last
     return spans
 
 

@@ -143,8 +143,8 @@ class TestExitCodes:
         (["--dims", "bogus", "--holiday-weeks", "2010-01-03"], "unknown dimension 'bogus'"),
         ([], "missing required option(s): --holiday-weeks"),
         (["--holiday-weeks", "2010-01-03, 2010-01-03"], "repeated date"),
-        (["--holiday-weeks", "2011-01-30"], "--holiday-weeks needs at least 2 dates"),
-        (["--holiday-weeks", ","], "--holiday-weeks needs at least 2 dates"),
+        (["--holiday-weeks", "2011-01-30"], "argument --holiday-weeks: needs at least 2 dates"),
+        (["--holiday-weeks", ","], "argument --holiday-weeks: needs at least 2 dates"),
     ], ids=["bad-dims", "no-holiday-weeks", "repeated-week", "one-holiday-date", "empty-date-list"])
     def test_binned_stage_usage_errors_precede_the_read(self, tmp_path, capsys, stage, options,
                                                         message):
@@ -196,8 +196,8 @@ class TestExitCodes:
                   "classify": ["--zscores", absent],
                   "report": ["--zscores", absent],
                   "births": ["--births", absent],
-                  "eigenmood": ["--binned", absent, "--holiday-weeks", "2010-12-26"],
-                  "similarity": ["--binned", absent, "--holiday-weeks", "2010-12-26"]}[stage]
+                  "eigenmood": ["--binned", absent, "--holiday-weeks", "2010-12-26,2011-12-25"],
+                  "similarity": ["--binned", absent, "--holiday-weeks", "2010-12-26,2011-12-25"]}[stage]
         if stage == "dcor" and key != "seed":
             inputs += ["--seed", "1"]
         if stage == "center" and key != "anchor":
@@ -314,7 +314,19 @@ class TestConfig:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("nonsense=1\n")
         assert run("--config", str(cfg), "classify", "--out", str(tmp_path / "o")) == 1
-        assert "nonsense" in capsys.readouterr().err
+        assert f"{cfg}:1: unknown config key 'nonsense'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("years", "abc"), ("dims", "q"), ("holiday_weeks", "nope"),
+                                            ("anchor", "easter"), ("x", "a.csv,b/a.csv")])
+    def test_a_bad_value_of_another_stages_key_is_rejected(self, tmp_path, capsys, key, value):
+        # classify has no such option, yet the value is checked by the option's own rule
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# run\nthreshold=1.5\n{key}={value}\n")
+        out = tmp_path / "out"
+        assert run("--config", str(cfg), "classify", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert f"{cfg}:3: config key {key!r}: bad value {value!r}: " in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_a_repeated_key_names_its_first_line(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -343,7 +355,10 @@ class TestConfig:
                     flag_argv, raw = [flag], "yes"
                 else:
                     kind = getattr(action.type, "__name__", None)  # a ranged type's too
-                    raw = {"int": "7", "float": "0.5"}.get(kind, "2010-01-03")
+                    raw = {"int": "7", "float": "0.5", "_parse_anchor": "christmas",
+                           "_parse_years": "2004-2013", "_parse_dates": "2010-12-26,2011-12-25",
+                           "_parse_dims": "a, valence", "_parse_regressors": "a.csv, b/c.csv"}.get(
+                        kind, "2010-01-03")
                     flag_argv = [flag, raw]
                 from_flag = getattr(parser.parse_args([name, *flag_argv]), action.dest)
                 cfg.write_text(f"{action.dest}={raw}\n")
@@ -506,6 +521,17 @@ class TestManifest:
         assert str(a) in entry["inputs"]
         assert len(entry["inputs"][str(a)]) == 64  # sha256 hex
         assert entry["counts"]["weeks_a"] == 10
+
+    def test_config_hash_digests_the_parsed_settings(self, tmp_path):
+        # spellings of one setting hash alike
+        binned, out = tmp_path / "binned.tsv", tmp_path / "out"
+        binned.write_text(binned_tsv(TestBinnedErrors().rows()))
+        hashes = set()
+        for dims in ("v,a,d", "valence, arousal, dominance", "V,a,d,v"):
+            assert run("similarity", "--binned", str(binned), "--holiday-weeks", "2010-12-26,2011-12-25",
+                       "--dims", dims, "--out", str(out)) == 0
+            hashes.add(json.loads((out / "manifest.json").read_text())["similarity"]["config_hash"])
+        assert len(hashes) == 1
 
     def test_rerun_with_same_inputs_is_byte_identical(self, tmp_path):
         a = tmp_path / "a.csv"
@@ -1085,7 +1111,8 @@ class TestMalformedRecords:
         b"9999-12-31T23:00:00-05:00\tUS\tsun",  # GMT time past year 9999
         b"0001-01-02T00:30:00Z\tUS\tsun",       # its Sunday week starts before 0001-01-01
         b"2010-01-04T09:00:00Z\tUS\tsu\xffn",   # not UTF-8
-    ], ids=["gmt-overflow", "before-first-week", "undecodable"])
+        b"2010-01-04T09:00:00Z\t \tsun",         # no --country could select "", so bin bins US
+    ], ids=["gmt-overflow", "before-first-week", "undecodable", "blank-country"])
     def test_line_is_counted_and_skipped(self, tmp_path, capsys, stage, line):
         records, lexicon = tmp_path / "r.tsv", tmp_path / "lex.csv"
         records.write_bytes(b"2010-01-04T08:00:00Z\tUS\train\n" + line + b"\n")

@@ -169,10 +169,12 @@ class TestRecords:
             "not-a-timestamp\tUS\tbad stamp\n"
             "2010-01-03T09:00:00Z\tonly two fields\n"
             "\n"
+            "2010-01-03T09:00:00Z\t\tno country\n"
+            "2010-01-03T09:00:00Z\t \tblank country\n"
             "2010-01-03T10:00:00+01:00\tGB\tanother one\n"
         )
         records, malformed = read_records(path)
-        assert malformed == 2
+        assert malformed == 4
         assert len(records) == 2
         assert records[0][1] == "US" and records[0][2] == "good morning"
         # offset timestamps are converted to GMT
