@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,14 +85,62 @@ class OLSResult:
         return np.minimum(np.asarray(self.t_pvalues) * m, 1.0)
 
 
+def _stirling(z: float) -> float:
+    """lgamma(z) - (z - 1/2) log z + z, by Stirling's series from z = 10."""
+    if z < 10.0:
+        return math.lgamma(z) - (z - 0.5) * math.log(z) + z
+    w = 1.0 / (z * z)
+    series = 1/12 - w * (1/360 - w * (1/1260 - w * (1/1680 - w * (1/1188 - w * 691/360360))))
+    return math.log(2.0 * math.pi) / 2 + series / z
+
+
+def _betainc(a: float, b: float, x: float, y: float) -> float:
+    """Regularized incomplete beta I_x(a, b), y = 1 - x given apart so that a
+    tail near x = 1 keeps its digits: Numerical Recipes' continued fraction
+    (3rd ed., section 6.4) by modified Lentz, or 1 - I_y(b, a) above
+    (a+1)/(a+b+2). Its prefactor x^a y^b / B(a, b) is Stirling's 1/B times
+    log1p terms of x's and y's deviations from a/(a+b) and b/(a+b), both
+    taken from the smaller side (DiDonato & Morris, ACM TOMS 18(3), 1992)."""
+    swap = x >= (a + 1.0) / (a + b + 2.0)
+    if swap:
+        a, b, x, y = b, a, y, x
+    if x == 0.0:
+        return float(swap)
+    s = a + b
+    lam = a - s * x if a <= b else s * y - b
+    with suppress(OverflowError, ValueError, ZeroDivisionError):
+        log_front = 0.5 * math.log(a * b / s) + _stirling(s) - _stirling(a) - _stirling(b)
+        for w, e, ratio in ((a, -lam / a, x * s / a), (b, lam / b, y * s / b)):
+            log_front += w * (math.log1p(e) if abs(e) < 0.5 else math.log(ratio))
+        c, d, g = 1.0, 0.0, 1.0  # g = 1 + d_1 / (1 + d_2 / (1 + ...)) = x^a y^b / (a B I)
+        for j in range(1, 10_000):
+            m = j // 2
+            num = (-(a + m) * (s + m) if j % 2 else m * (b - m)) * x / ((a + j - 1) * (a + j))
+            d = 1.0 / (1.0 + num * d or 1e-300)  # Lentz: a zero denominator becomes tiny
+            c = 1.0 + num / c or 1e-300
+            g *= c * d
+            if abs(c * d - 1.0) < 1e-15:
+                p = math.exp(log_front) / (a * g)
+                if 0.0 <= p <= 1.0:  # a tail below the least normal float64 has lost its digits
+                    return 1.0 - p if swap else (p if p >= sys.float_info.min else 0.0)
+                break
+    raise NumericalError(f"the incomplete beta function I_x({a}, {b}) at x = {x} fails in float64")
+
+
+def _tail(a: float, b: float, u: float) -> float:
+    """I_x(a, b) at x = a / (a + b u): P(F(2b, 2a) > u), or P(|T(2a)| > t) at b = 1/2, u = t^2."""
+    bu = b * u
+    if bu <= 0.0 or bu == math.inf:
+        return float(bu <= 0.0)
+    return _betainc(a, b, a / (a + bu), bu / (a + bu))
+
+
 def ols(X, y) -> OLSResult:
     """Ordinary least squares with intercept, R^2, F-test, and t-tests.
 
-    scipy is imported here, not at module level, so that only a caller that
-    fits a model pays for loading it.
+    Both p-values are incomplete beta tails (``_tail``): the F test's at
+    x = df / (df + k F), each two-sided t test's at x = df / (df + t^2).
     """
-    from scipy.special import fdtrc, stdtr
-
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim == 1:
@@ -115,11 +164,12 @@ def ols(X, y) -> OLSResult:
     if rank < k + 1:
         raise DegenerateSeriesError("design matrix is rank-deficient")
     resid = y - A @ beta
-    ss_res = float(resid @ resid)
     dy = y - y.mean()
     ss_tot = float(dy @ dy)
     if ss_tot == 0.0:
         raise DegenerateSeriesError("response is constant")
+    # at most ss_tot with an intercept; rounding can put it a few ulps above
+    ss_res = min(float(resid @ resid), ss_tot)
     r2 = 1.0 - ss_res / ss_tot
     df_res = n - k - 1
     if ss_res == 0.0:
@@ -128,12 +178,12 @@ def ols(X, y) -> OLSResult:
         t_p = np.zeros(k)
     else:
         f_stat = (ss_tot - ss_res) / k / (ss_res / df_res)
-        f_p = float(fdtrc(k, df_res, f_stat))
+        f_p = _tail(df_res / 2, k / 2, f_stat)
         sigma2 = ss_res / df_res
         cov = sigma2 * np.linalg.inv(A.T @ A)
         se = np.sqrt(np.diag(cov))[1:]
         t_stats = beta[1:] / se
-        t_p = 2.0 * stdtr(df_res, -np.abs(t_stats))
+        t_p = [_tail(df_res / 2, 0.5, t * t) for t in map(float, t_stats)]
     coef = beta[1:] / spread
     return OLSResult(
         coef=coef,

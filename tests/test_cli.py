@@ -1186,15 +1186,26 @@ def test_dcor_builds_each_centered_distance_matrix_once(tmp_path):
     assert written["permutation_p"] == stats.permutation_test(xv, yv, n_permutations=49, seed=3)[1]
 
 
-def test_importing_the_cli_loads_no_scipy():
-    # only ``ols`` needs scipy, and imports it when it runs
+def test_regress_and_dcor_run_without_scipy(tmp_path):
+    # with sys.modules["scipy"] = None, any import of scipy raises
+    rng = np.random.default_rng(8)
+    paths = {name: tmp_path / f"{name}.csv" for name in ("y", "a", "b")}
+    for path in paths.values():
+        write_keyed(path, [(f"k{i}", v) for i, v in enumerate(rng.standard_normal(40))])
+    y, a, b = (str(p) for p in paths.values())
+    argvs = [["regress", "--y", y, "--x", f"{a},{b}", "--out", str(tmp_path / "regress")],
+             ["dcor", "--y", y, "--x", a, "--permutations", "19", "--seed", "1",
+              "--out", str(tmp_path / "dcor")]]
+    code = ("import json, sys; sys.modules['scipy'] = None; from moodcycles.cli import main; "
+            "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))")
     src = str(Path(moodcycles.__file__).resolve().parent.parent)
-    code = ("import sys, moodcycles, moodcycles.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            env={**os.environ, "PYTHONPATH": src})
+    result = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], capture_output=True,
+                            text=True, env={**os.environ, "PYTHONPATH": src})
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    fields = read_keyed_rows(tmp_path / "regress" / "regression.csv")
+    p_values = [v for k, v in fields.items() if k == "f_pvalue" or k.startswith("t_pvalue")]
+    assert len(p_values) == 5 and all(0.0 <= p <= 1.0 for p in p_values)
+    assert (tmp_path / "dcor" / "dcor.csv").is_file()
 
 
 def test_console_entry_point_help():

@@ -2,13 +2,15 @@
 
 import datetime as dt
 import math
+import sys
 import tracemalloc
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import stats as sstats
 
 from moodcycles import stats
 from moodcycles.countries import compare_search_terms
@@ -148,18 +150,87 @@ class TestOLS:
         for got, want in pairs:
             assert math.isclose(got, want, rel_tol=1e-9)
 
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(3, 12), seed=st.integers(0, 2**32 - 1))
+    @example(n=6, seed=34)
+    def test_regressors_orthogonal_to_the_response_explain_nothing(self, n, seed):
+        # rounding can put ss_res a few ulps above ss_tot: R^2 and F came out
+        # about -5e-16, and the F tail of a negative F was NaN
+        rng = np.random.default_rng(seed)
+        y, x = rng.standard_normal(n), rng.standard_normal(n)
+        y, x = y - y.mean(), x - x.mean()
+        fit = ols(x - (x @ y) / (y @ y) * y, y)
+        assert fit.r_squared >= 0.0 and fit.f_stat >= 0.0
+        assert 0.0 <= fit.f_pvalue <= 1.0
+        assert ((fit.t_pvalues >= 0.0) & (fit.t_pvalues <= 1.0)).all()
+
     @settings(max_examples=200, deadline=None)
     @given(k=st.integers(1, 3), extra=st.integers(1, 60), seed=st.integers(0, 2**32 - 1),
            signal=st.floats(0.0, 5.0))
-    def test_p_values_equal_the_scipy_stats_distributions(self, k, extra, seed, signal):
+    def test_p_values_match_the_exact_distributions(self, k, extra, seed, signal):
         rng = np.random.default_rng(seed)
         n = k + 1 + extra
         X = rng.standard_normal((n, k))
         y = signal * X[:, 0] + rng.standard_normal(n)
         fit = ols(X, y)
         df = n - k - 1
-        assert fit.f_pvalue == float(sstats.f.sf(fit.f_stat, k, df))
-        assert (fit.t_pvalues == 2.0 * sstats.t.sf(np.abs(fit.t_stats), df)).all()
+        assert_tail(fit.f_pvalue, df, k, fit.f_stat, rel=1e-12)
+        for t, p in zip(fit.t_stats, fit.t_pvalues):
+            assert_tail(p, df, 1, t * t, rel=1e-12)
+
+
+def assert_tail(got, df, k, u, rel):
+    """``got`` is P(F(k, df) > u) (with k = 1 and u = t^2, the two-sided t
+    tail) to ``rel``, from mpmath's incomplete beta at 40 digits; a tail
+    below 1e-290 need only be as small."""
+    with mpmath.workdps(40):
+        u = mpmath.mpf(float(u))
+        want = mpmath.betainc(mpmath.mpf(df) / 2, mpmath.mpf(k) / 2, 0, df / (df + k * u),
+                              regularized=True)
+    if want < 1e-290:
+        assert 0.0 <= got <= 1e-290
+    else:
+        assert abs(got - float(want)) <= rel * float(want), (got, float(want))
+
+
+class TestTails:
+    """The F and t tails ``ols`` takes from ``stats._tail``."""
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 10, 100, 500, 1000, 10_000])
+    def test_match_the_exact_distributions_on_a_grid(self, df):
+        rel = 1e-12 if df <= 1000 else 1e-10
+        for t in [1e-6, 0.01, 0.3, 0.9, 1.0, 1.7, 2.0, 2.6, 4.0, 7.5, 12.0, 25.0, 40.0]:
+            assert_tail(stats._tail(df / 2, 0.5, t * t), df, 1, t * t, rel)
+        for k in [1, 2, 3, 7]:
+            for f in [1e-9, 1e-3, 0.2, 0.7, 1.0, 1.3, 2.5, 4.0, 9.0, 30.0, 100.0]:
+                assert_tail(stats._tail(df / 2, k / 2, f), df, k, f, rel)
+
+    @pytest.mark.parametrize("df", [1, 2, 7, 500, 10_000])
+    def test_edges(self, df):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert stats._tail(df / 2, 0.5, 0.0) == 1.0  # t = 0
+            assert stats._tail(df / 2, 1.5, 0.0) == 1.0  # F = 0
+            for t in [1e-8, 0.5, 3.0, 1e3]:
+                assert stats._tail(df / 2, 0.5, t * t) == stats._tail(df / 2, 0.5, (-t) * (-t))
+            t = 1e200  # t^2 overflows
+            assert stats._tail(df / 2, 0.5, t * t) == 0.0
+            for k in [1, 2, 7]:
+                p = stats._tail(df / 2, k / 2, 1e300)
+                assert p == 0.0 if df > 2 else 0.0 <= p < 1e-149
+                assert_tail(p, df, k, 1e300, rel=1e-12)
+
+    def test_one_degree_of_freedom_near_zero(self):
+        # scipy's stdtr is 3.1e-9 off here, which is why the oracle is mpmath
+        p = stats._tail(0.5, 0.5, 1e-8 * 1e-8)
+        assert p == pytest.approx(1.0 - 2.0 * math.atan(1e-8) / math.pi, rel=1e-15, abs=0)
+
+    def test_every_p_value_is_finite_in_range_and_normal_or_zero(self):
+        for df in [1, 3, 40, 5000]:
+            for b in [0.5, 1.0, 3.5]:
+                for u in np.logspace(-300, 300, 61):
+                    p = stats._tail(df / 2, b, float(u))
+                    assert p == 0.0 or sys.float_info.min <= p <= 1.0
 
 
 def dcov_bruteforce(x, y):
