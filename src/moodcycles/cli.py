@@ -477,9 +477,11 @@ def cmd_regress(args, manifest: RunManifest) -> None:
 def cmd_dcor(args, manifest: RunManifest) -> None:
     if args.permutations > 0 and args.seed is None:
         raise UsageError("--seed is required when --permutations > 0")
-    manifest.add_input(args.x)
+    if len(args.x) > 1:
+        raise UsageError(f"dcor takes one --x file, not {len(args.x)}")
+    manifest.add_input(args.x[0])
     manifest.add_input(args.y)
-    X, y, _ = _joined(args.y, [args.x])
+    X, y, _ = _joined(args.y, args.x)
     dcov, dcor, p = stats.distance_statistics(X[:, 0], y, args.permutations, args.seed)
     rows = [["dcov", dcov], ["dcor", dcor]]
     if p is not None:
@@ -639,7 +641,8 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
     p = add("dcor", cmd_dcor, "distance covariance/correlation with permutation test",
             need=("x", "y"))
-    p.add_argument("--x", help="regressor CSV (key,value)")
+    # regress's type, so one config key x has one rule; dcor refuses several files
+    p.add_argument("--x", type=_parse_regressors, help="regressor CSV (key,value)")
     p.add_argument("--y", help="response CSV (key,value)")
     p.add_argument("--permutations", type=count, default=999,
                    help="permutations for the p-value (default 999; 0 disables)")

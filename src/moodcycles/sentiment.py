@@ -18,9 +18,9 @@ import datetime as dt
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import attrgetter
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -208,8 +208,6 @@ def score_text(text: str, lexicons: list[Lexicon], stoplist: GreetingStoplist | 
 
 
 _CHUNK = 8192  # texts per scoring chunk; lines per block the score and bin stages read
-_SEPARATOR = "\n"  # joins a chunk's texts; never part of a token
-_PIECE = re.compile(f"{_TOKEN.pattern}|{_SEPARATOR}", re.UNICODE)  # a token or the separator
 
 
 class ScoreColumns(NamedTuple):
@@ -226,22 +224,18 @@ class Scorer:
     ``score`` scores each text it is handed, repeats included: the score
     and bin stages hand it the texts of a block's distinct lines (see
     ``io.read_record_chunks``). One table, built once, gives an id to each
-    lexicon word, each first token of a stoplist phrase and the text
-    separator ``"\n"``, and maps each word id to its entries in every
-    lexicon that matches it. The texts are joined with the separator (a
-    separator inside a text becomes a space), lowered and split with one
-    regex pass into tokens and separators; tokens map to ids, and a
-    cumulative count of separators gives each token's text (``_tokens``).
-    Texts with a token that starts a stoplist phrase are stripped one by
-    one by ``strip``, which matches the phrases on the same lowered text,
-    so no other text holds one; the tokens of those the stoplist changes
-    are replaced by the stripped texts' tokens, found by the same pass and
-    appended after the rest. Each id expands to its lexicon entries, and one
-    ``np.bincount`` over (text, lexicon) gives the match counts and one per
-    dimension the sums. ``np.bincount`` adds its weights in input order,
-    and a text's tokens stay in text order, so each sum runs in token order
-    as ``score_text``'s loop does. Tied lexicons' means are added in
-    lexicon order, non-winners adding an exact 0.0.
+    lexicon word and maps each word id to its entries in every lexicon that
+    matches it. Each text is tokenized by ``tokenize``'s rule; a text with a
+    token that starts a stoplist phrase is stripped by ``strip``, which
+    matches the phrases on the same lowered text, so no other text holds
+    one, and a text the stoplist changes is tokenized again. All tokens map
+    to ids in one step, and each text's token count gives each token's
+    text. Each id expands to its lexicon entries, and one ``np.bincount``
+    over (text, lexicon) gives the match counts and one per dimension the
+    sums. ``np.bincount`` adds its weights in input order, and a text's
+    tokens stay in text order, so each sum runs in token order as
+    ``score_text``'s loop does. Tied lexicons' means are added in lexicon
+    order, non-winners adding an exact 0.0.
     """
 
     def __init__(self, lexicons: list[Lexicon], stoplist: GreetingStoplist | None = None):
@@ -250,63 +244,39 @@ class Scorer:
             for word, scores in lex.entries.items():
                 if word not in lex.removed_words:
                     table.setdefault(word, []).append((index, scores))
-        opening = stoplist._first_tokens if stoplist is not None else frozenset()
-        for word in [*opening - table.keys(), _SEPARATOR]:
-            table[word] = []
         entries = list(table.values())
         self._id = {word: i for i, word in enumerate(table)}
-        self._separator = self._id[_SEPARATOR]
         # an unknown token's id is len(table): one more row of each per-id array
         self._n_entries = np.array([len(e) for e in entries] + [0], dtype=np.intp)
         self._first_entry = np.cumsum(self._n_entries) - self._n_entries
-        self._opens_phrase = np.array([word in opening for word in table] + [False])
         self._entry_lexicon = np.array([i for e in entries for i, _ in e], dtype=np.intp)
         self._entry_vad = np.array([s for e in entries for _, s in e],
                                    dtype=float).reshape(-1, 3).T.copy()
         self._n_lex = len(lexicons)
         self._stoplist = stoplist
 
-    def _ids(self, tokens: list[str]) -> np.ndarray:
-        return np.fromiter(map(self._id.get, tokens, repeat(len(self._id))), np.intp, len(tokens))
-
-    def _tokens(self, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-        """Each token's word id and its text's index in ``texts``, tokens in text order."""
-        parts, joined = texts, _SEPARATOR.join(texts)
-        if joined.count(_SEPARATOR) != max(len(texts) - 1, 0):
-            # a space splits tokens as the separator does, and neither is
-            # cased or case-ignorable, so no text lowers or splits otherwise
-            parts = [text.replace(_SEPARATOR, " ") for text in texts]
-            joined = _SEPARATOR.join(parts)
-        # str.lower of a non-ASCII string first fills a buffer of 12 bytes
-        # per character, so such a chunk is lowered a text at a time.
-        lowered = joined.lower() if joined.isascii() else _SEPARATOR.join(map(str.lower, parts))
-        del joined, parts
-        pieces = _PIECE.findall(lowered)
-        del lowered
-        ids = self._ids(pieces)
-        del pieces
-        separator = ids == self._separator
-        token = ~separator
-        return ids[token], np.cumsum(separator)[token]
+    def _token_lists(self, texts: Sequence[str], lengths: list[int]) -> Iterator[list[str]]:
+        """``tokenize`` of each text, mapped in C, or of what ``strip`` leaves
+        when the stoplist changes it; appends each list's length to ``lengths``."""
+        # one list alive at a time: holding a chunk's lists starts the cyclic GC
+        stoplist, append = self._stoplist, lengths.append
+        for text, tokens in zip(texts, map(_TOKEN.findall, map(str.lower, texts))):
+            if stoplist is not None and not stoplist._first_tokens.isdisjoint(tokens):
+                stripped = stoplist.strip(text)
+                if stripped is not text:
+                    tokens = tokenize(stripped)
+            append(len(tokens))
+            yield tokens
 
     def score(self, texts: Sequence[str]) -> ScoreColumns:
         """The scores of ``texts``, all at once: pass a chunk, not a corpus."""
-        m, n_lex, stoplist = len(texts), self._n_lex, self._stoplist
+        m, n_lex = len(texts), self._n_lex
         if m and not n_lex:
             raise DataError("need at least one lexicon")
-        ids, text_of = self._tokens(texts)
-        if stoplist is not None:
-            changed, stripped = [], []
-            for i in np.unique(text_of[self._opens_phrase[ids]]).tolist():
-                text = stoplist.strip(texts[i])
-                if text is not texts[i]:
-                    changed.append(i)
-                    stripped.append(text)
-            if changed:
-                new_ids, new_text_of = self._tokens(stripped)
-                keep = ~np.isin(text_of, changed)
-                ids = np.concatenate([ids[keep], new_ids])
-                text_of = np.concatenate([text_of[keep], np.array(changed)[new_text_of]])
+        lengths: list[int] = []
+        tokens = chain.from_iterable(self._token_lists(texts, lengths))
+        ids = np.fromiter(map(self._id.get, tokens, repeat(len(self._id))), np.intp)
+        text_of = np.repeat(np.arange(m), lengths)
         per_token = self._n_entries[ids]
         starts = np.cumsum(per_token) - per_token
         entry = (np.repeat(self._first_entry[ids] - starts, per_token)

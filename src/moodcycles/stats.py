@@ -179,9 +179,9 @@ def ols(X, y) -> OLSResult:
     else:
         f_stat = (ss_tot - ss_res) / k / (ss_res / df_res)
         f_p = _tail(df_res / 2, k / 2, f_stat)
-        sigma2 = ss_res / df_res
-        cov = sigma2 * np.linalg.inv(A.T @ A)
-        se = np.sqrt(np.diag(cov))[1:]
+        # sigma times the row norms of pinv(A) = V / s; inv(A.T @ A) squares A's condition
+        _, s, vt = np.linalg.svd(A, full_matrices=False)
+        se = math.sqrt(ss_res / df_res) * np.linalg.norm(vt.T / s, axis=1)[1:]
         t_stats = beta[1:] / se
         t_p = [_tail(df_res / 2, 0.5, t * t) for t in map(float, t_stats)]
     coef = beta[1:] / spread

@@ -328,6 +328,20 @@ class TestConfig:
         assert f"{cfg}:3: config key {key!r}: bad value {value!r}: " in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_the_key_x_has_one_rule_for_regress_and_dcor(self, tmp_path, capsys):
+        # dcor read "a.csv,b.csv" as one file name and exited 2
+        rng = np.random.default_rng(0)
+        for name in ("a", "b", "y"):
+            write_keyed(tmp_path / f"{name}.csv", [(f"k{i}", v) for i, v in enumerate(rng.normal(size=20))])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"x={tmp_path / 'a.csv'},{tmp_path / 'b.csv'}\ny={tmp_path / 'y.csv'}\n"
+                       "permutations=9\nseed=1\n")
+        out = tmp_path / "out"
+        assert run("--config", str(cfg), "dcor", "--out", str(out)) == 1
+        assert "--x" in capsys.readouterr().err
+        assert not out.exists()
+        assert run("--config", str(cfg), "regress", "--out", str(out)) == 0
+
     def test_a_repeated_key_names_its_first_line(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("# run\nbins=10\nthreshold=2.0\nbins = 12\n")
