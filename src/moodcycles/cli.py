@@ -145,9 +145,8 @@ def _fold_scored(args, manifest: RunManifest, fold) -> dict[str, int]:
     n = n_malformed = n_unscored = 0
     for days, countries, texts, row, bad in io.read_record_chunks(args.records, sentiment._CHUNK):
         scores = scorer.score(texts)
-        for country in dict.fromkeys(countries):  # each distinct country once, first seen first
-            codes.setdefault(country, len(codes))
-        code = np.fromiter(map(codes.__getitem__, countries), np.intp, len(countries))
+        code = np.fromiter((codes.setdefault(c, len(codes)) for c in countries), np.intp,
+                           len(countries))
         scored = scores.n_matched > 0
         keep = scored & (code == codes.get(args.country, -1)) if args.country else scored
         kept = row[keep[row]]
@@ -366,26 +365,25 @@ def _write_eigenmood_json(mood: em.Eigenmood, args) -> None:
 
 
 def cmd_eigenmood(args, manifest: RunManifest) -> None:
-    weeks, matrices, decs, rows, mood = _select(args, manifest)
+    weeks, matrices, decs, _, mood = _select(args, manifest)
 
     # per selected dimension, the linguistic characterization of the
     # holiday's mean reconstructed change (it needs 25 bins) and the heatmap
     # of the two-component reconstruction, computed before any output is written
+    means = {(c.dimension, c.index): c.mean for c in mood.selection}
     ling_rows, heatmaps = [], {}
     for dim in sentiment.DIMENSIONS:
         comps = [c for c in mood.components if c.dimension == dim]
         if not comps:
             continue
-        dec = decs[dim]
         recon_row = np.zeros(matrices[dim].n_bins)
         for c in comps:
-            mean_coord = float(np.mean([dec.coord(r, c.index) for r in rows]))
-            recon_row += mean_coord * c.eigenbin
+            recon_row += means[c.dimension, c.index] * c.eigenbin
         with io.naming(args.binned):
             response = em.linguistic_response(recon_row)
         for level, value in response.items():
             ling_rows.append([dim, level, value])
-        heatmaps[dim] = em.heatmap(dec.reconstruct([c.index for c in comps]))
+        heatmaps[dim] = em.heatmap(decs[dim].reconstruct([c.index for c in comps]))
     projs = em.project_weeks(mood, matrices)
 
     dec_rows = []

@@ -216,40 +216,25 @@ class WeekProjection:
     coords: tuple[float, float]
 
 
-def project(eigenmood: Eigenmood, rows: dict[str, np.ndarray]) -> WeekProjection:
-    """Project one week, given its bin distribution per dimension."""
-    coords = []
-    for comp in eigenmood.components:
-        row = rows.get(comp.dimension)
-        if row is None:
-            raise DataError(f"no {comp.dimension} distribution for this week")
-        row = np.asarray(row, dtype=float)
-        if row.shape != comp.eigenbin.shape:
-            raise DataError(
-                f"{comp.dimension} row has {row.shape[0]} bins, eigenbin has {comp.eigenbin.shape[0]}"
-            )
-        coords.append(float(row @ comp.eigenbin))
-    return WeekProjection(coords=(coords[0], coords[1]))
-
-
 def project_weeks(
     eigenmood: Eigenmood,
     matrices: dict[str, BinnedMoodMatrix],
 ) -> list[WeekProjection]:
-    """Projection of every week; all matrices must share the same week list."""
-    needed = {c.dimension for c in eigenmood.components}
-    weeks = None
-    for dim in needed:
-        if dim not in matrices:
-            raise DataError(f"missing {dim} matrix")
-        if weeks is None:
-            weeks = matrices[dim].week_starts
-        elif matrices[dim].week_starts != weeks:
-            raise DataError("matrices disagree on week lists")
-    return [
-        project(eigenmood, {dim: matrices[dim].matrix[i] for dim in needed})
-        for i in range(len(weeks))
-    ]
+    """Each week's coordinates: its row of each component's matrix dotted
+    with that component's eigenbin. The two matrices must share one week list."""
+    pairs = []
+    for comp in eigenmood.components:
+        m = matrices.get(comp.dimension)
+        if m is None:
+            raise DataError(f"missing {comp.dimension} matrix")
+        if m.n_bins != len(comp.eigenbin):
+            raise DataError(f"{comp.dimension} matrix has {m.n_bins} bins, "
+                            f"eigenbin has {len(comp.eigenbin)}")
+        pairs.append((m, comp.eigenbin))
+    (a, e0), (b, e1) = pairs
+    if a.week_starts != b.week_starts:
+        raise DataError("matrices disagree on week lists")
+    return [WeekProjection((float(x @ e0), float(y @ e1))) for x, y in zip(a.matrix, b.matrix)]
 
 
 def mean_projection(projections: list[WeekProjection]) -> WeekProjection:

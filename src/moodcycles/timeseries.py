@@ -16,7 +16,7 @@ classification pipeline.
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -212,18 +212,11 @@ def build_centered_years(
     that would run off either end, are omitted (a note is appended to
     ``warnings``).
     """
-    spans = centered_week_spans(series.start_date, len(series), cal, warnings)
-    years = []
-    for anchor, first, last, dropped in spans:
-        years.append(
-            CenteredYear(
-                anchor_date=anchor,
-                week1_start=series.week_start(first),
-                weeks=series.values[first : last + 1],
-                dropped_weeks=dropped,
-            )
-        )
-    return years
+    return [
+        CenteredYear(anchor, series.week_start(first), series.values[first : last + 1], dropped)
+        for anchor, first, last, dropped in centered_week_spans(
+            series.start_date, len(series), cal, warnings)
+    ]
 
 
 def normalize_yearly_max(years: list[CenteredYear]) -> list[CenteredYear]:
@@ -239,14 +232,7 @@ def normalize_yearly_max(years: list[CenteredYear]) -> list[CenteredYear]:
             raise DegenerateSeriesError(
                 f"centered year {year.anchor_date} has no positive value to scale by"
             )
-        out.append(
-            CenteredYear(
-                anchor_date=year.anchor_date,
-                week1_start=year.week1_start,
-                weeks=year.weeks / peak,
-                dropped_weeks=year.dropped_weeks,
-            )
-        )
+        out.append(replace(year, weeks=year.weeks / peak))
     return out
 
 

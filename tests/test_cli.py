@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import moodcycles
-from moodcycles import io, sentiment, stats
+from moodcycles import eigenmood as em, io, sentiment, stats
 from moodcycles.cli import _apply_config, _build_parser, main
 from moodcycles.io import _fixture, expected_agreement, fmt
 
@@ -1164,6 +1164,29 @@ class TestPipelineChain:
         assert len(rows) == 52
         mood = json.loads((sim / "eigenmood.json").read_text())
         assert len(mood["components"]) == 2
+
+    def test_eigenmood_summarizes_the_selected_means(self, tmp_path):
+        # linguistic.csv is linguistic_response(sum of mean x eigenbin) per
+        # dimension, the means being select_eigenmood's on the same file
+        binned = tiny_inputs(tmp_path)["binned"]
+        holidays = [dt.date(2010, 12, 26), dt.date(2011, 12, 25)]
+        out = tmp_path / "out"
+        assert run("eigenmood", "--binned", binned, "--out", str(out),
+                   "--holiday-weeks", ",".join(map(str, holidays))) == 0
+        data = io.read_binned(binned)
+        decs = {dim: em.decompose(probs) for dim, (_, _, probs) in data.items()}
+        rows = [data["valence"][0].index(day) for day in holidays]
+        mood = em.select_eigenmood(decs, rows, "holiday")
+        means = {(c.dimension, c.index): c.mean for c in mood.selection}
+        expected = {}
+        for dim in sentiment.DIMENSIONS:
+            comps = [c for c in mood.components if c.dimension == dim]
+            if comps:
+                recon = sum(means[c.dimension, c.index] * c.eigenbin for c in comps)
+                expected |= {(dim, level): v for level, v in em.linguistic_response(recon).items()}
+        with open(out / "linguistic.csv") as fh:
+            got = {(r["dimension"], r["level"]): float(r["response"]) for r in csv.DictReader(fh)}
+        assert expected and got == expected
 
     def test_center_finds_a_december_anchor(self, tmp_path, capsys):
         series = tmp_path / "series.csv"

@@ -16,7 +16,6 @@ from moodcycles.eigenmood import (
     linguistic_response,
     mean_projection,
     membership_matrix,
-    project,
     project_weeks,
     retained_components,
     select_eigenmood,
@@ -239,55 +238,48 @@ def make_eigenmood(dec, indices=(2, 3), dims=("valence", "valence")):
 
 
 class TestProjection:
-    def test_projection_equals_scaled_left_factor(self):
-        M = random_matrix(np.random.default_rng(30), 8, 6)
-        dec = decompose(M)
-        em = make_eigenmood(dec)
-        for i in range(8):
-            p = project(em, {"valence": M[i]})
+    WEEKS = tuple(dt.date(2010, 1, 3) + dt.timedelta(weeks=w) for w in range(9))
+
+    def matrices(self, rng, weeks, n_bins=6, dim="valence"):
+        M = rng.dirichlet(np.ones(n_bins), size=len(weeks))
+        return BinnedMoodMatrix(dim, tuple(weeks), M)
+
+    def test_project_weeks_walks_the_rows(self):
+        matrix = self.matrices(np.random.default_rng(33), self.WEEKS)
+        dec = decompose(matrix)
+        projections = project_weeks(make_eigenmood(dec), {"valence": matrix})
+        assert len(projections) == len(self.WEEKS)
+        for i, p in enumerate(projections):
             assert p.coords[0] == pytest.approx(dec.coord(i, 2), abs=1e-10)
             assert p.coords[1] == pytest.approx(dec.coord(i, 3), abs=1e-10)
 
     def test_orthogonal_rows_project_to_zero(self):
-        M = random_matrix(np.random.default_rng(31), 8, 6)
-        dec = decompose(M)
-        em = make_eigenmood(dec, indices=(2, 3))
-        p = project(em, {"valence": dec.V[:, 3]})  # eigenbin 4, orthogonal to 2 and 3
-        assert p.coords[0] == pytest.approx(0.0, abs=1e-12)
-        assert p.coords[1] == pytest.approx(0.0, abs=1e-12)
-
-    def test_missing_dimension_and_shape_errors(self):
-        dec = decompose(random_matrix(np.random.default_rng(32), 8, 6))
-        em = make_eigenmood(dec)
-        with pytest.raises(DataError):
-            project(em, {"arousal": np.ones(6) / 6})
-        with pytest.raises(DataError):
-            project(em, {"valence": np.ones(5) / 5})
-
-    def matrices(self, rng, weeks):
-        M = rng.dirichlet(np.ones(6), size=len(weeks))
-        return BinnedMoodMatrix("valence", tuple(weeks), M)
-
-    def test_project_weeks_walks_the_rows(self):
-        rng = np.random.default_rng(33)
-        weeks = [dt.date(2010, 1, 3) + dt.timedelta(weeks=w) for w in range(5)]
-        matrix = self.matrices(rng, weeks)
+        matrix = self.matrices(np.random.default_rng(31), self.WEEKS[:-1])
         dec = decompose(matrix)
-        em = make_eigenmood(dec)
-        projections = project_weeks(em, {"valence": matrix})
-        assert len(projections) == 5
-        for i, p in enumerate(projections):
-            assert p.coords[0] == pytest.approx(dec.coord(i, 2), abs=1e-10)
+        base = dec.V[:, 0] / dec.V[:, 0].sum()  # a distribution along eigenbin 1 only
+        extended = BinnedMoodMatrix("valence", self.WEEKS, np.vstack([matrix.matrix, base]))
+        *_, last = project_weeks(make_eigenmood(dec), {"valence": extended})
+        assert last.coords == pytest.approx((0.0, 0.0), abs=1e-12)
+
+    def test_project_weeks_needs_each_component_matrix(self):
+        matrix = self.matrices(np.random.default_rng(32), self.WEEKS)
+        em = make_eigenmood(decompose(matrix), dims=("valence", "arousal"))
+        with pytest.raises(DataError, match="missing arousal matrix"):
+            project_weeks(em, {"valence": matrix})
+
+    def test_project_weeks_rejects_a_bin_count_unlike_the_eigenbin(self):
+        rng = np.random.default_rng(35)
+        em = make_eigenmood(decompose(self.matrices(rng, self.WEEKS)))
+        with pytest.raises(DataError, match="has 5 bins, eigenbin has 6"):
+            project_weeks(em, {"valence": self.matrices(rng, self.WEEKS, n_bins=5)})
 
     def test_project_weeks_rejects_disagreeing_grids(self):
         rng = np.random.default_rng(34)
-        weeks = [dt.date(2010, 1, 3) + dt.timedelta(weeks=w) for w in range(5)]
-        a = self.matrices(rng, weeks)
-        b = self.matrices(rng, [w + dt.timedelta(weeks=9) for w in weeks])
-        dec = decompose(a)
-        em = make_eigenmood(dec, dims=("valence", "arousal"))
-        with pytest.raises(DataError):
-            project_weeks(em, {"valence": a, "arousal": BinnedMoodMatrix("arousal", b.week_starts, b.matrix)})
+        a = self.matrices(rng, self.WEEKS)
+        b = self.matrices(rng, [w + dt.timedelta(weeks=9) for w in self.WEEKS], dim="arousal")
+        em = make_eigenmood(decompose(a), dims=("valence", "arousal"))
+        with pytest.raises(DataError, match="disagree on week lists"):
+            project_weeks(em, {"valence": a, "arousal": b})
 
     def test_mean_projection_averages_elementwise(self):
         mean = mean_projection([WeekProjection((1.0, -2.0)), WeekProjection((3.0, 4.0))])
