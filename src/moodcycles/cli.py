@@ -131,13 +131,17 @@ def _stoplist(args, manifest: RunManifest) -> sentiment.GreetingStoplist | None:
     return sentiment.GreetingStoplist.default()
 
 
-def _fold_scored(args, manifest: RunManifest, fold) -> dict[str, int]:
+def _fold_scored(args, manifest: RunManifest,
+                 fold: sentiment.DayTotals | sentiment.WeekBins) -> list[tuple[str, int]]:
     """Read and score the records a block of lines at a time, passing each
     block's scored records (only those of ``--country``, when it is given)
-    to ``fold(country codes, GMT day ordinals, (n, 3) scores)`` in input
-    order; returns each country's code, in first-seen order. Each distinct
-    line of a block is scored and coded once, and its columns are gathered
-    back to the block's records."""
+    to ``fold.add(country codes, GMT day ordinals, (n, 3) scores)`` in input
+    order. Each distinct line of a block is scored and coded once, and its
+    columns are gathered back to the block's records.
+
+    Returns the (country, code) pairs to write: ``--country``, or else
+    every country but ``unknown`` by name, each only if it has a scored
+    record; none is a data error."""
     manifest.add_input(args.records)
     manifest.add_input(args.lexicons)
     scorer = sentiment.Scorer(sentiment.load_lexicons(args.lexicons), _stoplist(args, manifest))
@@ -150,7 +154,7 @@ def _fold_scored(args, manifest: RunManifest, fold) -> dict[str, int]:
         scored = scores.n_matched > 0
         keep = scored & (code == codes.get(args.country, -1)) if args.country else scored
         kept = row[keep[row]]
-        fold(code[kept], days[kept], scores.vad[kept])
+        fold.add(code[kept], days[kept], scores.vad[kept])
         n += len(row)
         n_malformed += bad
         n_unscored += len(row) - int(np.count_nonzero(scored[row]))
@@ -159,7 +163,13 @@ def _fold_scored(args, manifest: RunManifest, fold) -> dict[str, int]:
     manifest.counts["records_unscored"] = n_unscored
     if n_malformed:
         manifest.warnings.append(f"{n_malformed} malformed record lines skipped")
-    return codes
+    names = [args.country] if args.country else sorted(set(codes) - {"unknown"})
+    folded = fold.groups()
+    pairs = [(name, codes[name]) for name in names if codes.get(name, -1) in folded]
+    if not pairs:
+        raise DataError(f"no scored records for country {args.country!r}" if args.country
+                        else "the records hold no scored record for any country")
+    return pairs
 
 
 # ------------------------------------------------------------------ subcommands
@@ -189,14 +199,6 @@ def cmd_center(args, manifest: RunManifest) -> None:
     print(f"{len(centered)} centered years; anchor-week z = {anchor_z:.3f}")
 
 
-_CLASSIFICATION_HEADER = [
-    "code", "name", "identification", "hemisphere",
-    "z_christmas", "z_eid", "z_june", "z_dec", "label", "basis", "tie_resolved",
-]
-
-_AGREEMENT_HEADER = ["group_kind", "group", "anchor", "n_group", "n_above", "pct_exact", "pct"]
-
-
 def _classified(args, manifest: RunManifest):
     """Classify the z table's countries; write classification.csv and agreement.csv.
 
@@ -208,15 +210,17 @@ def _classified(args, manifest: RunManifest):
     profiles = countries.build_profiles(zrows, args.threshold, args.orthodox_as_other)
     agreement = countries.cohort_agreement(profiles, args.threshold)
     manifest.counts["countries"] = len(profiles)
-    io.write_table(args.out / "classification.csv", _CLASSIFICATION_HEADER, [
-        [p.code, p.name, p.identification, p.hemisphere,
-         p.response.z_christmas, p.response.z_eid, p.response.z_june, p.response.z_dec,
+    io.write_table(args.out / "classification.csv", [
+        "code", "name", "identification", "hemisphere", *io._Z_COLUMNS.values(),
+        "label", "basis", "tie_resolved",
+    ], [
+        [p.code, p.name, p.identification, p.hemisphere, *map(p.response.z_for, io._Z_COLUMNS),
          p.classification.label, "+".join(p.classification.basis),
          "yes" if p.classification.tie_resolved else "no"]
         for p in profiles
     ])
-    io.write_table(args.out / "agreement.csv", _AGREEMENT_HEADER,
-                   [[r[k] for k in _AGREEMENT_HEADER] for r in agreement])
+    fields = countries._AGREEMENT_FIELDS
+    io.write_table(args.out / "agreement.csv", fields, [[r[k] for k in fields] for r in agreement])
     return zrows, profiles, agreement
 
 
@@ -258,45 +262,32 @@ def _warn_low_confidence(manifest: RunManifest, n_low: int) -> None:
 
 def cmd_score(args, manifest: RunManifest) -> None:
     totals = sentiment.DayTotals()
-    codes = _fold_scored(args, manifest, totals.add)
-    wanted = [args.country] if args.country else sorted(set(codes) - {"unknown"})
-    weekly = [(country, *totals.weekly(codes.get(country, -1))) for country in wanted]
-    n_weeks = n_low = 0
+    weekly = [(country, *totals.weekly(code))
+              for country, code in _fold_scored(args, manifest, totals)]
+    n_low = 0
     for country, starts, n_scored, _ in weekly:
-        n_weeks += len(starts)
         n_low += int(np.count_nonzero(n_scored < sentiment.LOW_CONFIDENCE_WEEK))
-        n_gaps = int(starts[-1] - starts[0]) // 7 + 1 - len(starts) if len(starts) else 0
+        n_gaps = int(starts[-1] - starts[0]) // 7 + 1 - len(starts)
         if n_gaps:
             manifest.warnings.append(f"{country}: {n_gaps} gap weeks with no scored records")
-    if not n_weeks:
-        raise DataError(f"no scored records for country {args.country!r}" if args.country
-                        else "the records hold no scored record for any country")
     _warn_low_confidence(manifest, n_low)
     n_rows = io.write_weekly_mood(args.out / "weekly_mood.csv", (
         (country, dt.date.fromordinal(start), dim, value, n)
         for country, starts, n_scored, mean in weekly
         for start, n, values in zip(starts.tolist(), n_scored.tolist(), mean.tolist())
         for dim, value in zip(sentiment.DIMENSIONS, values)))
-    manifest.counts["countries"] = len(wanted)
+    manifest.counts["countries"] = len(weekly)
     manifest.counts["weekly_rows"] = n_rows
-    print(f"wrote weekly means for {len(wanted)} countries ({n_rows} rows)")
+    print(f"wrote weekly means for {len(weekly)} countries ({n_rows} rows)")
 
 
 def cmd_bin(args, manifest: RunManifest) -> None:
     bins = sentiment.WeekBins(args.bins)
-    codes = _fold_scored(args, manifest, bins.add)
-    country = args.country
-    if not country:
-        scored = bins.groups()
-        present = [name for name, code in codes.items() if code in scored and name != "unknown"]
-        if len(present) > 1:
-            raise UsageError("--country is required when records cover several countries")
-        if not present:
-            raise DataError("the records hold no scored record for any country")
-        country = present[0]
-    binned = bins.binned(codes.get(country, -1))
-    if not binned:
-        raise DataError(f"no scored records for country {country!r}")
+    pairs = _fold_scored(args, manifest, bins)
+    if len(pairs) > 1:
+        raise UsageError("--country is required when records cover several countries")
+    [(country, code)] = pairs
+    binned = bins.binned(code)
     weeks = binned[::len(sentiment.DIMENSIONS)]
     _warn_low_confidence(manifest, sum(w.n_scored < sentiment.LOW_CONFIDENCE_WEEK for w in weeks))
     io.write_binned(args.out / "binned.tsv",

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DataError
+from .io import _Z_COLUMNS
 from .timeseries import AnchorKind, WeeklySeries
 from .stats import _finite, pearson
 
@@ -26,17 +27,11 @@ JANUARY_CHRISTMAS = frozenset(
     {"BA", "BY", "GE", "MD", "ME", "MK", "RS", "RU", "SI", "UA"}
 )
 
-RESPONSE_ANCHORS = (
-    AnchorKind.CHRISTMAS,
-    AnchorKind.EID_AL_FITR,
-    AnchorKind.JUNE_SOLSTICE,
-    AnchorKind.DECEMBER_SOLSTICE,
-)
-
 
 @dataclass(frozen=True)
 class HolidayResponse:
-    """Anchor-week z-scores per centered calendar."""
+    """Anchor-week z-scores per centered calendar, each field named as
+    its anchor's z table column."""
 
     z_christmas: float
     z_eid: float
@@ -44,12 +39,7 @@ class HolidayResponse:
     z_dec: float
 
     def z_for(self, kind: AnchorKind) -> float:
-        return {
-            AnchorKind.CHRISTMAS: self.z_christmas,
-            AnchorKind.EID_AL_FITR: self.z_eid,
-            AnchorKind.JUNE_SOLSTICE: self.z_june,
-            AnchorKind.DECEMBER_SOLSTICE: self.z_dec,
-        }[kind]
+        return getattr(self, _Z_COLUMNS[kind])
 
 
 @dataclass(frozen=True)
@@ -106,12 +96,7 @@ def build_profiles(
         identification = row["identification"]
         if orthodox_as_other and row["code"] in JANUARY_CHRISTMAS:
             identification = "Other"
-        response = HolidayResponse(
-            z_christmas=row["z_christmas"],
-            z_eid=row["z_eid"],
-            z_june=row["z_june"],
-            z_dec=row["z_dec"],
-        )
+        response = HolidayResponse(**{column: row[column] for column in _Z_COLUMNS.values()})
         profiles.append(
             CountryProfile(
                 code=row["code"],
@@ -129,11 +114,16 @@ def _round_half_up(x: float) -> int:
     return int(x + 0.5)
 
 
+# the fields of a cohort_agreement row, in agreement.csv's column order
+_AGREEMENT_FIELDS = ["group_kind", "group", "anchor", "n_group", "n_above", "pct_exact", "pct"]
+
+
 def cohort_agreement(
     profiles: list[CountryProfile],
     threshold: float = 1.0,
 ) -> list[dict]:
-    """Per-group percentage of countries with z above threshold at each anchor.
+    """Per-group percentage of countries with z above threshold at each
+    anchor, one ``_AGREEMENT_FIELDS`` row per (group, anchor).
 
     Groups countries by identification and by hemisphere; empty groups are
     simply absent from the output. Percentages are reported exact and rounded
@@ -150,18 +140,11 @@ def cohort_agreement(
             members.setdefault(key(profile), []).append(profile)
         for group in sorted(members):
             cohort = members[group]
-            for kind in RESPONSE_ANCHORS:
+            for kind in _Z_COLUMNS:
                 hits = sum(1 for p in cohort if p.response.z_for(kind) > threshold)
                 exact = 100.0 * hits / len(cohort)
-                rows.append({
-                    "group_kind": group_kind,
-                    "group": group,
-                    "anchor": kind.value,
-                    "n_group": len(cohort),
-                    "n_above": hits,
-                    "pct_exact": exact,
-                    "pct": _round_half_up(exact),
-                })
+                rows.append(dict(zip(_AGREEMENT_FIELDS, (
+                    group_kind, group, kind.value, len(cohort), hits, exact, _round_half_up(exact)))))
     return rows
 
 

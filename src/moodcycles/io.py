@@ -268,6 +268,11 @@ def write_averaged_year(path: str | Path, avg: AveragedYear) -> int:
 
 # -------------------------------------------------------------------- countries
 
+# the z table's column for each anchor's response, in table order
+_Z_COLUMNS = {AnchorKind.CHRISTMAS: "z_christmas", AnchorKind.EID_AL_FITR: "z_eid",
+              AnchorKind.JUNE_SOLSTICE: "z_june", AnchorKind.DECEMBER_SOLSTICE: "z_dec"}
+
+
 def read_zscore_table(path: str | Path | None = None) -> list[dict]:
     """Per-country anchor z-scores; ``path=None`` loads the bundled table.
 
@@ -277,8 +282,7 @@ def read_zscore_table(path: str | Path | None = None) -> list[dict]:
     """
     src = _fixture("holiday_zscores.csv") if path is None else path
     columns = {"code": str.strip, "name": str.strip, "identification": str.strip,
-               "hemisphere": str.strip, "z_christmas": _parse_float, "z_eid": _parse_float,
-               "z_june": _parse_float, "z_dec": _parse_float}
+               "hemisphere": str.strip, **dict.fromkeys(_Z_COLUMNS.values(), _parse_float)}
     return [dict(zip(columns, values))
             for _, values in _rows(src, columns, key=(1, "country code {!r}"))]
 

@@ -389,6 +389,10 @@ class _WeekCells:
         np.add.at(sums.reshape(-1), (slot[carried:, None] * width + at).ravel(), weights.ravel())
         self.keys, self.sums = keys, sums
 
+    def groups(self) -> set[int]:
+        """The groups with at least one row."""
+        return set(np.unique(self.keys // _KEY).tolist())
+
     def _cells(self, group: int) -> tuple[np.ndarray, np.ndarray]:
         """Week start ordinals and sums of ``group``'s cells, weeks in date order."""
         lo, hi = np.searchsorted(self.keys, [group * _KEY, (group + 1) * _KEY])
@@ -520,10 +524,6 @@ class WeekBins(_WeekCells):
         ordinal ``days[r]``, (n, 3) scores ``vad[r]`` in [1, 9]."""
         at = bin_index(vad, self.n_bins) + np.arange(3) * self.n_bins
         self._fold(group, days, at, np.ones(at.shape))
-
-    def groups(self) -> set[int]:
-        """The groups with at least one score."""
-        return set(np.unique(self.keys // _KEY).tolist())
 
     def binned(self, group: int) -> list[BinnedWeek]:
         """One BinnedWeek per (week, dimension) of ``group``: weeks in date

@@ -16,7 +16,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import moodcycles
@@ -423,6 +423,14 @@ class TestClassifyAndReport:
         assert len(rows) == len(expected_agreement())
         assert all(r["match"] == "yes" for r in rows)
         assert (out / "report.md").read_text().startswith("# Holiday classification report")
+        for name, header in [
+            ("classification.csv", ["code", "name", "identification", "hemisphere", "z_christmas",
+                                    "z_eid", "z_june", "z_dec", "label", "basis", "tie_resolved"]),
+            ("agreement.csv", ["group_kind", "group", "anchor", "n_group", "n_above", "pct_exact",
+                               "pct"]),
+        ]:
+            with open(out / name, newline="") as fh:
+                assert next(csv.reader(fh)) == header, name
 
     def test_threshold_changes_the_counts(self, tmp_path, capsys):
         assert run("classify", "--out", str(tmp_path / "t1")) == 0
@@ -626,6 +634,9 @@ class TestColumnarStages:
     @given(lines=records_files(),
            country=st.sampled_from([None, *COUNTRIES]), stoplist=st.booleans(),
            chunk=st.integers(1, 7))
+    # US has records but none scored: score writes and counts GB alone
+    @example(lines=[b"2010-01-01T00:00:00Z\tUS\t", b"2010-01-01T00:00:00Z\tUS\t",
+                    b"2010-01-01T00:00:00Z\tGB\tsun"], country=None, stoplist=False, chunk=1)
     def test_outputs_equal_the_adapter_path(self, lines, country, stoplist, chunk):
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
@@ -643,7 +654,9 @@ class TestColumnarStages:
 
             with mock.patch.object(sentiment, "_CHUNK", chunk):
                 code = run("score", *argv, "--out", str(tmp / "cli"))
-            wanted = [country] if country else sorted({r.country for r in scored} - {"unknown"})
+            # the countries but unknown with a scored record, unless --country names one
+            present = sorted({r.country for r in scored if r.country != "unknown" and r.score})
+            wanted = [country] if country else present
             rows = [(c, week.week_start, dim, week.mean[i], week.n_scored)
                     for c in wanted for week in sentiment.aggregate(scored, c)[0]
                     for i, dim in enumerate(sentiment.DIMENSIONS)]
@@ -658,7 +671,6 @@ class TestColumnarStages:
 
             with mock.patch.object(sentiment, "_CHUNK", chunk):
                 code = run("bin", *argv, "--out", str(tmp / "cli"))
-            present = sorted({r.country for r in scored if r.country != "unknown" and r.score})
             chosen = country or (present[0] if len(present) == 1 else None)
             by_week = sentiment.weekly_scores(scored, chosen) if chosen else {}
             # several scored countries need --country; none at all is a data error

@@ -621,6 +621,7 @@ class TestWeekCellFold:
             assert weeks == reference_aggregate(mine, country)[0]
             got = [(b.week_start, b.dimension, b.counts.tolist()) for b in bins.binned(code)]
             assert got == reference_bin_weeks(reference_weekly_scores(mine, country), n_bins)
+        assert totals.groups() == bins.groups() == {codes[r.country] for r in mine}
 
 
 class TestAggregate:
